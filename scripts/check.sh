@@ -10,7 +10,8 @@
 # -DFOVE_SANITIZE=address,undefined), and a ThreadSanitizer config
 # (-DFOVE_SANITIZE=thread; tsan cannot combine with asan, so it gets
 # its own tree) — running the full ctest suite in the first two and
-# the concurrency-heavy suites in the third. Exits non-zero on the
+# the concurrency-heavy suites (ctest label "tsan", listed in
+# CMakeLists.txt) in the third. Exits non-zero on the
 # first failure. Build directories:
 #   build/        Release (shared with normal development)
 #   build-san/    address,undefined sanitizers
@@ -53,10 +54,15 @@ echo "== Decode hardening corpus under asan/ubsan =="
 # The malformed-stream corpus (bit flips, truncations, extensions,
 # adversarial headers) is where decode memory bugs would surface; run
 # it explicitly so a filtered/partial ctest invocation can never skip
-# it, with halt-on-error so sanitizer reports fail the run loudly.
+# it, with halt-on-error so sanitizer reports fail the run loudly. The
+# bit I/O suite decodes tile ranges from exactly sized buffers, so an
+# over-read by the window reader's tail refill fails here too.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-san/bd_test_bd_decode_hardening
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-san/bd_test_bd_bit_io
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-san/bd_test_bd_variable_hardening
@@ -121,29 +127,15 @@ done
 echo "== Concurrency suites under ThreadSanitizer =="
 # The sharded dispatch refactor (dispatcher-per-shard, cross-shard
 # work stealing, lane-exclusive per-stream state hand-off) lives or
-# dies on happens-before edges that asan/ubsan cannot see. Build a
-# dedicated tsan tree (tsan is incompatible with asan) and run the
-# queue/pool primitives plus every service and net suite that drives
-# concurrent dispatchers, so a data race in the steal protocol fails
+# dies on happens-before edges that asan/ubsan cannot see, and the
+# parallel BD encode has workers writing disjoint bytes of one buffer.
+# Build a dedicated tsan tree (tsan is incompatible with asan) with
+# just the suites labeled "tsan" and run them, so a data race fails
 # the run loudly.
 cmake -B build-tsan -S . -DFOVE_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j"$JOBS" --target \
-    common_test_sharded_queue common_test_thread_pool \
-    common_test_bounded_queue \
-    service_test_sharded_service service_test_encode_service \
-    service_test_gaze_service service_test_collect_timeout \
-    service_test_fault_service \
-    net_test_delivery net_test_delivery_sharded \
-    obs_test_trace obs_test_metrics obs_test_frame_trace
-for suite in common_test_sharded_queue common_test_thread_pool \
-             common_test_bounded_queue \
-             service_test_sharded_service service_test_encode_service \
-             service_test_gaze_service service_test_collect_timeout \
-             service_test_fault_service \
-             net_test_delivery net_test_delivery_sharded \
-             obs_test_trace obs_test_metrics obs_test_frame_trace; do
-    TSAN_OPTIONS="halt_on_error=1" "./build-tsan/${suite}"
-done
+cmake --build build-tsan -j"$JOBS" --target tsan_suites
+TSAN_OPTIONS="halt_on_error=1" \
+    ctest --test-dir build-tsan --output-on-failure -L tsan
 
 echo "== Bounded fault-campaign smoke (Release) =="
 # A tiny end-to-end fault_runner invocation (seconds, not minutes)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/bitstream.hh"
@@ -37,14 +38,17 @@ bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
     if (tile_size < 1 || tile_size > 255)
         throw std::invalid_argument(
             "bdWriteStreamHeader: tile size out of range");
-    BitWriter bw;
-    bw.putBits(kMagic, kMagicBits);
-    bw.putBits(static_cast<uint32_t>(width), kDimBits);
-    bw.putBits(static_cast<uint32_t>(height), kDimBits);
-    bw.putBits(static_cast<uint32_t>(tile_size), kTileBits);
-    bw.alignToByte();
-    const std::vector<uint8_t> bytes = bw.take();
-    std::copy(bytes.begin(), bytes.end(), out8);
+    // Every field is a whole number of bytes, big-endian.
+    const uint8_t header[kBdStreamHeaderBits / 8] = {
+        static_cast<uint8_t>(kMagic >> 16),
+        static_cast<uint8_t>(kMagic >> 8),
+        static_cast<uint8_t>(kMagic),
+        static_cast<uint8_t>(width >> 8),
+        static_cast<uint8_t>(width),
+        static_cast<uint8_t>(height >> 8),
+        static_cast<uint8_t>(height),
+        static_cast<uint8_t>(tile_size)};
+    std::memcpy(out8, header, sizeof header);
 }
 
 unsigned
@@ -116,36 +120,148 @@ BdCodec::encode(const ImageU8 &img, BdFrameStats *stats_out) const
 namespace {
 
 /**
- * Emit the bitstream of tiles [begin, end) into @p bw from the
- * precomputed per-tile-channel base/width stats. The emission order is
- * exactly the serial encoder's, so concatenating ranges in tile order
- * reproduces its stream bit for bit.
+ * MSB-first field emitter writing straight into a caller-sized buffer.
+ * Fields collect in a 64-bit accumulator and leave it 32 bits at a
+ * time as one big-endian store, so a store only ever holds bits this
+ * emitter was given: it never touches a byte past the last complete
+ * byte of the emitter's span.
  */
-void
+class WordEmitter
+{
+  public:
+    /**
+     * Start at absolute bit @p bit_pos of @p out. The bits of the first
+     * byte that precede @p bit_pos are written as zeros, for the caller
+     * to merge with whatever owns them.
+     */
+    WordEmitter(uint8_t *out, std::size_t bit_pos)
+        : p_(out + bit_pos / 8), n_(static_cast<unsigned>(bit_pos % 8))
+    {}
+
+    /** Append @p value (< 2^width, width 0..32) MSB first. */
+    void put(unsigned value, unsigned width)
+    {
+        acc_ = (acc_ << width) | value;
+        n_ += width;
+        if (n_ >= 32) {
+            n_ -= 32;
+            const auto v = static_cast<uint32_t>(acc_ >> n_);
+            p_[0] = static_cast<uint8_t>(v >> 24);
+            p_[1] = static_cast<uint8_t>(v >> 16);
+            p_[2] = static_cast<uint8_t>(v >> 8);
+            p_[3] = static_cast<uint8_t>(v);
+            p_ += 4;
+        }
+    }
+
+    /**
+     * Store the remaining complete bytes and return the final partial
+     * byte — its bits at the top, zeros below — without storing it
+     * (0 when the span ends on a byte boundary).
+     */
+    uint8_t finish()
+    {
+        for (; n_ >= 8; n_ -= 8)
+            *p_++ = static_cast<uint8_t>(acc_ >> (n_ - 8));
+        return n_ == 0 ? 0 : static_cast<uint8_t>(acc_ << (8 - n_));
+    }
+
+  private:
+    uint8_t *p_;
+    uint64_t acc_ = 0;
+    unsigned n_;  ///< valid low bits of acc_ not yet stored
+};
+
+/**
+ * MSB-first field reader through a 64-bit window. A refill loads the
+ * big-endian word at the byte holding the next unread bit; within the
+ * buffer's last 8 bytes it loads only the bytes that exist and reads
+ * zeros past them, so it never touches a byte at or past the buffer's
+ * end. A window may hold bits past the caller's span; they are loaded
+ * but never returned.
+ */
+class WindowReader
+{
+  public:
+    WindowReader(const uint8_t *data, std::size_t size_bytes,
+                 std::uint64_t bit_pos)
+        : data_(data), size_(size_bytes), pos_(bit_pos)
+    {}
+
+    /** Read a field of 1..57 bits (a refill leaves at least 57). */
+    unsigned get(unsigned width)
+    {
+        if (avail_ < width)
+            refill();
+        const auto v = static_cast<unsigned>(win_ >> (64 - width));
+        win_ <<= width;
+        avail_ -= width;
+        return v;
+    }
+
+  private:
+    void refill()
+    {
+        pos_ += loaded_ - avail_;
+        const std::uint64_t byte = pos_ / 8;
+        uint64_t w = 0;
+        if (byte + 8 <= size_) {
+            // Spelled out so the compiler folds it into one load + bswap.
+            const uint8_t *p = data_ + byte;
+            w = uint64_t(p[0]) << 56 | uint64_t(p[1]) << 48 |
+                uint64_t(p[2]) << 40 | uint64_t(p[3]) << 32 |
+                uint64_t(p[4]) << 24 | uint64_t(p[5]) << 16 |
+                uint64_t(p[6]) << 8 | uint64_t(p[7]);
+        } else {
+            for (std::uint64_t i = byte; i < size_; ++i)
+                w |= static_cast<uint64_t>(data_[i])
+                     << (56 - 8 * (i - byte));
+        }
+        const unsigned skip = static_cast<unsigned>(pos_ % 8);
+        win_ = w << skip;
+        avail_ = loaded_ = 64 - skip;
+    }
+
+    const uint8_t *data_;
+    std::size_t size_;
+    std::uint64_t pos_;    ///< stream bit of the window's first bit
+    uint64_t win_ = 0;     ///< unread bits, MSB first
+    unsigned avail_ = 0;   ///< unread bits left in win_
+    unsigned loaded_ = 0;  ///< bits win_ held after the last refill
+};
+
+/**
+ * Emit tiles [begin, end) from the precomputed per-tile-channel
+ * base/width stats straight into @p out, starting at absolute stream
+ * bit @p bit_pos. The emission order is exactly the serial encoder's,
+ * so ranges emitted at their prefix offsets compose its stream bit for
+ * bit. Returns the range's final partial byte (see
+ * WordEmitter::finish), which the caller merges.
+ */
+uint8_t
 emitTileRange(const ImageU8 &img, const std::vector<TileRect> &tiles,
               const std::vector<uint8_t> &base,
               const std::vector<uint8_t> &width, std::size_t begin,
-              std::size_t end, BitWriter &bw)
+              std::size_t end, std::size_t bit_pos, uint8_t *out)
 {
+    WordEmitter e(out, bit_pos);
     for (std::size_t t = begin; t < end; ++t) {
         const TileRect &rect = tiles[t];
         for (int c = 0; c < 3; ++c) {
-            const uint8_t lo = base[3 * t + c];
+            const unsigned lo = base[3 * t + c];
             const unsigned w = width[3 * t + c];
-            bw.putBits(w, kWidthFieldBits);
-            bw.putBits(lo, kBaseBits);
+            e.put(w, kWidthFieldBits);
+            e.put(lo, kBaseBits);
             if (w == 0)
                 continue;
             for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                for (int x = rect.x0; x < rect.x0 + rect.w; ++x) {
-                    const unsigned delta =
-                        static_cast<unsigned>(img.channel(x, y, c)) -
-                        lo;
-                    bw.putBits(delta, w);
-                }
+                const uint8_t *row = img.pixel(rect.x0, y) + c;
+                for (int x = 0; x < rect.w; ++x)
+                    e.put(row[3 * x] - lo, w);
             }
         }
     }
+    return e.finish();
 }
 
 } // namespace
@@ -228,50 +344,50 @@ BdCodec::encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
     stats.metaBits = n_tiles * 3 * kWidthFieldBits;
     stats.baseBits = n_tiles * 3 * kBaseBits;
 
-    // Pass 3: emission. The writer adopts (and returns) the caller's
-    // buffer and reserves the exact final size up front.
+    // Pass 3: emission straight into the exactly sized output, after
+    // the header. Tiles are split into contiguous chunks, each emitted
+    // at its prefix offset; more chunks than slots so the dynamic
+    // scheduler can rebalance around cheap (flat/foveal) runs. The
+    // serial encode is one chunk.
     obs::TraceSpan emitSpan("bd/emit");
-    BitWriter bw;
-    bw.reset(std::move(out));
-    bw.reserve(stats.headerBits + payload_bits + 7);
-    bw.putBits(kMagic, kMagicBits);
-    bw.putBits(static_cast<uint32_t>(img.width()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(img.height()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(tileSize_), kTileBits);
-
-    if (!parallel) {
-        emitTileRange(img, tiles, s.base, s.width, 0, n_tiles, bw);
-    } else {
-        // Contiguous tile chunks, emitted into independent writers and
-        // spliced in order. More chunks than slots so the dynamic
-        // scheduler can rebalance around cheap (flat/foveal) runs.
-        const std::size_t n_chunks = std::min<std::size_t>(
-            n_tiles, static_cast<std::size_t>(participants) * 4);
-        s.chunks.resize(n_chunks);
-        pool->parallelFor(
-            n_chunks, 1, participants,
-            [&](std::size_t begin, std::size_t end, int) {
-                for (std::size_t k = begin; k < end; ++k) {
-                    const std::size_t t0 = n_tiles * k / n_chunks;
-                    const std::size_t t1 =
-                        n_tiles * (k + 1) / n_chunks;
-                    BitWriter &cw = s.chunks[k];
-                    cw.clear();
-                    cw.reserve(s.bitOffsets[t1] - s.bitOffsets[t0]);
-                    emitTileRange(img, tiles, s.base, s.width, t0, t1,
-                                  cw);
-                }
-            });
-        for (std::size_t k = 0; k < n_chunks; ++k)
-            bw.appendBits(s.chunks[k].bytes().data(),
-                          s.chunks[k].bitCount());
+    const std::size_t total_bits = kBdStreamHeaderBits + payload_bits;
+    out.resize((total_bits + 7) / 8);
+    bdWriteStreamHeader(out.data(), img.width(), img.height(), tileSize_);
+    const std::size_t n_chunks =
+        parallel ? std::min<std::size_t>(
+                       n_tiles, static_cast<std::size_t>(participants) * 4)
+                 : 1;
+    s.seams.resize(n_chunks);
+    auto chunkTile = [&](std::size_t k) { return n_tiles * k / n_chunks; };
+    auto emitChunks = [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t k = begin; k < end; ++k) {
+            const std::size_t t0 = chunkTile(k);
+            s.seams[k] = emitTileRange(
+                img, tiles, s.base, s.width, t0, chunkTile(k + 1),
+                kBdStreamHeaderBits + s.bitOffsets[t0], out.data());
+        }
+    };
+    if (parallel)
+        pool->parallelFor(n_chunks, 1, participants, emitChunks);
+    else
+        emitChunks(0, n_chunks, 0);
+    // A chunk ending mid-byte shares that byte with the next chunk,
+    // which stored it with zeros above its own first bit; merge the
+    // two halves here, serially, so no two participants ever write the
+    // same byte. The last chunk's partial byte is the stream's final
+    // byte, zero-padded below.
+    for (std::size_t k = 0; k < n_chunks; ++k) {
+        const std::size_t end_bit =
+            kBdStreamHeaderBits + s.bitOffsets[chunkTile(k + 1)];
+        if (end_bit % 8 == 0)
+            continue;
+        uint8_t &shared = out[end_bit / 8];
+        shared = static_cast<uint8_t>(
+            (k + 1 < n_chunks ? shared : 0) | s.seams[k]);
     }
-
-    bw.alignToByte();
     emitSpan.end();
     if (stats_out)
         *stats_out = stats;
-    out = bw.take();
 }
 
 ImageU8
@@ -335,14 +451,13 @@ BdCodec::decodeTileRangeInto(const std::uint8_t *data,
                              std::uint64_t payload_bit_begin,
                              ImageU8 &out)
 {
-    BitReader br(data, size_bytes);
-    br.seek(static_cast<std::size_t>(kBdStreamHeaderBits +
-                                     payload_bit_begin));
+    WindowReader br(data, size_bytes,
+                    kBdStreamHeaderBits + payload_bit_begin);
     for (std::size_t t = tile_begin; t < tile_end; ++t) {
         const TileRect &rect = tiles[t];
         for (int c = 0; c < 3; ++c) {
-            const unsigned width = br.getBits(kWidthFieldBits);
-            const unsigned base = br.getBits(kBaseBits);
+            const unsigned width = br.get(kWidthFieldBits);
+            const unsigned base = br.get(kBaseBits);
             if (width == 0) {
                 // Flat channel (the cheap "case 2" tiles): no delta
                 // bits to read, just splat the base.
@@ -356,8 +471,8 @@ BdCodec::decodeTileRangeInto(const std::uint8_t *data,
             for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
                 uint8_t *row = out.pixel(rect.x0, y);
                 for (int x = 0; x < rect.w; ++x)
-                    row[3 * x + c] = static_cast<uint8_t>(
-                        base + br.getBits(width));
+                    row[3 * x + c] =
+                        static_cast<uint8_t>(base + br.get(width));
             }
         }
     }

@@ -47,7 +47,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/bitstream.hh"
 #include "image/image.hh"
 
 namespace pce {
@@ -139,7 +138,7 @@ struct BdFrameStats
  * Reusable working storage of BdCodec::encodeInto. A caller that keeps
  * one scratch across a stream of frames (EncodedFrame owns one) makes
  * the encode allocation-free in the steady state: the tile grid, the
- * per-tile stats, the prefix offsets, and the per-chunk bit buffers all
+ * per-tile stats, the prefix offsets, and the per-chunk seam bytes all
  * grow once and are reused.
  */
 struct BdEncodeScratch
@@ -155,8 +154,12 @@ struct BdEncodeScratch
     std::vector<uint8_t> width;
     /** Exclusive prefix of per-tile payload bits (tiles + 1 entries). */
     std::vector<std::size_t> bitOffsets;
-    /** Independent per-chunk emitters of the parallel encode. */
-    std::vector<BitWriter> chunks;
+    /**
+     * Per emit chunk, its final partial byte (0 when it ends on a byte
+     * boundary), held back from the output and merged after the chunks
+     * finish so no two participants write the same byte.
+     */
+    std::vector<uint8_t> seams;
 };
 
 /**
@@ -217,14 +220,18 @@ class BdCodec
      *
      * Three passes: (1) per-tile-channel min/width stats, parallel over
      * tiles; (2) a serial prefix pass turning the stats into exact
-     * per-tile bit offsets (and the frame's total size, reserved up
-     * front); (3) emission — tiles are split into contiguous chunks,
-     * workers emit each chunk's bitstream into an independent
-     * exactly-reserved BitWriter, and a splice pass concatenates them
-     * in tile order. The output is byte-identical to the serial
-     * encoder for any thread count and any chunking (the spliced
-     * stream is the per-tile streams in tile order either way; tests
-     * sweep thread counts and assert equality).
+     * per-tile bit offsets (and the frame's total size); (3) emission —
+     * @p out is sized exactly, the header written with
+     * bdWriteStreamHeader, and tiles are split into contiguous chunks
+     * that workers emit straight into @p out, each starting at its
+     * tile's prefix offset (the serial encode is one chunk). A chunk
+     * that ends mid-byte shares that byte with the next chunk; each
+     * chunk holds its final partial byte back (BdEncodeScratch::seams)
+     * and a serial pass merges them, so no two participants write the
+     * same byte. The output is byte-identical to the serial encoder for
+     * any thread count and any chunking: every tile's bits land at the
+     * offset the prefix pass gave it either way (tests sweep thread
+     * counts and assert equality with a per-field reference encoder).
      *
      * @param out Overwritten with the stream; its capacity is reused.
      * @param scratch Optional reusable working storage (see
@@ -232,6 +239,8 @@ class BdCodec
      * @param pool Optional worker pool; nullptr encodes serially.
      * @param participants Parallel slots when @p pool is given
      *        (clamped to the pool size, 0/1 = serial).
+     * @throws std::invalid_argument when the frame's dimensions do not
+     *         fit the 16-bit header fields (see bdWriteStreamHeader).
      */
     void encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
                     std::vector<uint8_t> &out,
@@ -335,11 +344,12 @@ class BdCodec
      * @p out, seeking straight to @p payload_bit_begin — the prefix
      * seek path of decodeInto's pass 2, exposed for partial-frame
      * decode. The caller must have validated the range first (
-     * walkTileRange) and sized @p out to the frame geometry; bytes of
-     * @p data outside the range's bit span are never read, so a
-     * partially reassembled frame buffer with holes decodes every
-     * *present* tile range correctly regardless of what the holes
-     * contain.
+     * walkTileRange) and sized @p out to the frame geometry. Bytes of
+     * @p data outside the range's bit span never affect the output
+     * (the reader may load up to 8 bytes past the span, never past
+     * @p size_bytes, and discards them), so a partially reassembled
+     * frame buffer with holes decodes every *present* tile range
+     * correctly regardless of what the holes contain.
      */
     static void decodeTileRangeInto(const std::uint8_t *data,
                                     std::size_t size_bytes,

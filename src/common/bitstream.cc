@@ -5,9 +5,8 @@ namespace pce {
 void
 BitWriter::putBits(uint32_t value, unsigned width)
 {
-    // Byte-chunked writes: the BD encoder calls this once per pixel per
-    // channel, and the original bit-at-a-time loop (with its per-bit
-    // buffer-growth check) dominated the encode profile.
+    // Byte-chunked writes: the original bit-at-a-time loop (with its
+    // per-bit buffer-growth check) dominated per-field encode profiles.
     if (width == 0)
         return;
     if (width < 32)
@@ -31,38 +30,6 @@ BitWriter::putBits(uint32_t value, unsigned width)
 }
 
 void
-BitWriter::appendBits(const uint8_t *bytes, std::size_t bit_count)
-{
-    if (bit_count == 0)
-        return;
-    const std::size_t total_bytes = (bit_count + 7) / 8;
-    const unsigned shift = static_cast<unsigned>(bitCount_ % 8);
-    if (shift == 0) {
-        // Byte-aligned destination: bulk-copy the whole source.
-        bytes_.resize(bitCount_ / 8);  // drop the (empty) tail slot
-        bytes_.insert(bytes_.end(), bytes, bytes + total_bytes);
-        bitCount_ += bit_count;
-        return;
-    }
-    // Unaligned seam: each source byte splits across two destination
-    // bytes with one shift each — this splice is the serial section of
-    // the parallel BD encode, so it must stay near memcpy speed. Both
-    // the destination tail byte and any source bits beyond bit_count
-    // are zero (putBits/resize invariants), so plain ORs compose.
-    const std::size_t end_bits = bitCount_ + bit_count;
-    bytes_.resize((end_bits + 7) / 8, 0);
-    std::size_t idx = bitCount_ / 8;
-    for (std::size_t i = 0; i < total_bytes; ++i) {
-        const uint8_t b = bytes[i];
-        bytes_[idx + i] |= static_cast<uint8_t>(b >> shift);
-        if (idx + i + 1 < bytes_.size())
-            bytes_[idx + i + 1] |=
-                static_cast<uint8_t>(b << (8 - shift));
-    }
-    bitCount_ = end_bits;
-}
-
-void
 BitWriter::alignToByte()
 {
     while (bitCount_ % 8 != 0)
@@ -79,19 +46,17 @@ BitWriter::take()
 uint32_t
 BitReader::getBits(unsigned width)
 {
-    // Byte-chunked reads, mirroring BitWriter::putBits: the BD decoder
-    // calls this once per pixel per channel, and the original
-    // bit-at-a-time loop dominated the decode profile. Semantics are
-    // unchanged: reading past the end yields the available bits shifted
-    // up with zeros filling the missing low bits, and sets exhausted().
+    // Byte-chunked reads, mirroring BitWriter::putBits. Reading past the
+    // end yields the available bits shifted up with zeros filling the
+    // missing low bits, and sets exhausted().
     if (width == 0)
         return 0;
     unsigned avail = width;
     const std::size_t left = sizeBits_ - pos_;  // pos_ <= sizeBits_
     if (width <= 8 && width <= left) {
-        // Fast path for the per-pixel BD fields (4-bit widths, 8-bit
-        // bases, 1..8-bit deltas): the field spans at most two bytes,
-        // extracted from one 16-bit window.
+        // Fast path for fields of at most a byte (BD width fields and
+        // bases, variable-BD deltas): the field spans at most two
+        // bytes, extracted from one 16-bit window.
         const std::size_t byte = pos_ / 8;
         const unsigned used = pos_ % 8;
         pos_ += width;

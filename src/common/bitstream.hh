@@ -42,41 +42,11 @@ class BitWriter
     void putByte(uint8_t b) { putBits(b, 8); }
 
     /**
-     * Splice the first @p bit_count bits of another MSB-first stream
-     * onto this one. The source's final partial byte must be
-     * zero-padded below its last valid bit (true of any BitWriter
-     * buffer). Used by the parallel BD encoder to concatenate
-     * independently emitted per-chunk bitstreams; byte-aligned
-     * destinations take a bulk-copy fast path.
-     */
-    void appendBits(const uint8_t *bytes, std::size_t bit_count);
-
-    /**
      * Pre-allocate capacity for @p bits more bits so subsequent writes
-     * never reallocate — the parallel BD tile emitters size each chunk
-     * writer exactly from the prefix bit-offset pass.
+     * never reallocate.
      */
     void reserve(std::size_t bits)
     { bytes_.reserve((bitCount_ + bits + 7) / 8); }
-
-    /** Drop all content, keeping the buffer's capacity for reuse. */
-    void clear()
-    {
-        bytes_.clear();
-        bitCount_ = 0;
-    }
-
-    /**
-     * Adopt @p buf as the (cleared) output buffer, reusing its
-     * capacity. Together with take(), lets a frame loop recycle one
-     * bitstream allocation across frames.
-     */
-    void reset(std::vector<uint8_t> buf)
-    {
-        buf.clear();
-        bytes_ = std::move(buf);
-        bitCount_ = 0;
-    }
 
     /** Pad with zero bits up to the next byte boundary. */
     void alignToByte();
@@ -126,9 +96,8 @@ class BitReader
 
     /**
      * Jump to an absolute bit position (clamped to the end of the
-     * buffer). The parallel BD decoder positions one reader per tile
-     * chunk from the serial prefix of per-tile bit offsets; exhausted()
-     * is left untouched.
+     * buffer). The BD validate walk seeks from width field to width
+     * field across delta blocks; exhausted() is left untouched.
      */
     void seek(std::size_t bit_pos);
 

@@ -4,10 +4,9 @@
  * work stealing — the request spine of the *sharded* encode service
  * (src/service).
  *
- * The single-ring BoundedQueue (bounded_queue.hh) serves one consumer
- * draining serially; scaling the service across cores needs N
- * consumers that stay busy without violating per-stream ordering. This
- * queue restructures who owns the requests:
+ * Scaling the service across cores needs N consumers that stay busy
+ * without violating per-stream ordering. This queue structures who
+ * owns the requests:
  *
  *  - **Shards.** Storage is N bounded rings, one per shard, each with
  *    its own fixed preallocated storage and its own not-full condition
@@ -43,7 +42,7 @@
  * stealing makes them interchangeable: any consumer can serve any
  * eligible element, so a wakeup is never wasted on the "wrong" shard.
  *
- * Close/drain protocol matches BoundedQueue: after close(), pushes are
+ * Close/drain protocol: after close(), pushes are
  * refused but every queued element is still handed out (a consumer
  * blocked on an ineligible element waits for the lane holder's
  * finishLane, then drains it), and popForShard returns std::nullopt

@@ -252,8 +252,6 @@ EncodeService::EncodeService(const DiscriminationModel &model,
         throw std::invalid_argument("EncodeService: streamDepth < 1");
     if (params_.queueCapacity < 1)
         throw std::invalid_argument("EncodeService: queueCapacity < 1");
-    if (params_.latencyWindow < 1)
-        throw std::invalid_argument("EncodeService: latencyWindow < 1");
 
     // Split the thread budget across shards as evenly as possible
     // (earlier shards take the remainder, every shard at least one

@@ -49,7 +49,7 @@
  *   the caller's buffer can be reused or freed immediately. Encoded
  *   results are handed out as FrameLease RAII objects pointing at the
  *   slot's EncodedFrame; the slot returns to the free ring when the
- *   lease is dropped. Because slots, queue storage, stats windows, and
+ *   lease is dropped. Because slots, queue storage, stats histograms, and
  *   every EncodedFrame buffer are allocated up front and reused, the
  *   steady state of a same-geometry frame stream allocates nothing
  *   per frame (tests pin the buffer pointers).
@@ -171,17 +171,6 @@ struct ServiceParams
      * needs >= 2 to pipeline both eyes.
      */
     int streamDepth = 2;
-    /**
-     * Retained for compatibility; superseded by the obs migration.
-     * Queue-latency percentiles now come from a fixed-bucket
-     * LogHistogram per stream (obs/metrics.hh) that retains *every*
-     * sample in constant memory, so there is no window to size — the
-     * reported percentiles cover the stream's full history, within
-     * one histogram bucket of the exact values the old sorted window
-     * produced (the documented contract in obs/metrics.hh). Must
-     * still be >= 1 (validated as before).
-     */
-    std::size_t latencyWindow = 4096;
     /**
      * Run PerceptualEncoder::verifyRoundTrip after every encode: the
      * BD stream is decoded back (reusing the slot's round-trip

@@ -1,0 +1,235 @@
+/**
+ * @file
+ * The word-level BD bit I/O against the per-field reference
+ * (bd_reference.hh): encodeInto must match it bit for bit, and
+ * decodeInto / decodeTileRangeInto must reproduce the same images,
+ * across every delta width, tile size, odd frame size and participant
+ * count. Also pins the bytes outside a decoded range as irrelevant to
+ * its output, and one seeded stream's hash against drift shared by
+ * encoder and decoder.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "bd/bd_codec.hh"
+#include "bd_reference.hh"
+#include "common/integrity.hh"
+#include "common/rng.hh"
+#include "common/thread_pool.hh"
+
+namespace pce {
+namespace {
+
+constexpr unsigned kMixed = 9;  ///< width pattern: varies per tile/channel
+
+/**
+ * Random image whose every tile-channel has exactly the requested delta
+ * width: @p forced for all of them, or a per-tile, per-channel cycle
+ * through 0..8 when @p forced is kMixed. One-pixel tiles are always
+ * flat (width 0).
+ */
+ImageU8
+widthImage(Rng &rng, int w, int h, int tile, unsigned forced)
+{
+    ImageU8 img(w, h);
+    const std::vector<TileRect> tiles = tileGrid(w, h, tile);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        const TileRect &r = tiles[t];
+        for (int c = 0; c < 3; ++c) {
+            const unsigned width =
+                forced == kMixed ? (t * 5 + c * 3) % 9 : forced;
+            const unsigned span = (1u << width) - 1;
+            const unsigned lo = static_cast<unsigned>(
+                rng.uniformInt(256 - span));
+            for (int y = r.y0; y < r.y0 + r.h; ++y) {
+                for (int x = r.x0; x < r.x0 + r.w; ++x) {
+                    unsigned v = lo + static_cast<unsigned>(
+                                          rng.uniformInt(span + 1));
+                    if (x == r.x0 && y == r.y0)
+                        v = lo;
+                    else if (x == r.x0 + r.w - 1 && y == r.y0 + r.h - 1)
+                        v = lo + span;
+                    img.setChannel(x, y, c, static_cast<uint8_t>(v));
+                }
+            }
+        }
+    }
+    return img;
+}
+
+/** Payload bit offsets of every tile (tiles + 1 entries). */
+std::vector<std::size_t>
+tileOffsets(const std::vector<uint8_t> &stream,
+            const std::vector<TileRect> &tiles)
+{
+    std::vector<std::size_t> offsets(tiles.size() + 1);
+    BdCodec::walkTileRange(stream.data(), stream.size(), tiles, 0,
+                           tiles.size(), 0, offsets.data());
+    return offsets;
+}
+
+TEST(BdBitIo, EncodeAndDecodeMatchTheReference)
+{
+    Rng rng(12);
+    ThreadPool pool(3);
+    const struct
+    {
+        int w, h;
+    } sizes[] = {{1, 1}, {13, 7}, {17, 3}, {33, 40}, {61, 47}};
+    for (const int tile : {1, 2, 3, 4, 5, 8, 16}) {
+        const BdCodec codec(tile);
+        for (const auto &sz : sizes) {
+            const std::vector<TileRect> tiles =
+                tileGrid(sz.w, sz.h, tile);
+            for (unsigned forced = 0; forced <= kMixed; ++forced) {
+                const ImageU8 img =
+                    widthImage(rng, sz.w, sz.h, tile, forced);
+                const std::vector<uint8_t> ref = bdref::encode(img, tile);
+                const auto where = ::testing::Message()
+                                   << sz.w << "x" << sz.h << " tile "
+                                   << tile << " width " << forced;
+
+                for (const int participants : {1, 2, 3, 4, 8}) {
+                    std::vector<uint8_t> out;
+                    codec.encodeInto(img, nullptr, out, nullptr, &pool,
+                                     participants);
+                    ASSERT_EQ(out, ref)
+                        << where << " participants " << participants;
+                }
+
+                ImageU8 serial;
+                BdCodec::decodeInto(ref, serial);
+                EXPECT_EQ(serial, img) << where;
+                ImageU8 parallel;
+                BdCodec::decodeInto(ref, parallel, nullptr, &pool, 4);
+                EXPECT_EQ(parallel, img) << where;
+
+                // Tile ranges of three different lengths, each decoded
+                // on its own by both readers.
+                const std::vector<std::size_t> offsets =
+                    tileOffsets(ref, tiles);
+                ImageU8 fast(sz.w, sz.h);
+                ImageU8 slow(sz.w, sz.h);
+                for (std::size_t t0 = 0, len = 1; t0 < tiles.size();
+                     t0 += len, len = len % 3 + 1) {
+                    const std::size_t t1 =
+                        std::min(tiles.size(), t0 + len);
+                    BdCodec::decodeTileRangeInto(ref.data(), ref.size(),
+                                                 tiles, t0, t1,
+                                                 offsets[t0], fast);
+                    bdref::decodeTileRange(ref.data(), ref.size(), tiles,
+                                           t0, t1, offsets[t0], slow);
+                }
+                EXPECT_EQ(fast, slow) << where;
+                EXPECT_EQ(fast, img) << where;
+            }
+        }
+    }
+}
+
+TEST(BdBitIo, EncodeOverwritesEveryByteOfAReusedBuffer)
+{
+    // encodeInto sizes the output exactly and writes each byte once
+    // instead of clearing it: stale bytes from an earlier, different
+    // stream in the same allocation must not leak into the new one.
+    Rng rng(13);
+    ThreadPool pool(3);
+    const BdCodec codec(4);
+    const ImageU8 img = widthImage(rng, 61, 47, 4, kMixed);
+    const std::vector<uint8_t> ref = bdref::encode(img, 4);
+    for (const uint8_t stale : {0x00, 0xFF, 0xA5}) {
+        for (const int participants : {1, 4}) {
+            for (const std::size_t size :
+                 {ref.size(), ref.size() + 37}) {
+                std::vector<uint8_t> out(size, stale);
+                codec.encodeInto(img, nullptr, out, nullptr, &pool,
+                                 participants);
+                EXPECT_EQ(out, ref)
+                    << "stale " << int(stale) << " participants "
+                    << participants << " size " << size;
+            }
+        }
+    }
+}
+
+TEST(BdBitIo, SeededStreamHashIsPinned)
+{
+    // Captured from the per-field encoder the fast emitter replaced. An
+    // encoder and decoder that drift together would still round-trip;
+    // this catches them.
+    Rng rng(2024);
+    const ImageU8 img = widthImage(rng, 93, 71, 4, kMixed);
+    ThreadPool pool(3);
+    std::vector<uint8_t> stream;
+    BdCodec(4).encodeInto(img, nullptr, stream, nullptr, &pool, 4);
+    EXPECT_EQ(stream.size(), 11857u);
+    EXPECT_EQ(hash64(stream.data(), stream.size()),
+              0x152a254413d00498ull);
+}
+
+TEST(BdBitIo, BytesOutsideARangeNeverAffectItsDecode)
+{
+    // The window reader may load bytes past a range's bit span (never
+    // past the buffer). Whatever the bits outside the span hold — the
+    // holes of a partially reassembled frame — the decoded range must
+    // not change. Each range is decoded from the whole stream and from
+    // buffers cut to end 0, 1 and 2 bytes after the span's last byte,
+    // so the reader's refill from fewer than 8 remaining bytes runs at
+    // every range end. Buffers are exactly sized heap blocks, so a
+    // sanitizer build flags any read past the end.
+    Rng rng(14);
+    const int tile = 3;
+    const ImageU8 img = widthImage(rng, 31, 29, tile, kMixed);
+    const std::vector<uint8_t> stream = bdref::encode(img, tile);
+    const std::vector<TileRect> tiles = tileGrid(31, 29, tile);
+    const std::vector<std::size_t> offsets = tileOffsets(stream, tiles);
+    const std::size_t n = tiles.size();
+
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, 1}, {0, 4}, {7, 8}, {n / 2, n / 2 + 5}, {n - 3, n}, {n - 1, n}};
+    for (const auto &[t0, t1] : ranges) {
+        const std::uint64_t span_begin = kBdStreamHeaderBits + offsets[t0];
+        const std::uint64_t span_end = kBdStreamHeaderBits + offsets[t1];
+        ImageU8 expected(31, 29);
+        bdref::decodeTileRange(stream.data(), stream.size(), tiles, t0,
+                               t1, offsets[t0], expected);
+        const std::size_t span_bytes = (span_end + 7) / 8;
+        for (const std::size_t size :
+             {span_bytes, span_bytes + 1, span_bytes + 2, stream.size()}) {
+            if (size > stream.size())
+                continue;
+            for (int fill = 0; fill < 3; ++fill) {
+                std::unique_ptr<uint8_t[]> buf(new uint8_t[size]);
+                for (std::size_t i = 0; i < size; ++i) {
+                    const uint8_t hole =
+                        fill == 0   ? 0x00
+                        : fill == 1 ? 0xFF
+                                    : static_cast<uint8_t>(rng.next());
+                    uint8_t keep = 0;  // bits of byte i inside the span
+                    for (unsigned b = 0; b < 8; ++b) {
+                        const std::uint64_t bit = 8 * i + b;
+                        if (bit >= span_begin && bit < span_end)
+                            keep |= static_cast<uint8_t>(0x80u >> b);
+                    }
+                    buf[i] = static_cast<uint8_t>((stream[i] & keep) |
+                                                  (hole & ~keep));
+                }
+                ImageU8 got(31, 29);
+                BdCodec::decodeTileRangeInto(buf.get(), size, tiles, t0,
+                                             t1, offsets[t0], got);
+                EXPECT_EQ(got, expected)
+                    << "tiles [" << t0 << ", " << t1 << ") buffer "
+                    << size << " of " << stream.size() << " fill "
+                    << fill;
+            }
+        }
+    }
+}
+
+} // namespace
+} // namespace pce

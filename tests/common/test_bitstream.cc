@@ -228,41 +228,6 @@ TEST(BitWriter, ByteCountRoundsUp)
     EXPECT_EQ(bw.bitCount(), 9u);
 }
 
-TEST(BitWriter, AppendBitsMatchesDirectWrites)
-{
-    // Splicing independently written streams at every head/tail bit
-    // phase must equal one straight-through write sequence.
-    Rng rng(77);
-    for (int trial = 0; trial < 40; ++trial) {
-        std::vector<std::pair<uint32_t, unsigned>> fields;
-        const int n_fields =
-            1 + static_cast<int>(rng.uniformInt(40));
-        for (int i = 0; i < n_fields; ++i) {
-            const unsigned width =
-                1 + static_cast<unsigned>(rng.uniformInt(24));
-            const uint32_t value = static_cast<uint32_t>(
-                rng.next() & ((1u << width) - 1));
-            fields.emplace_back(value, width);
-        }
-        const std::size_t split = static_cast<std::size_t>(
-            rng.uniformInt(static_cast<uint64_t>(n_fields)));
-
-        BitWriter direct;
-        BitWriter head;
-        BitWriter tail;
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-            direct.putBits(fields[i].first, fields[i].second);
-            (i < split ? head : tail)
-                .putBits(fields[i].first, fields[i].second);
-        }
-        BitWriter spliced;
-        spliced.appendBits(head.bytes().data(), head.bitCount());
-        spliced.appendBits(tail.bytes().data(), tail.bitCount());
-        EXPECT_EQ(spliced.bitCount(), direct.bitCount());
-        EXPECT_EQ(spliced.bytes(), direct.bytes()) << "trial " << trial;
-    }
-}
-
 TEST(BitWriter, ReserveDoesNotChangeContent)
 {
     BitWriter bw;
@@ -275,32 +240,6 @@ TEST(BitWriter, ReserveDoesNotChangeContent)
     BitReader br(bw.bytes());
     EXPECT_EQ(br.getBits(12), 0xabcu);
     EXPECT_EQ(br.getBits(3), 0x5u);
-}
-
-TEST(BitWriter, ClearKeepsCapacityAndZeroes)
-{
-    BitWriter bw;
-    bw.putBits(0xffffffff, 32);
-    bw.clear();
-    EXPECT_EQ(bw.bitCount(), 0u);
-    bw.putBits(0, 4);
-    // Freshly written padding after clear() must be zero, not stale.
-    EXPECT_EQ(bw.bytes()[0], 0u);
-}
-
-TEST(BitWriter, ResetAdoptsBufferCapacity)
-{
-    std::vector<uint8_t> buf;
-    buf.reserve(1024);
-    const uint8_t *data = buf.data();
-    BitWriter bw;
-    bw.reset(std::move(buf));
-    bw.putBits(0x12, 8);
-    auto back = bw.take();
-    EXPECT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0], 0x12);
-    EXPECT_EQ(back.data(), data);  // same allocation round-tripped
-    EXPECT_GE(back.capacity(), 1024u);
 }
 
 } // namespace

@@ -134,7 +134,8 @@ TEST(ThreadPool, WorkerExceptionPropagatesToCaller)
 {
     ThreadPool pool(2);
     for (int attempt = 0; attempt < 20; ++attempt) {
-        bool worker_ran = false;
+        // Both workers may throw at once: the flag must be atomic.
+        std::atomic<bool> worker_ran{false};
         try {
             pool.parallelFor(300, 1, 3,
                              [&](std::size_t, std::size_t, int slot) {

@@ -322,10 +322,6 @@ TEST(EncodeService, InvalidParamsThrow)
     bad_queue.queueCapacity = 0;
     EXPECT_THROW(EncodeService svc(model(), bad_queue),
                  std::invalid_argument);
-    ServiceParams bad_window;
-    bad_window.latencyWindow = 0;
-    EXPECT_THROW(EncodeService svc(model(), bad_window),
-                 std::invalid_argument);
 }
 
 TEST(EncodeService, StereoOnSingleSlotStreamFailsInsteadOfDeadlocking)
