@@ -32,10 +32,16 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 echo "== Sanitizer build (address,undefined) =="
 cmake -B build-san -S . -DFOVE_SANITIZE=address,undefined > /dev/null
 cmake --build build-san -j"$JOBS"
-# The multi-seed soak sweep (ctest label "soak") is excluded here and
-# run bounded below — 16 seeds x 5 loss schedules is Release-cheap but
-# sanitizer-expensive.
-ctest --test-dir build-san --output-on-failure -j"$JOBS" -LE soak
+# Every suite runs here exactly once, with halt-on-error so a
+# sanitizer report fails its suite (and the run) instead of printing
+# past a green result. That covers the decode-hardening corpus, the
+# gaze, net, fault and obs suites, and the bench record schema alike —
+# none needs a hand-kept re-run. The multi-seed soak sweep (ctest
+# label "soak") is excluded here and run bounded below — 16 seeds x 5
+# loss schedules is Release-cheap but sanitizer-expensive.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --test-dir build-san --output-on-failure -j"$JOBS" -LE soak
 
 echo "== Adaptive-rate soak sweep under asan/ubsan (bounded) =="
 # The delivery soak harness is the property suite for the adaptive
@@ -49,80 +55,6 @@ PCE_SOAK_SEEDS="${PCE_SOAK_SEEDS:-4}" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir build-san --output-on-failure -L soak
-
-echo "== Decode hardening corpus under asan/ubsan =="
-# The malformed-stream corpus (bit flips, truncations, extensions,
-# adversarial headers) is where decode memory bugs would surface; run
-# it explicitly so a filtered/partial ctest invocation can never skip
-# it, with halt-on-error so sanitizer reports fail the run loudly. The
-# bit I/O suite decodes tile ranges from exactly sized buffers, so an
-# over-read by the window reader's tail refill fails here too.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    ./build-san/bd_test_bd_decode_hardening
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    ./build-san/bd_test_bd_bit_io
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    ./build-san/bd_test_bd_variable_hardening
-
-echo "== Gaze subsystem under asan/ubsan =="
-# The incremental re-fixation path does raw in-place memmove shifts of
-# the eccentricity storage plus band-boundary arithmetic — exactly the
-# kind of code where an off-by-one is a heap overflow. Run the gaze
-# suites explicitly under the sanitizers so a filtered/partial ctest
-# invocation can never skip them.
-for suite in gaze_test_incremental_ecc gaze_test_gaze_trace \
-             gaze_test_gaze_pipeline service_test_gaze_service; do
-    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-        "./build-san/${suite}"
-done
-
-echo "== Lossy delivery tier under asan/ubsan =="
-# The reassembler copies attacker-controlled byte ranges into a frame
-# buffer guided by untrusted header fields, and the prefix walk parses
-# corrupted bit streams — run the net suites explicitly under the
-# sanitizers so a filtered/partial ctest invocation can never skip
-# them. test_reassembly in particular feeds forged-CRC corrupt-prefix
-# datagrams straight at the bounds checks.
-for suite in net_test_wire_format net_test_packetizer \
-             net_test_reassembly net_test_delivery \
-             service_test_collect_timeout; do
-    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-        "./build-san/${suite}"
-done
-
-echo "== Fault injection + integrity hardening under asan/ubsan =="
-# The injector writes raw bits into live buffers and the campaign
-# drives corrupted data through every decode path — run these suites
-# explicitly under the sanitizers so a filtered/partial ctest
-# invocation can never skip them. The campaign smoke is bounded: a
-# handful of trials on a small frame.
-for suite in fault_test_fault_injector common_test_integrity \
-             bd_test_bd_duplicate_validate gaze_test_gaze_integrity \
-             service_test_fault_service; do
-    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-        "./build-san/${suite}"
-done
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    ./build-san/fault_test_fault_campaign
-
-echo "== Observability tier under asan/ubsan =="
-# The tracer hands out raw per-thread ring-buffer references and the
-# exporter walks C-string names captured from any thread — run the obs
-# suites explicitly under the sanitizers so a filtered/partial ctest
-# invocation can never skip them.
-for suite in obs_test_trace obs_test_metrics obs_test_trace_export \
-             obs_test_frame_trace; do
-    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-        "./build-san/${suite}"
-done
 
 echo "== Concurrency suites under ThreadSanitizer =="
 # The sharded dispatch refactor (dispatcher-per-shard, cross-shard
@@ -147,10 +79,5 @@ PCE_BENCH_FAULT_TRIALS=6 PCE_BENCH_REPEATS=1 \
 PCE_BENCH_THREADS=2 \
     ./build/fault_runner build/fault_smoke.json
 test -s build/fault_smoke.json
-
-echo "== BENCH_encoder.json schema (docs/PERF.md) =="
-# Run explicitly (it is also a ctest suite) so a filtered/partial
-# invocation can never skip validating the checked-in trajectory.
-./build/bench_test_bench_schema
 
 echo "== All checks passed =="

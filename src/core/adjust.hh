@@ -27,18 +27,17 @@
  * Both axes are tried and the tile variant with the smaller BD bit cost
  * (after sRGB quantization) is kept, exactly as in Fig. 7.
  *
- * Two API layers expose the algorithm:
- *
- *  - The scratch-based flow (TileScratch + adjustTile(TileScratch &))
- *    is the production hot path: per-pixel ellipsoids are computed once
- *    and shared by the red- and blue-axis passes, extrema for both axes
- *    come from one quadric transform, sRGB quantization runs through
- *    the LUT exactly once per candidate, and every buffer lives in the
- *    caller-owned scratch so a worker thread encodes an entire frame
- *    without allocating.
- *  - The std::vector convenience overloads below are kept for tests,
- *    benches, and exploratory code; they wrap the scratch flow and
- *    produce bit-identical results.
+ * One flow runs every configuration over the planar lanes of a
+ * simd::TileSoA: stage 1 (ellipsoids) and stage 2 (extrema for both
+ * axes) are the only per-configuration choice — the dispatched
+ * kernels for the analytic model and the default Eq. 11-13 datapath,
+ * per-pixel loops over DiscriminationModel::ellipsoidFor / the
+ * ExtremaFn override otherwise — and stages 3 (move) and 4 (BD cost)
+ * always run through the dispatched kernel table. The frame pipeline
+ * gathers each tile straight into a reused TileSoA, so a worker
+ * thread encodes a whole frame without allocating; the std::vector
+ * overloads below wrap the same flow for tests, benches, and
+ * exploratory code.
  */
 
 #ifndef PCE_CORE_ADJUST_HH
@@ -46,8 +45,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/vec3.hh"
@@ -58,50 +55,11 @@
 
 namespace pce {
 
-/**
- * Pluggable extrema backend. The default is the double-precision
- * Eq. 11-13 datapath (extremaAlongAxis); the hardware-fidelity ablation
- * substitutes the fixed-point datapath of src/hw/fixed_datapath.hh to
- * measure end-to-end effects of datapath width.
- */
-using ExtremaFn = std::function<ExtremaPair(const Ellipsoid &, int)>;
-
 /** Which Fig. 6 case a tile fell into along one axis. */
 enum class AdjustCase
 {
     C1,  ///< HL > LH: no common plane (Fig. 6a)
     C2,  ///< HL <= LH: common plane exists, channel collapses (Fig. 6b)
-};
-
-/**
- * Reusable per-worker scratch of the zero-allocation tile flow. The
- * caller fills `pixels` and `ecc` (the SoA gather of one tile) and
- * passes the scratch to TileAdjuster::adjustTile; all other buffers are
- * intermediate stages that grow to the tile size once and are reused
- * for every subsequent tile.
- */
-struct TileScratch
-{
-    /** Gathered linear-RGB tile pixels (caller-filled). */
-    std::vector<Vec3> pixels;
-    /** Per-pixel eccentricities, same length (caller-filled). */
-    std::vector<double> ecc;
-
-    /** Per-pixel ellipsoids, shared by both axis passes. */
-    std::vector<Ellipsoid> ellipsoids;
-    /** Per-pixel extrema along the Red / Blue axes. */
-    std::vector<ExtremaPair> extremaRed;
-    std::vector<ExtremaPair> extremaBlue;
-    /** The two candidate adjusted tiles. */
-    std::vector<Vec3> adjustedRed;
-    std::vector<Vec3> adjustedBlue;
-    /** Interleaved sRGB codes of the candidate being costed. */
-    std::vector<uint8_t> codes;
-
-    /** Planar lanes of the SIMD kernel flow (src/simd). */
-    simd::TileSoA soa;
-    /** Chosen variant of the kernel flow, interleaved for callers. */
-    std::vector<Vec3> adjustedChosen;
 };
 
 /** Outcome of adjusting one tile along one axis. */
@@ -128,9 +86,9 @@ struct TileAdjustment
 };
 
 /**
- * Tile outcome of the scratch-based flow. The adjusted pixels are not
- * copied: `adjusted` points into the scratch (adjustedRed or
- * adjustedBlue) and is valid until the scratch is reused.
+ * Tile outcome of the planar flow. The adjusted pixels are not copied:
+ * they live in the TileSoA's kOutRed* / kOutBlue* lane group of the
+ * chosen axis, valid until the arena is reused.
  */
 struct TileOutcome
 {
@@ -141,7 +99,6 @@ struct TileOutcome
     std::size_t bitsRed = 0;
     std::size_t bitsBlue = 0;
     int gamutClampedPixels = 0;
-    const std::vector<Vec3> *adjusted = nullptr;
 };
 
 /** The color adjustment algorithm of Sec. 3.4. */
@@ -151,15 +108,16 @@ class TileAdjuster
     /**
      * @param model Discrimination model used to derive per-pixel
      *              ellipsoids. The reference must outlive the adjuster.
-     * @param extrema Extrema backend; empty uses extremaAlongAxis.
-     * @param level SIMD dispatch level of the scratch-based tile flow;
-     *              defaults to CPUID detection with the FOVE_SIMD env
-     *              override (see src/simd/tile_kernels.hh). The kernel
-     *              flow only engages when @p model is exactly the
-     *              analytic model and no extrema override is set — any
-     *              other configuration runs the legacy scalar flow,
-     *              whose results every kernel level reproduces bit for
-     *              bit.
+     * @param extrema Extrema backend; empty uses the Eq. 11-13
+     *              datapath (extremaBothAxes).
+     * @param level SIMD dispatch level of the kernel table; defaults to
+     *              CPUID detection with the FOVE_SIMD env override (see
+     *              src/simd/tile_kernels.hh). Stages 3 and 4 always run
+     *              at this level. Stage 1 does too when @p model is
+     *              exactly the analytic model, and stage 2 when no
+     *              @p extrema override is set; otherwise those stages
+     *              loop per pixel over the model / override. Every
+     *              level produces bit-identical results.
      */
     explicit TileAdjuster(const DiscriminationModel &model,
                           ExtremaFn extrema = {},
@@ -168,39 +126,25 @@ class TileAdjuster
 
     /**
      * Effective dispatch level of the kernel table (the constructor's
-     * request clamped to what the CPU/build can run). Only meaningful
-     * for the scratch flow when usingSimdKernels() is true.
+     * request clamped to what the CPU/build can run).
      */
     simd::SimdLevel simdLevel() const { return simdLevel_; }
 
-    /** True when the planar kernel flow (src/simd) is engaged. */
-    bool usingSimdKernels() const { return kernels_ != nullptr; }
-
     /**
-     * The full Fig. 7 tile flow on a caller-owned scratch: ellipsoids
-     * once per pixel, extrema for both axes from one quadric, sRGB
-     * quantization through the LUT, smaller-BD-cost variant chosen.
-     * Zero allocation once the scratch has warmed to the tile size.
-     *
-     * @param scratch pixels/ecc filled by the caller; other members are
-     *                working storage.
+     * The full Fig. 7 tile flow on caller-filled planar lanes: @p soa
+     * must be resize(n)'d with kPx..kPz / kEcc filled. Ellipsoids once
+     * per pixel, extrema for both axes from one quadric, both candidate
+     * moves, the fused sRGB-quantize + BD cost, smaller cost chosen.
+     * The chosen candidate lives in the kOutRed* (axis 0) or kOutBlue*
+     * (axis 2) lanes. Zero allocation once the arena has grown to the
+     * tile size.
      */
-    TileOutcome adjustTile(TileScratch &scratch) const;
-
-    /**
-     * Kernel-flow entry for callers that gather straight into the
-     * planar lanes: scratch.soa must be resize(n)'d with lanes
-     * kPx..kPz / kEcc filled. Skips the Vec3 interleave of the chosen
-     * variant — TileOutcome::adjusted stays null and the result lives
-     * in the soa's kOutRed / kOutBlue lane groups of the chosen axis.
-     * Only valid when usingSimdKernels(); the frame pipeline uses this
-     * to avoid one AoS->SoA round trip per tile.
-     */
-    TileOutcome adjustTileSoA(TileScratch &scratch) const;
+    TileOutcome adjustTile(simd::TileSoA &soa) const;
 
     /**
      * Adjust a tile along a single axis (exposed for tests and the
-     * ablation benches). Wraps the scratch flow; bit-identical to it.
+     * ablation benches). Runs the same flow; bit-identical to the
+     * matching candidate of adjustTile.
      *
      * @param pixels Linear-RGB tile pixels.
      * @param ecc_deg Per-pixel eccentricities (same length).
@@ -212,7 +156,7 @@ class TileAdjuster
 
     /**
      * Convenience overload of the full tile flow that copies the
-     * chosen variant out of an internal scratch.
+     * chosen variant out of a call-local arena.
      */
     TileAdjustment adjustTile(const std::vector<Vec3> &pixels,
                               const std::vector<double> &ecc_deg) const;
@@ -229,27 +173,20 @@ class TileAdjuster
         int gamutClampedPixels = 0;
     };
 
-    /** Fill scratch.ellipsoids from scratch.pixels / scratch.ecc. */
-    void computeEllipsoids(TileScratch &scratch) const;
+    /** Stages 1-2 of Fig. 7: ellipsoids, then extrema for both axes. */
+    void computeExtrema(simd::TileSoA &soa) const;
 
     /**
-     * Steps 2-3 of Fig. 7 along one axis: reduce HL/LH over @p extrema
-     * and move every pixel, writing the result to @p adjusted.
+     * Stage 3 along one axis: reduce HL/LH over the axis' extrema lanes
+     * and move every pixel into the axis' output lanes.
      */
-    AxisOutcome moveAlongAxis(const std::vector<Vec3> &pixels,
-                              const std::vector<ExtremaPair> &extrema,
-                              int axis,
-                              std::vector<Vec3> &adjusted) const;
-
-    /** The pre-SIMD Vec3/AoS tile flow (any model, any extrema fn). */
-    TileOutcome adjustTileLegacy(TileScratch &scratch) const;
-
-    /** The planar kernel flow (analytic model, dispatch level). */
-    TileOutcome adjustTileKernels(TileScratch &scratch) const;
+    AxisOutcome moveAxis(simd::TileSoA &soa, int axis) const;
 
     const DiscriminationModel &model_;
     ExtremaFn extrema_;
-    /** Params snapshot backing the kernel flow (analytic model only). */
+    /** True when model_ is exactly AnalyticDiscriminationModel. */
+    bool analyticModel_ = false;
+    /** Params snapshot backing the stage-1 kernel (analytic only). */
     AnalyticModelParams analyticParams_;
     const simd::TileKernels *kernels_ = nullptr;
     simd::SimdLevel simdLevel_ = simd::SimdLevel::Scalar;
@@ -258,8 +195,8 @@ class TileAdjuster
 /**
  * BD bit cost of a tile of linear-RGB pixels after sRGB quantization:
  * per channel, meta(4) + base(8) + N * ceil(log2(range+1)) bits.
- * Shared by the adjuster's axis selection and the pipeline stats.
- * Convenience wrapper over bdTileBitsFromCodes (src/bd).
+ * Convenience wrapper over bdTileBitsFromCodes (src/bd); the tile
+ * flow's fused cost kernel (TileKernels::tileCost) reproduces it.
  */
 std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
 
@@ -268,10 +205,10 @@ std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
  * t * dir so every coordinate stays within [0, 1]. Assumes origin is in
  * gamut (true for rendered colors). Returns the clamped t.
  *
- * One definition shared by the legacy tile flow and the scalar kernel
- * reference (src/simd) — the bit-identity contract between them is
- * anchored here, and the AVX2 kernel mirrors this exact operation
- * sequence lanewise.
+ * One definition shared by the scalar move kernel (src/simd) and the
+ * test reference flow (tests/core/adjust_reference.hh) — the
+ * bit-identity contract between them is anchored here, and the AVX2
+ * kernel mirrors this exact operation sequence lanewise.
  */
 inline double
 clampMovementToGamut(const Vec3 &origin, const Vec3 &dir, double t)

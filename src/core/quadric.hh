@@ -22,6 +22,7 @@
 #define PCE_CORE_QUADRIC_HH
 
 #include <array>
+#include <functional>
 
 #include "common/mat3.hh"
 #include "common/vec3.hh"
@@ -110,6 +111,15 @@ ExtremaFrame buildExtremaFrame(const Ellipsoid &e);
  * @throws std::domain_error on a degenerate (zero-denominator) frame.
  */
 ExtremaPair extremaFromFrame(const ExtremaFrame &f, int axis);
+
+/**
+ * Pluggable extrema backend of the tile adjuster. The default is the
+ * double-precision Eq. 11-13 datapath (extremaBothAxes); the
+ * hardware-fidelity ablation substitutes the fixed-point datapath of
+ * src/hw/fixed_datapath.hh to measure end-to-end effects of datapath
+ * width.
+ */
+using ExtremaFn = std::function<ExtremaPair(const Ellipsoid &, int)>;
 
 /** Independent Lagrangian closed form; used as a cross-check. */
 ExtremaPair extremaAlongAxisLagrange(const Ellipsoid &e, int axis);

@@ -2,18 +2,22 @@
  * @file
  * SIMD kernel layer of the tile adjust datapath, with runtime dispatch.
  *
- * The three hot per-pixel stages of the Fig. 7 tile flow —
+ * The per-pixel stages of the Fig. 7 tile flow —
  *
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
- *  3. movement clamping/apply along one optimization axis —
+ *  3. movement clamping/apply along one optimization axis,
+ *  4. fused sRGB quantization + BD bit cost of a candidate —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
  * Two implementations exist behind one function table: a portable
  * scalar build (always present; it *is* the reference datapath, calling
- * the same model/quadric code as the pre-SIMD scalar flow) and an AVX2
- * build processing 4 pixels per instruction, compiled into its own TU
- * with -mavx2 and selected at runtime by CPUID.
+ * the model/quadric code of src/perception and src/core per pixel) and
+ * an AVX2 build processing 4 pixels per instruction, compiled into its
+ * own TU with -mavx2 and selected at runtime by CPUID. Stages 1 and 2
+ * also have undispatched forms for any DiscriminationModel / ExtremaFn
+ * (ellipsoidsFromModel, extremaFromBackend): the scalar kernels' loop
+ * bodies with the model or backend as a parameter.
  *
  * Bit-identity contract: every level produces bit-identical doubles for
  * every input. The AVX2 kernels replicate the scalar code's exact
@@ -35,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/quadric.hh"
 #include "perception/discrimination.hh"
 #include "simd/tile_soa.hh"
 
@@ -82,7 +87,7 @@ struct TileKernels
     /**
      * Stage 1: per-pixel discrimination ellipsoids of the analytic
      * model. Reads kPx..kPz (raw pixels; clamped to [0,1] internally,
-     * matching the scalar flow) and kEcc; writes the DKL centers
+     * like ellipsoidsFromModel) and kEcc; writes the DKL centers
      * kCx..kCz and semi-axes kAx..kAz.
      */
     void (*ellipsoids)(TileSoA &soa, const AnalyticModelParams &params);
@@ -121,8 +126,8 @@ struct TileKernels
      * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2). sRGB-
      * quantizes each channel (bit-identical with linearToSrgb8; the
      * same process-wide tables back every level) and folds the per-
-     * channel min/max reduction in, so the interleaved code buffer the
-     * scalar flow materialized for bdTileBitsFromCodes never exists.
+     * channel min/max reduction in, so no interleaved code buffer for
+     * bdTileBitsFromCodes is ever materialized.
      * Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits per
      * channel, exactly bdTileBitsFromCodes' accounting.
      */
@@ -150,6 +155,23 @@ struct TileKernels
                          int width, int height, const uint8_t *end,
                          uint8_t lo[3], uint8_t hi[3]);
 };
+
+/**
+ * Stage 1 for any discrimination model: per pixel,
+ * model.ellipsoidFor(pixel.clamped(0, 1), ecc) into kCx..kAz. The
+ * scalar ellipsoids kernel is this loop over the analytic model. Writes
+ * the n valid slots only: padding slots keep stale values, which the
+ * AVX2 kernels compute on but mask out of every result.
+ */
+void ellipsoidsFromModel(TileSoA &soa, const DiscriminationModel &model);
+
+/**
+ * Stage 2 for any per-axis extrema backend: per pixel, extrema(e, 0)
+ * and extrema(e, 2) of the ellipsoid in kCx..kAz into the twelve
+ * extrema lanes. The scalar extremaBoth kernel is this loop over
+ * extremaBothAxes. Writes the n valid slots only.
+ */
+void extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema);
 
 /** Kernel table of a specific level (Scalar is always available). */
 const TileKernels &tileKernels(SimdLevel level);

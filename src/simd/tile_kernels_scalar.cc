@@ -2,16 +2,14 @@
  * @file
  * Portable scalar kernels of the tile adjust datapath.
  *
- * This TU is the reference: stages 1 and 2 are thin planar wrappers
- * over the *same* model/quadric code the pre-SIMD scalar flow executed
- * (AnalyticDiscriminationModel::ellipsoidFor, extremaBothAxes), and
- * stage 3's gamut clamp is the shared clampMovementToGamut
- * (core/adjust.hh), so their results are bit-identical to it by
- * construction. The rest of stage 3 transcribes
- * TileAdjuster::moveAlongAxis statement for statement (the original
- * operates on Vec3/ExtremaPair AoS buffers and cannot consume planar
- * lanes directly); tests/core and tests/simd pin the transcription to
- * the legacy path bit for bit.
+ * This TU is the reference: stages 1 and 2 are thin planar loops over
+ * the model/quadric code (AnalyticDiscriminationModel::ellipsoidFor,
+ * extremaBothAxes) — the same loops, parameterized, serve any model and
+ * extrema backend (ellipsoidsFromModel, extremaFromBackend) — and stage
+ * 3's gamut clamp is the shared clampMovementToGamut (core/adjust.hh).
+ * tests/core/adjust_reference.hh keeps the Vec3 statement of the
+ * algorithm, and tests/core and tests/simd pin every kernel level to it
+ * bit for bit.
  *
  * The AVX2 TU (tile_kernels_avx2.cc) mirrors the exact operation
  * sequence of these kernels four pixels at a time.
@@ -35,34 +33,16 @@ namespace {
 void
 ellipsoidsScalar(TileSoA &soa, const AnalyticModelParams &params)
 {
-    const AnalyticDiscriminationModel model(params);
-    const double *px = soa.lane(kPx);
-    const double *py = soa.lane(kPy);
-    const double *pz = soa.lane(kPz);
-    const double *ecc = soa.lane(kEcc);
-    double *cx = soa.lane(kCx);
-    double *cy = soa.lane(kCy);
-    double *cz = soa.lane(kCz);
-    double *ax = soa.lane(kAx);
-    double *ay = soa.lane(kAy);
-    double *az = soa.lane(kAz);
-    for (std::size_t i = 0; i < soa.n; ++i) {
-        // Same call the legacy computeEllipsoids makes: the pixel is
-        // clamped before entering the model, which puts ellipsoidFor on
-        // its single-DKL-transform branch.
-        const Ellipsoid e = model.ellipsoidFor(
-            Vec3(px[i], py[i], pz[i]).clamped(0.0, 1.0), ecc[i]);
-        cx[i] = e.centerDkl.x;
-        cy[i] = e.centerDkl.y;
-        cz[i] = e.centerDkl.z;
-        ax[i] = e.semiAxes.x;
-        ay[i] = e.semiAxes.y;
-        az[i] = e.semiAxes.z;
-    }
+    ellipsoidsFromModel(soa, AnalyticDiscriminationModel(params));
 }
 
+/**
+ * The stage-2 loop: @p both(e, red, blue) fills the two ExtremaPairs of
+ * each pixel's ellipsoid.
+ */
+template <class BothAxes>
 void
-extremaBothScalar(TileSoA &soa)
+extremaLanes(TileSoA &soa, const BothAxes &both)
 {
     const double *cx = soa.lane(kCx);
     const double *cy = soa.lane(kCy);
@@ -88,7 +68,7 @@ extremaBothScalar(TileSoA &soa)
         e.semiAxes = Vec3(ax[i], ay[i], az[i]);
         ExtremaPair red;
         ExtremaPair blue;
-        extremaBothAxes(e, red, blue);
+        both(e, red, blue);
         rhx[i] = red.high.x;
         rhy[i] = red.high.y;
         rhz[i] = red.high.z;
@@ -102,6 +82,15 @@ extremaBothScalar(TileSoA &soa)
         bly[i] = blue.low.y;
         blz[i] = blue.low.z;
     }
+}
+
+void
+extremaBothScalar(TileSoA &soa)
+{
+    extremaLanes(soa, [](const Ellipsoid &e, ExtremaPair &red,
+                         ExtremaPair &blue) {
+        extremaBothAxes(e, red, blue);
+    });
 }
 
 int
@@ -154,6 +143,43 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
 }
 
 } // namespace
+
+void
+ellipsoidsFromModel(TileSoA &soa, const DiscriminationModel &model)
+{
+    const double *px = soa.lane(kPx);
+    const double *py = soa.lane(kPy);
+    const double *pz = soa.lane(kPz);
+    const double *ecc = soa.lane(kEcc);
+    double *cx = soa.lane(kCx);
+    double *cy = soa.lane(kCy);
+    double *cz = soa.lane(kCz);
+    double *ax = soa.lane(kAx);
+    double *ay = soa.lane(kAy);
+    double *az = soa.lane(kAz);
+    for (std::size_t i = 0; i < soa.n; ++i) {
+        // The pixel is clamped before entering the model, which puts
+        // ellipsoidFor on its single-DKL-transform branch.
+        const Ellipsoid e = model.ellipsoidFor(
+            Vec3(px[i], py[i], pz[i]).clamped(0.0, 1.0), ecc[i]);
+        cx[i] = e.centerDkl.x;
+        cy[i] = e.centerDkl.y;
+        cz[i] = e.centerDkl.z;
+        ax[i] = e.semiAxes.x;
+        ay[i] = e.semiAxes.y;
+        az[i] = e.semiAxes.z;
+    }
+}
+
+void
+extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
+{
+    extremaLanes(soa, [&extrema](const Ellipsoid &e, ExtremaPair &red,
+                                 ExtremaPair &blue) {
+        red = extrema(e, 0);
+        blue = extrema(e, 2);
+    });
+}
 
 std::size_t
 tileCostScalar(const TileSoA &soa, int axis)

@@ -2,20 +2,23 @@
  * @file
  * Planar (structure-of-arrays) tile storage for the SIMD kernel layer.
  *
- * The scalar hot path of PR 1 gathers each tile into flat per-tile
- * vectors (TileScratch), but the per-pixel records are still AoS:
- * Vec3 pixels, Ellipsoid centers/axes, ExtremaPair endpoints. A 4-wide
+ * The per-pixel records of the tile flow — Vec3 pixels, Ellipsoid
+ * centers/axes, ExtremaPair endpoints — are AoS by nature. A 4-wide
  * AVX2 lane wants one contiguous array per *component* instead, so the
  * kernels can load four pixels' worth of one coordinate with a single
- * unaligned vector load and never shuffle.
+ * unaligned vector load and never shuffle. The frame pipeline gathers
+ * every tile straight into these lanes.
  *
  * TileSoA is one reusable arena holding every planar lane of the tile
  * datapath. All lanes share a common stride (the pixel count rounded up
  * to the vector width), so kernels may process ceil(n / 4) full vectors
  * per lane without tail code: resize() zero-fills the padding of the
- * *input* lanes, which keeps the padded math benign (no spurious
- * division-by-zero or negative sqrt in the unused slots), and the
- * padded slots of output lanes are simply never read back.
+ * *input* lanes, which keeps the padded math of the dispatched kernels
+ * benign, and the padded slots of output lanes are simply never read
+ * back. (The per-pixel stage-1/2 loops for non-analytic models and
+ * extrema overrides write the valid slots only; whatever the padding
+ * then holds, every observable kernel result is masked to the valid
+ * lanes.)
  */
 
 #ifndef PCE_SIMD_TILE_SOA_HH

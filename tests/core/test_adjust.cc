@@ -12,6 +12,7 @@
 #include "core/adjust.hh"
 #include "core/quadric.hh"
 #include "core/reference_solver.hh"
+#include "adjust_reference.hh"
 
 namespace pce {
 namespace {
@@ -221,14 +222,14 @@ TEST(AdjustAlongAxis, EmptyTileIsNoop)
     EXPECT_TRUE(result.adjusted.empty());
 }
 
-TEST(AdjustTile, ScratchFlowMatchesPerAxisComposition)
+TEST(AdjustTile, PlanarFlowMatchesPerAxisComposition)
 {
-    // The zero-allocation flow (ellipsoids shared across axes, fused
-    // both-axes extrema, LUT quantization) must reproduce the
-    // single-axis path bit for bit, metadata included.
+    // The planar flow (ellipsoids shared across axes, fused both-axes
+    // extrema, fused quantize + cost) must reproduce the single-axis
+    // path bit for bit, metadata included.
     const TileAdjuster adjuster(model());
     Rng rng(40);
-    TileScratch scratch;
+    simd::TileSoA soa;
     for (int trial = 0; trial < 40; ++trial) {
         const auto tile = randomTile(rng, 16, rng.uniform(0.0, 0.15));
         std::vector<double> ecc;
@@ -242,9 +243,8 @@ TEST(AdjustTile, ScratchFlowMatchesPerAxisComposition)
         const std::size_t bits_red = bdTileBits(red.adjusted);
         const std::size_t bits_blue = bdTileBits(blue.adjusted);
 
-        scratch.pixels = tile;
-        scratch.ecc = ecc;
-        const TileOutcome out = adjuster.adjustTile(scratch);
+        adjref::fillSoA(soa, tile, ecc);
+        const TileOutcome out = adjuster.adjustTile(soa);
 
         EXPECT_EQ(out.caseRed, red.adjustCase);
         EXPECT_EQ(out.caseBlue, blue.adjustCase);
@@ -253,51 +253,53 @@ TEST(AdjustTile, ScratchFlowMatchesPerAxisComposition)
         const AxisAdjustment &chosen =
             out.chosenAxis == 0 ? red : blue;
         EXPECT_EQ(out.gamutClampedPixels, chosen.gamutClampedPixels);
-        ASSERT_EQ(out.adjusted->size(), tile.size());
+        const std::vector<Vec3> adjusted =
+            adjref::candidateLanes(soa, out.chosenAxis);
+        ASSERT_EQ(adjusted.size(), tile.size());
         for (std::size_t i = 0; i < tile.size(); ++i)
-            EXPECT_EQ((*out.adjusted)[i], chosen.adjusted[i])
+            EXPECT_EQ(adjusted[i], chosen.adjusted[i])
                 << "trial " << trial << " pixel " << i;
     }
 }
 
-TEST(AdjustTile, ScratchReuseAcrossTilesLeaksNoState)
+TEST(AdjustTile, ArenaReuseAcrossTilesLeaksNoState)
 {
-    // One scratch reused across tiles of varying size (including the
-    // ragged edge-tile shapes) must match fresh-scratch results.
+    // One arena reused across tiles of varying size (including the
+    // ragged edge-tile shapes) must match fresh-arena results.
     const TileAdjuster adjuster(model());
     Rng rng(41);
-    TileScratch reused;
+    simd::TileSoA reused;
     const std::size_t sizes[] = {16, 4, 16, 12, 8, 16, 2, 1, 16};
     for (const std::size_t n : sizes) {
         const auto tile = randomTile(rng, n, 0.08);
         const std::vector<double> ecc(n, rng.uniform(6.0, 35.0));
 
-        reused.pixels = tile;
-        reused.ecc = ecc;
+        adjref::fillSoA(reused, tile, ecc);
         const TileOutcome a = adjuster.adjustTile(reused);
-        const std::vector<Vec3> a_adjusted = *a.adjusted;
+        const std::vector<Vec3> a_adjusted =
+            adjref::candidateLanes(reused, a.chosenAxis);
 
-        TileScratch fresh;
-        fresh.pixels = tile;
-        fresh.ecc = ecc;
+        simd::TileSoA fresh;
+        adjref::fillSoA(fresh, tile, ecc);
         const TileOutcome b = adjuster.adjustTile(fresh);
+        const std::vector<Vec3> b_adjusted =
+            adjref::candidateLanes(fresh, b.chosenAxis);
 
         EXPECT_EQ(a.chosenAxis, b.chosenAxis);
         EXPECT_EQ(a.bitsRed, b.bitsRed);
         EXPECT_EQ(a.bitsBlue, b.bitsBlue);
-        ASSERT_EQ(a_adjusted.size(), b.adjusted->size());
+        ASSERT_EQ(a_adjusted.size(), b_adjusted.size());
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(a_adjusted[i], (*b.adjusted)[i]);
+            EXPECT_EQ(a_adjusted[i], b_adjusted[i]);
     }
 }
 
-TEST(AdjustTile, ScratchFlowRejectsSizeMismatch)
+TEST(AdjustTile, RejectsSizeMismatch)
 {
     const TileAdjuster adjuster(model());
-    TileScratch scratch;
-    scratch.pixels.assign(4, Vec3(0.5, 0.5, 0.5));
-    scratch.ecc.assign(3, 10.0);
-    EXPECT_THROW(adjuster.adjustTile(scratch), std::invalid_argument);
+    const std::vector<Vec3> tile(4, Vec3(0.5, 0.5, 0.5));
+    const std::vector<double> ecc(3, 10.0);
+    EXPECT_THROW(adjuster.adjustTile(tile, ecc), std::invalid_argument);
 }
 
 TEST(BdTileBits, FromCodesMatchesLinearPath)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/rng.hh"
@@ -93,7 +94,7 @@ TEST(Deflate, RandomDataRoundTrips)
 TEST(Deflate, StructuredDataRoundTrips)
 {
     std::vector<uint8_t> data;
-    for (int i = 0; i < 60000; ++i)
+    for (int64_t i = 0; i < 60000; ++i)
         data.push_back(static_cast<uint8_t>((i * i / 64) & 0xff));
     expectDeflateRoundTrip(data);
 }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -433,15 +434,28 @@ TEST(ShardedService, ReportExposesShardCountersAndCapacities)
         svc.openStream(namesHomedTo(0, sp.shards, 1)[0], ecc));
     handles.push_back(
         svc.openStream(namesHomedTo(1, sp.shards, 1)[0], ecc));
-    // Either idle dispatcher may take (steal) any frame, so a shard
-    // encodes nothing only if it loses every hand-off: with 16 frames
-    // per stream that is a ~2^-32 event, not a flake.
-    const int frames_per_stream = 16;
-    for (int i = 0; i < frames_per_stream; ++i)
+    // Either idle dispatcher may take (steal) any frame, and with one
+    // frame in flight at a time the same dispatcher can win every
+    // hand-off for a long run. So keep submitting round-robin until
+    // every shard has encoded something, under a cap that turns a
+    // shard which never gets work into a failure, not a hang.
+    const int max_frames = 1000;
+    std::uint64_t submitted = 0;
+    auto everyShardEncoded = [&svc] {
+        for (const ShardStats &sh : svc.report().shards)
+            if (sh.framesEncoded == 0)
+                return false;
+        return true;
+    };
+    while (!everyShardEncoded()) {
+        ASSERT_LT(submitted, static_cast<std::uint64_t>(max_frames))
+            << "a shard encoded nothing in " << max_frames << " frames";
         for (StreamHandle &h : handles) {
             svc.submit(h, frame);
             svc.collect(h).release();
+            ++submitted;
         }
+    }
     svc.drainAll();
 
     const ServiceReport rep = svc.report();
@@ -466,7 +480,7 @@ TEST(ShardedService, ReportExposesShardCountersAndCapacities)
         encoded += sh.framesEncoded;
     }
     EXPECT_EQ(encoded, rep.framesEncoded);
-    EXPECT_EQ(rep.framesEncoded, 2u * frames_per_stream);
+    EXPECT_EQ(rep.framesEncoded, submitted);
 }
 
 TEST(ShardedService, InvalidShardParamsThrow)

@@ -4,9 +4,12 @@
  * levels, plus the FOVE_SIMD override.
  *
  * The contract under test is equality, not tolerance: every kernel at
- * every level available on this host must reproduce the legacy scalar
- * datapath (model/quadric code, Vec3 flow) double for double. Scalar
- * is always available; AVX2 runs whenever the host CPU has it.
+ * every level available on this host must reproduce the scalar
+ * datapath (model/quadric code) double for double, and the full tile
+ * flow must reproduce the Vec3 reference flow
+ * (tests/core/adjust_reference.hh) for every model and extrema
+ * backend. Scalar is always available; AVX2 runs whenever the host CPU
+ * has it.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bd/bd_codec.hh"
@@ -21,9 +25,12 @@
 #include "common/rng.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
+#include "hw/fixed_datapath.hh"
+#include "perception/adaptation.hh"
 #include "perception/discrimination.hh"
 #include "simd/tile_kernels.hh"
 #include "simd/tile_soa.hh"
+#include "../core/adjust_reference.hh"
 
 namespace pce {
 namespace {
@@ -65,17 +72,100 @@ randomTile(Rng &rng, std::size_t n, double spread, bool gamut_edge)
     return tile;
 }
 
-/** Fill a TileSoA's input lanes from AoS pixels/eccentricities. */
-void
-fillSoA(simd::TileSoA &soa, const std::vector<Vec3> &pixels,
-        const std::vector<double> &ecc)
+/** Bitwise equality (NaN payloads and signed zeros included). */
+bool
+sameBits(const Vec3 &a, const Vec3 &b)
 {
-    soa.resize(pixels.size());
-    for (std::size_t i = 0; i < pixels.size(); ++i) {
-        soa.lane(simd::kPx)[i] = pixels[i].x;
-        soa.lane(simd::kPy)[i] = pixels[i].y;
-        soa.lane(simd::kPz)[i] = pixels[i].z;
-        soa.lane(simd::kEcc)[i] = ecc[i];
+    return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
+/**
+ * Run one tile through @p adjuster (planar entry, both std::vector
+ * overloads) and through the Vec3 reference flow with the same model
+ * and extrema backend; every outcome field and every output double
+ * must be identical.
+ */
+void
+expectMatchesReference(const TileAdjuster &adjuster, const ExtremaFn &fn,
+                       const std::vector<Vec3> &tile,
+                       const std::vector<double> &ecc,
+                       simd::TileSoA &soa, const std::string &where)
+{
+    SCOPED_TRACE(where);
+    const DiscriminationModel &m = adjuster.model();
+    const TileAdjustment ref = adjref::adjustTile(m, fn, tile, ecc);
+
+    adjref::fillSoA(soa, tile, ecc);
+    const TileOutcome a = adjuster.adjustTile(soa);
+    EXPECT_EQ(a.chosenAxis, ref.chosenAxis);
+    EXPECT_EQ(a.chosenCase, ref.chosenCase);
+    EXPECT_EQ(a.caseRed, ref.caseRed);
+    EXPECT_EQ(a.caseBlue, ref.caseBlue);
+    EXPECT_EQ(a.bitsRed, ref.bitsRed);
+    EXPECT_EQ(a.bitsBlue, ref.bitsBlue);
+    EXPECT_EQ(a.gamutClampedPixels, ref.gamutClampedPixels);
+    const std::vector<Vec3> chosen =
+        adjref::candidateLanes(soa, a.chosenAxis);
+    ASSERT_EQ(chosen.size(), ref.adjusted.size());
+    for (std::size_t i = 0; i < chosen.size(); ++i)
+        EXPECT_TRUE(sameBits(chosen[i], ref.adjusted[i])) << "pixel " << i;
+
+    const TileAdjustment v = adjuster.adjustTile(tile, ecc);
+    EXPECT_EQ(v.chosenAxis, ref.chosenAxis);
+    EXPECT_EQ(v.bitsRed, ref.bitsRed);
+    EXPECT_EQ(v.bitsBlue, ref.bitsBlue);
+    EXPECT_EQ(v.gamutClampedPixels, ref.gamutClampedPixels);
+    ASSERT_EQ(v.adjusted.size(), ref.adjusted.size());
+    for (std::size_t i = 0; i < v.adjusted.size(); ++i)
+        EXPECT_TRUE(sameBits(v.adjusted[i], ref.adjusted[i]))
+            << "pixel " << i;
+
+    for (const int axis : {0, 2}) {
+        const AxisAdjustment ra =
+            adjref::adjustAlongAxis(m, fn, tile, ecc, axis);
+        const AxisAdjustment aa =
+            adjuster.adjustAlongAxis(tile, ecc, axis);
+        EXPECT_EQ(aa.adjustCase, ra.adjustCase) << "axis " << axis;
+        EXPECT_TRUE(std::memcmp(&aa.hlPlane, &ra.hlPlane,
+                                sizeof(double)) == 0)
+            << "axis " << axis;
+        EXPECT_TRUE(std::memcmp(&aa.lhPlane, &ra.lhPlane,
+                                sizeof(double)) == 0)
+            << "axis " << axis;
+        EXPECT_EQ(aa.gamutClampedPixels, ra.gamutClampedPixels)
+            << "axis " << axis;
+        ASSERT_EQ(aa.adjusted.size(), ra.adjusted.size());
+        for (std::size_t i = 0; i < aa.adjusted.size(); ++i)
+            EXPECT_TRUE(sameBits(aa.adjusted[i], ra.adjusted[i]))
+                << "axis " << axis << " pixel " << i;
+    }
+}
+
+/**
+ * Sweep ragged tile sizes, mid-gamut, gamut-edge and out-of-gamut
+ * tiles, and random spreads/eccentricities through
+ * expectMatchesReference.
+ */
+void
+sweepAgainstReference(const TileAdjuster &adjuster, const ExtremaFn &fn,
+                      uint64_t seed, int trials)
+{
+    Rng rng(seed);
+    simd::TileSoA soa;  // reused across sizes: no state may leak
+    for (const std::size_t n : {16u, 4u, 1u, 13u, 64u}) {
+        for (int trial = 0; trial < trials; ++trial) {
+            auto tile = randomTile(rng, n, rng.uniform(0.0, 0.3),
+                                   trial % 2 == 0);
+            if (trial % 3 == 2)
+                tile[n / 2].z = 1.02;  // out of gamut: stage 1 clamps
+            std::vector<double> ecc;
+            for (std::size_t i = 0; i < n; ++i)
+                ecc.push_back(rng.uniform(5.0, 40.0));
+            expectMatchesReference(adjuster, fn, tile, ecc, soa,
+                                   "n " + std::to_string(n) +
+                                       " trial " +
+                                       std::to_string(trial));
+        }
     }
 }
 
@@ -94,7 +184,7 @@ TEST_P(SimdLevelTest, EllipsoidKernelMatchesModelExactly)
             std::vector<double> ecc;
             for (std::size_t i = 0; i < n; ++i)
                 ecc.push_back(rng.uniform(0.0, 40.0));
-            fillSoA(soa, tile, ecc);
+            adjref::fillSoA(soa, tile, ecc);
             k.ellipsoids(soa, model().params());
             for (std::size_t i = 0; i < n; ++i) {
                 const Ellipsoid e = model().ellipsoidFor(
@@ -121,7 +211,7 @@ TEST_P(SimdLevelTest, ExtremaKernelMatchesQuadricDatapathExactly)
             std::vector<double> ecc;
             for (std::size_t i = 0; i < n; ++i)
                 ecc.push_back(rng.uniform(0.0, 40.0));
-            fillSoA(soa, tile, ecc);
+            adjref::fillSoA(soa, tile, ecc);
             k.ellipsoids(soa, model().params());
             k.extremaBoth(soa);
             for (std::size_t i = 0; i < n; ++i) {
@@ -147,56 +237,52 @@ TEST_P(SimdLevelTest, ExtremaKernelMatchesQuadricDatapathExactly)
     }
 }
 
-TEST_P(SimdLevelTest, TileFlowMatchesLegacyFlowExactly)
+TEST_P(SimdLevelTest, TileFlowMatchesReferenceExactly)
 {
-    // The full kernel tile flow at this level vs. the legacy Vec3 flow
-    // (forced by a non-default extrema backend that evaluates the same
-    // Eq. 11-13 datapath): outcome metadata, bit costs, gamut counts,
-    // and every adjusted double must be identical. Ragged sizes and
-    // gamut-edge tiles exercise the padded lanes and the clamp path.
-    const TileAdjuster kernel_adjuster(model(), {}, GetParam());
-    ASSERT_TRUE(kernel_adjuster.usingSimdKernels());
-    const TileAdjuster legacy_adjuster(
-        model(), [](const Ellipsoid &e, int axis) {
-            return extremaAlongAxis(e, axis);
-        });
-    ASSERT_FALSE(legacy_adjuster.usingSimdKernels());
+    // The analytic model with the default extrema datapath: every
+    // stage runs as a dispatched kernel at this level.
+    const TileAdjuster adjuster(model(), {}, GetParam());
+    sweepAgainstReference(adjuster, {}, 303, 30);
+}
 
-    Rng rng(303);
-    TileScratch kernel_scratch;
-    TileScratch legacy_scratch;
-    for (const std::size_t n : {16u, 4u, 1u, 13u, 64u}) {
-        for (int trial = 0; trial < 30; ++trial) {
-            const auto tile =
-                randomTile(rng, n, rng.uniform(0.0, 0.3),
-                           trial % 2 == 0);
-            std::vector<double> ecc;
-            for (std::size_t i = 0; i < n; ++i)
-                ecc.push_back(rng.uniform(5.0, 40.0));
+TEST_P(SimdLevelTest, ExtremaOverrideMatchesReferenceExactly)
+{
+    // An override evaluating the same Eq. 11-13 datapath per axis runs
+    // stage 2 through the per-pixel backend loop; the result must not
+    // differ from the fused kernel's.
+    const ExtremaFn fn = [](const Ellipsoid &e, int axis) {
+        return extremaAlongAxis(e, axis);
+    };
+    const TileAdjuster adjuster(model(), fn, GetParam());
+    sweepAgainstReference(adjuster, fn, 304, 10);
+}
 
-            kernel_scratch.pixels = tile;
-            kernel_scratch.ecc = ecc;
-            const TileOutcome a =
-                kernel_adjuster.adjustTile(kernel_scratch);
-            legacy_scratch.pixels = tile;
-            legacy_scratch.ecc = ecc;
-            const TileOutcome b =
-                legacy_adjuster.adjustTile(legacy_scratch);
+TEST_P(SimdLevelTest, FixedPointExtremaMatchesReferenceExactly)
+{
+    // The hardware-fidelity ablation's backend: the fixed-point CAU
+    // datapath at 16 fractional bits.
+    const ExtremaFn fn = [](const Ellipsoid &e, int axis) {
+        return extremaAlongAxisFixed(e, axis, FixedDatapathConfig{16});
+    };
+    const TileAdjuster adjuster(model(), fn, GetParam());
+    sweepAgainstReference(adjuster, fn, 305, 10);
+}
 
-            EXPECT_EQ(a.chosenAxis, b.chosenAxis);
-            EXPECT_EQ(a.chosenCase, b.chosenCase);
-            EXPECT_EQ(a.caseRed, b.caseRed);
-            EXPECT_EQ(a.caseBlue, b.caseBlue);
-            EXPECT_EQ(a.bitsRed, b.bitsRed);
-            EXPECT_EQ(a.bitsBlue, b.bitsBlue);
-            EXPECT_EQ(a.gamutClampedPixels, b.gamutClampedPixels);
-            ASSERT_EQ(a.adjusted->size(), b.adjusted->size());
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ((*a.adjusted)[i], (*b.adjusted)[i])
-                    << "n " << n << " trial " << trial << " pixel "
-                    << i;
-        }
-    }
+TEST_P(SimdLevelTest, ScaledModelMatchesReferenceExactly)
+{
+    // A wrapped model cannot use the analytic stage-1 kernel; stage 1
+    // loops over the model per pixel, stages 2-4 stay dispatched.
+    const ScaledDiscriminationModel scaled(model(), 1.5);
+    const TileAdjuster adjuster(scaled, {}, GetParam());
+    sweepAgainstReference(adjuster, {}, 306, 10);
+}
+
+TEST_P(SimdLevelTest, DarkAdaptationModelMatchesReferenceExactly)
+{
+    const DarkAdaptationModel dark(model(), 2.0);
+    ASSERT_GT(dark.boost(), 1.0);
+    const TileAdjuster adjuster(dark, {}, GetParam());
+    sweepAgainstReference(adjuster, {}, 307, 10);
 }
 
 TEST_P(SimdLevelTest, TileCostMatchesCodePath)
@@ -303,41 +389,21 @@ TEST(SimdDispatch, EncodeStatsPassIsLevelInvariant)
 TEST_P(SimdLevelTest, NanPixelsCountAndPlaceIdentically)
 {
     // A NaN input pixel (upstream renderer bug) must flow through the
-    // kernels exactly like the scalar reference: same gamut-clamp
-    // count (C++ != is unordered-true, so NaN movements count) and
-    // bitwise-identical output lanes (NaN payloads included — compare
+    // kernels exactly like the reference: same gamut-clamp count (C++
+    // != is unordered-true, so NaN movements count) and bitwise-
+    // identical outputs (NaN payloads included — compare
     // representations, not values).
-    const TileAdjuster kernel_adjuster(model(), {}, GetParam());
-    const TileAdjuster legacy_adjuster(
-        model(), [](const Ellipsoid &e, int axis) {
-            return extremaAlongAxis(e, axis);
-        });
-
+    const TileAdjuster adjuster(model(), {}, GetParam());
     Rng rng(707);
+    simd::TileSoA soa;
     const double nan = std::numeric_limits<double>::quiet_NaN();
     for (int trial = 0; trial < 10; ++trial) {
         auto tile = randomTile(rng, 16, 0.1, trial % 2 == 0);
         tile[3].y = nan;
         tile[8] = Vec3(nan, nan, nan);
         const std::vector<double> ecc(16, 25.0);
-
-        TileScratch a_scratch;
-        a_scratch.pixels = tile;
-        a_scratch.ecc = ecc;
-        const TileOutcome a = kernel_adjuster.adjustTile(a_scratch);
-        TileScratch b_scratch;
-        b_scratch.pixels = tile;
-        b_scratch.ecc = ecc;
-        const TileOutcome b = legacy_adjuster.adjustTile(b_scratch);
-
-        EXPECT_EQ(a.gamutClampedPixels, b.gamutClampedPixels);
-        EXPECT_EQ(a.bitsRed, b.bitsRed);
-        EXPECT_EQ(a.bitsBlue, b.bitsBlue);
-        ASSERT_EQ(a.adjusted->size(), b.adjusted->size());
-        EXPECT_EQ(std::memcmp(a.adjusted->data(), b.adjusted->data(),
-                              a.adjusted->size() * sizeof(Vec3)),
-                  0)
-            << "trial " << trial;
+        expectMatchesReference(adjuster, {}, tile, ecc, soa,
+                               "trial " + std::to_string(trial));
     }
 }
 
@@ -362,18 +428,12 @@ TEST(SimdDispatch, FoveSimdOffForcesScalar)
     const auto tile = randomTile(rng, 16, 0.1, false);
     const std::vector<double> ecc(16, 20.0);
     const TileAdjuster active(model());
-    TileScratch sa;
-    TileScratch sb;
-    sa.pixels = tile;
-    sa.ecc = ecc;
-    sb.pixels = tile;
-    sb.ecc = ecc;
-    const TileOutcome a = forced.adjustTile(sa);
-    const TileOutcome b = active.adjustTile(sb);
+    const TileAdjustment a = forced.adjustTile(tile, ecc);
+    const TileAdjustment b = active.adjustTile(tile, ecc);
     EXPECT_EQ(a.bitsRed, b.bitsRed);
     EXPECT_EQ(a.bitsBlue, b.bitsBlue);
     for (std::size_t i = 0; i < tile.size(); ++i)
-        EXPECT_EQ((*a.adjusted)[i], (*b.adjusted)[i]);
+        EXPECT_EQ(a.adjusted[i], b.adjusted[i]);
 }
 
 TEST(SimdDispatch, ScalarAliasesAreAccepted)
@@ -386,22 +446,6 @@ TEST(SimdDispatch, ScalarAliasesAreAccepted)
     // Explicit requests are clamped to what the CPU supports.
     EXPECT_EQ(simd::activeSimdLevel(), simd::detectedSimdLevel());
     ASSERT_EQ(unsetenv("FOVE_SIMD"), 0);
-}
-
-TEST(SimdDispatch, NonAnalyticModelFallsBackToLegacyFlow)
-{
-    // A wrapped model cannot go through the analytic kernels; the
-    // adjuster must notice and keep the (correct) legacy flow.
-    const ScaledDiscriminationModel scaled(model(), 1.5);
-    const TileAdjuster adjuster(scaled);
-    EXPECT_FALSE(adjuster.usingSimdKernels());
-
-    Rng rng(606);
-    TileScratch s;
-    s.pixels = randomTile(rng, 16, 0.05, false);
-    s.ecc.assign(16, 25.0);
-    const TileOutcome out = adjuster.adjustTile(s);
-    EXPECT_EQ(out.adjusted->size(), 16u);
 }
 
 } // namespace
