@@ -12,8 +12,6 @@
 #define PCE_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -66,81 +64,6 @@ benchModel()
 {
     static const AnalyticDiscriminationModel model;
     return model;
-}
-
-/** UTC timestamp, ISO 8601 — the `date` field of bench records. */
-inline std::string
-isoNowUtc()
-{
-    const std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    gmtime_r(&now, &tm_utc);
-    char buf[32];
-    std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    return buf;
-}
-
-/**
- * Append @p record (one JSON object, pre-indented two spaces) to the
- * JSON array in @p path — the shared trajectory-file writer of every
- * runner that feeds BENCH_encoder.json (record schema: docs/PERF.md).
- * A missing/empty file starts a new array; a legacy single-object
- * snapshot is wrapped into an array with the new record appended
- * after it. Write-temp-then-rename so a crash or full disk mid-write
- * cannot destroy the accumulated trajectory.
- */
-inline void
-appendJsonRecord(const std::string &path, const std::string &record)
-{
-    std::string existing;
-    {
-        std::ifstream in(path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        existing = ss.str();
-    }
-    const auto is_space = [](char c) {
-        return c == '\n' || c == ' ' || c == '\t' || c == '\r';
-    };
-    while (!existing.empty() && is_space(existing.back()))
-        existing.pop_back();
-    std::size_t start = 0;
-    while (start < existing.size() && is_space(existing[start]))
-        ++start;
-    existing.erase(0, start);
-
-    std::string merged;
-    if (!existing.empty() && existing.front() == '[' &&
-        existing.back() == ']') {
-        existing.pop_back();
-        while (!existing.empty() && is_space(existing.back()))
-            existing.pop_back();
-        merged = existing == "["
-                     ? "[\n" + record + "\n]\n"  // was an empty array
-                     : existing + ",\n" + record + "\n]\n";
-    } else if (!existing.empty() && existing.front() == '{' &&
-               existing.back() == '}') {
-        // Legacy single-object snapshot: preserve it as record zero.
-        merged = "[\n" + existing + ",\n" + record + "\n]\n";
-    } else {
-        // Empty, truncated, or unrecognized content: wrapping it would
-        // produce invalid JSON, so start the trajectory fresh.
-        merged = "[\n" + record + "\n]\n";
-    }
-
-    const std::string tmp_path = path + ".tmp";
-    {
-        std::ofstream out(tmp_path, std::ios::trunc);
-        out << merged;
-        out.flush();
-        if (!out) {
-            std::cerr << "bench: failed writing " << tmp_path << "\n";
-            std::remove(tmp_path.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp_path.c_str(), path.c_str()) != 0)
-        std::cerr << "bench: failed replacing " << path << "\n";
 }
 
 } // namespace pce::bench

@@ -11,37 +11,21 @@
  * of docs/PERF.md is what this bench exercises).
  *
  * Resolution and thread count come from PCE_BENCH_WIDTH /
- * PCE_BENCH_HEIGHT / PCE_BENCH_THREADS; the output path defaults to
- * BENCH_encoder.json in the working directory (override with
- * PCE_BENCH_OUT or argv[1]). Each record carries the git revision
- * (stamped at build time by the pce_git_rev target / cmake/git_rev.cmake,
- * so incremental rebuilds across commits stay attributable), the active
- * SIMD dispatch level, and the actual pool thread counts used for the
- * MT numbers.
+ * PCE_BENCH_HEIGHT / PCE_BENCH_THREADS. Output path: argv[1] or
+ * PCE_BENCH_OUT, default BENCH_encoder.json; fields and provenance in
+ * bench/bench_record.hh.
  */
 
 #include <chrono>
-#include <cstdio>
-#include <ctime>
-#include <fstream>
-#include <iostream>
+#include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "bench_common.hh"
+#include "bench_record.hh"
 #include "common/env.hh"
 #include "core/pipeline.hh"
 #include "obs/trace.hh"
-#include "simd/tile_kernels.hh"
-
-#ifdef PCE_HAVE_GIT_REV_HEADER
-#include "pce_git_rev.h"  // build-time stamp (cmake/git_rev.cmake)
-#endif
-#ifndef PCE_GIT_REV
-#define PCE_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -149,11 +133,7 @@ main(int argc, char **argv)
     const int threads = pce::bench::benchThreads();
     const int repeats =
         static_cast<int>(pce::envInt("PCE_BENCH_REPEATS", 5));
-    std::string out_path = "BENCH_encoder.json";
-    if (argc > 1)
-        out_path = argv[1];
-    else if (const char *env = std::getenv("PCE_BENCH_OUT"))
-        out_path = env;
+    const std::string out_path = pce::bench::benchOutPath(argc, argv);
 
     const ImageF frame =
         renderScene(SceneId::Office, {w, h, 0, 0.0, 0});
@@ -177,78 +157,30 @@ main(int argc, char **argv)
     const std::uint64_t trace_events =
         pce::obs::Tracer::instance().recordedEvents();
     pce::obs::Tracer::instance().reset();
-    const double trace_ratio =
-        trace_off.encodeMps > 0.0
-            ? trace_on.encodeMps / trace_off.encodeMps
-            : 0.0;
 
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"bench\": \"full_frame_encoder\",\n"
-        << "    \"date\": \"" << pce::bench::isoNowUtc() << "\",\n"
-        << "    \"git_rev\": \"" << PCE_GIT_REV << "\",\n"
-        << "    \"simd_level\": \""
-        << pce::simd::simdLevelName(pce::simd::activeSimdLevel())
-        << "\",\n"
-        << "    \"scene\": \"office\",\n"
-        << "    \"width\": " << w << ",\n"
-        << "    \"height\": " << h << ",\n"
-        << "    \"repeats\": " << repeats << ",\n"
-        << "    \"hw_threads\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "    \"mt_threads\": " << mt_threads << ",\n"
-        << "    \"mt_pool_workers\": " << (mt_threads - 1) << ",\n"
-        << "    \"adjust_mps_1t\": " << single.adjustMps << ",\n"
-        << "    \"encode_mps_1t\": " << single.encodeMps << ",\n"
-        << "    \"decode_mps_1t\": " << single.decodeMps << ",\n"
-        << "    \"adjust_mps_mt\": " << multi.adjustMps << ",\n"
-        << "    \"encode_mps_mt\": " << multi.encodeMps << ",\n"
-        << "    \"decode_mps_mt\": " << multi.decodeMps << ",\n"
-        << "    \"baseline_adjust_mps_1t\": " << kBaselineAdjustMps
-        << ",\n"
-        << "    \"baseline_encode_mps_1t\": " << kBaselineEncodeMps
-        << ",\n"
-        << "    \"baseline_decode_mps_1t\": " << kBaselineDecodeMps
-        << ",\n"
-        << "    \"adjust_speedup_vs_baseline\": "
-        << (kBaselineAdjustMps > 0.0
-                ? single.adjustMps / kBaselineAdjustMps
-                : 0.0)
-        << ",\n"
-        << "    \"encode_speedup_vs_baseline\": "
-        << (kBaselineEncodeMps > 0.0
-                ? single.encodeMps / kBaselineEncodeMps
-                : 0.0)
-        << ",\n"
-        << "    \"decode_speedup_vs_baseline\": "
-        << (kBaselineDecodeMps > 0.0
-                ? single.decodeMps / kBaselineDecodeMps
-                : 0.0)
-        << ",\n"
-        << "    \"trace_off_encode_mps_1t\": " << trace_off.encodeMps
-        << ",\n"
-        << "    \"trace_on_encode_mps_1t\": " << trace_on.encodeMps
-        << ",\n"
-        << "    \"trace_on_vs_off\": " << trace_ratio << ",\n"
-        << "    \"trace_events\": " << trace_events << "\n  }";
-    pce::bench::appendJsonRecord(out_path, rec.str());
-
-    std::cout << "simd level: "
-              << pce::simd::simdLevelName(
-                     pce::simd::activeSimdLevel())
-              << " (git " << PCE_GIT_REV << ")\n"
-              << "adjustFrame 1t: " << single.adjustMps << " MP/s\n"
-              << "encodeFrame 1t: " << single.encodeMps << " MP/s\n"
-              << "decodeInto  1t: " << single.decodeMps << " MP/s\n"
-              << "adjustFrame " << mt_threads
-              << "t: " << multi.adjustMps << " MP/s\n"
-              << "encodeFrame " << mt_threads
-              << "t: " << multi.encodeMps << " MP/s\n"
-              << "decodeInto  " << mt_threads
-              << "t: " << multi.decodeMps << " MP/s\n"
-              << "encodeFrame 1t trace off/on: " << trace_off.encodeMps
-              << " / " << trace_on.encodeMps << " MP/s (ratio "
-              << trace_ratio << ", " << trace_events << " events)\n"
-              << "appended record to " << out_path << "\n";
-    return 0;
+    pce::bench::Record rec("full_frame_encoder", mt_threads);
+    rec.str("scene", "office")
+        .num("width", w)
+        .num("height", h)
+        .num("repeats", repeats)
+        .num("adjust_mps_1t", single.adjustMps)
+        .num("encode_mps_1t", single.encodeMps)
+        .num("decode_mps_1t", single.decodeMps)
+        .num("adjust_mps_mt", multi.adjustMps)
+        .num("encode_mps_mt", multi.encodeMps)
+        .num("decode_mps_mt", multi.decodeMps)
+        .num("baseline_adjust_mps_1t", kBaselineAdjustMps)
+        .num("baseline_encode_mps_1t", kBaselineEncodeMps)
+        .num("baseline_decode_mps_1t", kBaselineDecodeMps)
+        .num("adjust_speedup_vs_baseline",
+             single.adjustMps / kBaselineAdjustMps)
+        .num("encode_speedup_vs_baseline",
+             single.encodeMps / kBaselineEncodeMps)
+        .num("decode_speedup_vs_baseline",
+             single.decodeMps / kBaselineDecodeMps)
+        .num("trace_off_encode_mps_1t", trace_off.encodeMps)
+        .num("trace_on_encode_mps_1t", trace_on.encodeMps)
+        .num("trace_on_vs_off", trace_on.encodeMps / trace_off.encodeMps)
+        .num("trace_events", trace_events);
+    return rec.appendTo(out_path) ? 0 : 1;
 }

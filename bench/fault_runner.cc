@@ -23,22 +23,13 @@
 
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_record.hh"
 #include "common/integrity.hh"
 #include "fault/campaign.hh"
-#include "simd/tile_kernels.hh"
-
-#ifdef PCE_HAVE_GIT_REV_HEADER
-#include "pce_git_rev.h"  // build-time stamp (cmake/git_rev.cmake)
-#endif
-#ifndef PCE_GIT_REV
-#define PCE_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -125,11 +116,7 @@ main(int argc, char **argv)
                      ">= 1\n";
         return 1;
     }
-    std::string out_path = "BENCH_encoder.json";
-    if (argc > 1)
-        out_path = argv[1];
-    else if (const char *env = std::getenv("PCE_BENCH_OUT"))
-        out_path = env;
+    const std::string out_path = bench::benchOutPath(argc, argv);
 
     FaultCampaignConfig cfg;
     cfg.width = w;
@@ -161,45 +148,26 @@ main(int argc, char **argv)
     const int total_flips =
         static_cast<int>(report.outcomes.size()) * trials;
 
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"bench\": \"fault_campaign\",\n"
-        << "    \"date\": \"" << bench::isoNowUtc() << "\",\n"
-        << "    \"git_rev\": \"" << PCE_GIT_REV << "\",\n"
-        << "    \"simd_level\": \""
-        << simd::simdLevelName(simd::activeSimdLevel()) << "\",\n"
-        << "    \"width\": " << w << ",\n"
-        << "    \"height\": " << h << ",\n"
-        << "    \"repeats\": " << trials << ",\n"
-        << "    \"hw_threads\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "    \"mt_threads\": " << threads << ",\n"
-        << "    \"mt_pool_workers\": " << (threads - 1) << ",\n"
-        << "    \"total_trials\": " << total_flips << ",\n"
-        << "    \"max_flips\": " << max_flips << ",\n"
-        << "    \"campaign_seconds\": " << campaign_s << ",\n"
-        << "    \"baseline_encode_mps\": " << overhead.baselineMps
-        << ",\n"
-        << "    \"hardened_encode_mps\": " << overhead.hardenedMps;
+    bench::Record rec("fault_campaign", threads);
+    rec.num("width", w)
+        .num("height", h)
+        .num("repeats", trials)
+        .num("total_trials", total_flips)
+        .num("max_flips", max_flips)
+        .num("campaign_seconds", campaign_s)
+        .num("baseline_encode_mps", overhead.baselineMps)
+        .num("hardened_encode_mps", overhead.hardenedMps);
     for (const FaultSurface s : surfaces) {
         const SurfaceOutcome base = report.aggregate(s, false);
         const SurfaceOutcome hard = report.aggregate(s, true);
-        rec << ",\n    \"" << faultSurfaceName(s)
-            << "_baseline_coverage\": " << base.coverage()
-            << ",\n    \"" << faultSurfaceName(s)
-            << "_hardened_coverage\": " << hard.coverage()
-            << ",\n    \"" << faultSurfaceName(s)
-            << "_baseline_silent_rate\": " << base.silentRate()
-            << ",\n    \"" << faultSurfaceName(s)
-            << "_hardened_silent_rate\": " << hard.silentRate();
+        const std::string p = faultSurfaceName(s);
+        rec.num(p + "_baseline_coverage", base.coverage())
+            .num(p + "_hardened_coverage", hard.coverage())
+            .num(p + "_baseline_silent_rate", base.silentRate())
+            .num(p + "_hardened_silent_rate", hard.silentRate());
     }
-    rec << "\n  }";
-    bench::appendJsonRecord(out_path, rec.str());
 
-    std::cout << "simd level: "
-              << simd::simdLevelName(simd::activeSimdLevel())
-              << " (git " << PCE_GIT_REV << ")\n"
-              << "campaign finished in " << campaign_s << " s ("
+    std::cout << "campaign finished in " << campaign_s << " s ("
               << total_flips << " trials)\n"
               << "surface                baseline cov / silent   "
                  "hardened cov / silent\n";
@@ -213,7 +181,6 @@ main(int argc, char **argv)
     }
     std::cout << "integrity overhead: " << overhead.baselineMps
               << " MP/s baseline vs " << overhead.hardenedMps
-              << " MP/s hardened\n"
-              << "appended record to " << out_path << "\n";
-    return 0;
+              << " MP/s hardened\n";
+    return rec.appendTo(out_path) ? 0 : 1;
 }

@@ -33,21 +33,12 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_record.hh"
 #include "gaze/incremental_ecc.hh"
-#include "simd/tile_kernels.hh"
-
-#ifdef PCE_HAVE_GIT_REV_HEADER
-#include "pce_git_rev.h"  // build-time stamp (cmake/git_rev.cmake)
-#endif
-#ifndef PCE_GIT_REV
-#define PCE_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -210,11 +201,7 @@ main(int argc, char **argv)
                      "and PCE_BENCH_REPEATS >= 1\n";
         return 1;
     }
-    std::string out_path = "BENCH_encoder.json";
-    if (argc > 1)
-        out_path = argv[1];
-    else if (const char *env = std::getenv("PCE_BENCH_OUT"))
-        out_path = env;
+    const std::string out_path = bench::benchOutPath(argc, argv);
 
     const DisplayGeometry geom = bench::benchDisplay(w, h);
     const GazeTrace path = pursuitPath(geom, frames);
@@ -225,55 +212,18 @@ main(int argc, char **argv)
     const EncodeResult enc =
         movingEncodeBench(geom, path, frame, threads, repeats);
 
-    const double refix_speedup =
-        refix.incrementalMs > 0.0
-            ? refix.rebuildMs / refix.incrementalMs
-            : 0.0;
-    const double moving_speedup =
-        enc.rebuildMps > 0.0 ? enc.gazeMps / enc.rebuildMps : 0.0;
-
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"bench\": \"gaze_encode\",\n"
-        << "    \"date\": \"" << bench::isoNowUtc() << "\",\n"
-        << "    \"git_rev\": \"" << PCE_GIT_REV << "\",\n"
-        << "    \"simd_level\": \""
-        << simd::simdLevelName(simd::activeSimdLevel()) << "\",\n"
-        << "    \"width\": " << w << ",\n"
-        << "    \"height\": " << h << ",\n"
-        << "    \"frames\": " << frames << ",\n"
-        << "    \"repeats\": " << repeats << ",\n"
-        << "    \"hw_threads\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "    \"mt_threads\": " << threads << ",\n"
-        << "    \"mt_pool_workers\": " << (threads - 1) << ",\n"
-        << "    \"refix_incremental_ms\": " << refix.incrementalMs
-        << ",\n"
-        << "    \"refix_rebuild_ms\": " << refix.rebuildMs << ",\n"
-        << "    \"refix_speedup\": " << refix_speedup << ",\n"
-        << "    \"refix_fallback_rebuilds\": " << refix.fallbacks
-        << ",\n"
-        << "    \"gaze_encode_mps\": " << enc.gazeMps << ",\n"
-        << "    \"rebuild_encode_mps\": " << enc.rebuildMps << ",\n"
-        << "    \"moving_fixation_speedup\": " << moving_speedup
-        << ",\n"
-        << "    \"saccade_frames\": " << enc.saccadeFrames << "\n"
-        << "  }";
-    bench::appendJsonRecord(out_path, rec.str());
-
-    std::cout << "simd level: "
-              << simd::simdLevelName(simd::activeSimdLevel())
-              << " (git " << PCE_GIT_REV << ")\n"
-              << frames << " re-fixations at " << w << "x" << h
-              << ", " << threads << " threads\n"
-              << "re-fixation: incremental " << refix.incrementalMs
-              << " ms vs rebuild " << refix.rebuildMs << " ms ("
-              << refix_speedup << "x, " << refix.fallbacks
-              << " fallback rebuilds)\n"
-              << "moving-fixation encode: gaze " << enc.gazeMps
-              << " MP/s vs rebuild-per-frame " << enc.rebuildMps
-              << " MP/s (" << moving_speedup << "x, "
-              << enc.saccadeFrames << " saccade frames)\n"
-              << "appended record to " << out_path << "\n";
-    return 0;
+    bench::Record rec("gaze_encode", threads);
+    rec.num("width", w)
+        .num("height", h)
+        .num("frames", frames)
+        .num("repeats", repeats)
+        .num("refix_incremental_ms", refix.incrementalMs)
+        .num("refix_rebuild_ms", refix.rebuildMs)
+        .num("refix_speedup", refix.rebuildMs / refix.incrementalMs)
+        .num("refix_fallback_rebuilds", refix.fallbacks)
+        .num("gaze_encode_mps", enc.gazeMps)
+        .num("rebuild_encode_mps", enc.rebuildMps)
+        .num("moving_fixation_speedup", enc.gazeMps / enc.rebuildMps)
+        .num("saccade_frames", enc.saccadeFrames);
+    return rec.appendTo(out_path) ? 0 : 1;
 }

@@ -3,20 +3,10 @@
  * Lossy-transport delivery bench: runs an animated scene sequence
  * through the full encode -> packetize -> lossy channel -> NACK/
  * retransmit -> deadline reassembly path (src/net) at a sweep of loss
- * rates, and appends a dated `"bench": "net_delivery"` record to
- * BENCH_encoder.json (schema in docs/PERF.md).
- *
- * Per loss point p in {0%, 10%, 25%} the record carries:
- *  - loss<p>_delivered_tile_fraction — tiles decoded from the wire
- *    over tiles total (the rest degraded to temporal hold or fill);
- *  - loss<p>_foveal_intact_rate — fraction of frames whose foveal
- *    region (<= fovealCutoffDeg) arrived fully intact, the QoS number
- *    foveal-priority scheduling exists for;
- *  - loss<p>_retransmit_overhead — retransmitted bytes over all bytes
- *    sent (what the NACK loop cost);
- *  - loss<p>_effective_psnr_db — PSNR of the degraded output against
- *    the clean encode of the same frame (capped at 99 dB; byte-exact
- *    delivery is infinite).
+ * rates {0%, 10%, 25%}, and appends a dated `"bench": "net_delivery"`
+ * record to BENCH_encoder.json (fields: bench/bench_record.hh; what
+ * each measures: docs/PERF.md). PSNR is of the degraded output against
+ * the clean encode of the same frame, capped at 99 dB.
  *
  * At 0% loss the run aborts unless every frame reassembles
  * byte-identically (manifest CRC-32 proof) — the bench doubles as the
@@ -24,13 +14,9 @@
  *
  * A second, adaptive sweep runs the step and burst time-varying loss
  * schedules (net/rate_control.hh) under a persistent RateController
- * and records, per schedule: `adaptive_<s>_convergence_frames`
- * (frames after the loss ends until byte-identical delivery returns),
- * `adaptive_<s>_mean_budget_bytes_per_round`,
- * `adaptive_<s>_foveal_intact_rate`, and
- * `adaptive_<s>_delivered_tile_fraction`, gated by the
- * `adaptive_loss_schedules` field for records predating the
- * controller.
+ * and records, per schedule, how many frames after the loss ends
+ * byte-identical delivery takes to return, the mean budget, and the
+ * foveal-intact and delivered-tile rates.
  *
  * Knobs (environment): PCE_BENCH_WIDTH / PCE_BENCH_HEIGHT (default
  * 512x512), PCE_BENCH_NET_FRAMES (frames per loss point, default 12),
@@ -40,21 +26,12 @@
 
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_record.hh"
 #include "net/delivery.hh"
-#include "simd/tile_kernels.hh"
-
-#ifdef PCE_HAVE_GIT_REV_HEADER
-#include "pce_git_rev.h"  // build-time stamp (cmake/git_rev.cmake)
-#endif
-#ifndef PCE_GIT_REV
-#define PCE_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -250,11 +227,7 @@ main(int argc, char **argv)
                      "PCE_BENCH_NET_FRAMES >= 1\n";
         return 1;
     }
-    std::string out_path = "BENCH_encoder.json";
-    if (argc > 1)
-        out_path = argv[1];
-    else if (const char *env = std::getenv("PCE_BENCH_OUT"))
-        out_path = env;
+    const std::string out_path = bench::benchOutPath(argc, argv);
 
     const DisplayGeometry geom = bench::benchDisplay(w, h);
     const EccentricityMap ecc(geom);
@@ -300,57 +273,37 @@ main(int argc, char **argv)
          {net::LossScheduleId::Step, net::LossScheduleId::Burst})
         schedules.push_back(runSchedule(id, streams, ecc, max_wire));
 
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"bench\": \"net_delivery\",\n"
-        << "    \"date\": \"" << bench::isoNowUtc() << "\",\n"
-        << "    \"git_rev\": \"" << PCE_GIT_REV << "\",\n"
-        << "    \"simd_level\": \""
-        << simd::simdLevelName(simd::activeSimdLevel()) << "\",\n"
-        << "    \"width\": " << w << ",\n"
-        << "    \"height\": " << h << ",\n"
-        << "    \"repeats\": " << frames << ",\n"
-        << "    \"hw_threads\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "    \"mt_threads\": " << threads << ",\n"
-        << "    \"mt_pool_workers\": " << (threads - 1) << ",\n"
-        << "    \"frames_per_loss_point\": " << frames;
+    bench::Record rec("net_delivery", threads);
+    rec.num("width", w)
+        .num("height", h)
+        .num("repeats", frames)
+        .num("frames_per_loss_point", frames);
     for (const LossPointResult &r : results) {
         const std::string p = "loss" + std::to_string(r.lossPercent);
-        rec << ",\n    \"" << p
-            << "_delivered_tile_fraction\": " << r.deliveredTileFraction
-            << ",\n    \"" << p
-            << "_foveal_intact_rate\": " << r.fovealIntactRate
-            << ",\n    \"" << p
-            << "_retransmit_overhead\": " << r.retransmitOverhead
-            << ",\n    \"" << p
-            << "_effective_psnr_db\": " << r.effectivePsnrDb;
+        rec.num(p + "_delivered_tile_fraction", r.deliveredTileFraction)
+            .num(p + "_foveal_intact_rate", r.fovealIntactRate)
+            .num(p + "_retransmit_overhead", r.retransmitOverhead)
+            .num(p + "_effective_psnr_db", r.effectivePsnrDb);
     }
-    // Presence gate for the adaptive fields (the schema test skips
-    // them on records predating the rate controller).
-    rec << ",\n    \"adaptive_loss_schedules\": \"";
-    for (std::size_t i = 0; i < schedules.size(); ++i)
-        rec << (i ? "," : "")
-            << net::lossScheduleName(schedules[i].schedule);
-    rec << "\",\n    \"adaptive_frames\": " << adaptive_frames;
+    // Presence gate for the adaptive fields (records predating the
+    // rate controller lack them).
+    std::string names;
+    for (const ScheduleResult &r : schedules)
+        names.append(names.empty() ? "" : ",")
+            .append(net::lossScheduleName(r.schedule));
+    rec.str("adaptive_loss_schedules", names)
+        .num("adaptive_frames", adaptive_frames);
     for (const ScheduleResult &r : schedules) {
         const std::string p =
             std::string("adaptive_") + net::lossScheduleName(r.schedule);
-        rec << ",\n    \"" << p
-            << "_convergence_frames\": " << r.convergenceFrames
-            << ",\n    \"" << p << "_mean_budget_bytes_per_round\": "
-            << r.meanBudgetBytesPerRound << ",\n    \"" << p
-            << "_foveal_intact_rate\": " << r.fovealIntactRate
-            << ",\n    \"" << p
-            << "_delivered_tile_fraction\": " << r.deliveredTileFraction;
+        rec.num(p + "_convergence_frames", r.convergenceFrames)
+            .num(p + "_mean_budget_bytes_per_round",
+                 r.meanBudgetBytesPerRound)
+            .num(p + "_foveal_intact_rate", r.fovealIntactRate)
+            .num(p + "_delivered_tile_fraction", r.deliveredTileFraction);
     }
-    rec << "\n  }";
-    bench::appendJsonRecord(out_path, rec.str());
 
-    std::cout << "simd level: "
-              << simd::simdLevelName(simd::activeSimdLevel())
-              << " (git " << PCE_GIT_REV << ")\n"
-              << "loss   delivered  foveal-intact  retx-overhead  "
+    std::cout << "loss   delivered  foveal-intact  retx-overhead  "
                  "psnr\n";
     for (const LossPointResult &r : results)
         std::printf("%3d%%   %8.4f   %12.4f   %12.4f   %6.2f dB\n",
@@ -364,6 +317,5 @@ main(int argc, char **argv)
                     net::lossScheduleName(r.schedule),
                     r.convergenceFrames, r.meanBudgetBytesPerRound,
                     r.fovealIntactRate, r.deliveredTileFraction);
-    std::cout << "appended record to " << out_path << "\n";
-    return 0;
+    return rec.appendTo(out_path) ? 0 : 1;
 }

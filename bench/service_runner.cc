@@ -40,16 +40,9 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_record.hh"
 #include "obs/trace.hh"
 #include "service/encode_service.hh"
-#include "simd/tile_kernels.hh"
-
-#ifdef PCE_HAVE_GIT_REV_HEADER
-#include "pce_git_rev.h"  // build-time stamp (cmake/git_rev.cmake)
-#endif
-#ifndef PCE_GIT_REV
-#define PCE_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -217,11 +210,7 @@ main(int argc, char **argv)
                      "all be >= 1\n";
         return 1;
     }
-    std::string out_path = "BENCH_encoder.json";
-    if (argc > 1)
-        out_path = argv[1];
-    else if (const char *env = std::getenv("PCE_BENCH_OUT"))
-        out_path = env;
+    const std::string out_path = bench::benchOutPath(argc, argv);
 
     const EccentricityMap ecc(bench::benchDisplay(w, h));
 
@@ -269,27 +258,8 @@ main(int argc, char **argv)
         obs::Tracer::instance().recordedEvents();
     obs::Tracer::instance().reset();
     const double trace_off_mps =
-        trace_off.wallSeconds > 0.0
-            ? trace_off.megapixels / trace_off.wallSeconds
-            : 0.0;
-    const double trace_on_mps =
-        trace_on.wallSeconds > 0.0
-            ? trace_on.megapixels / trace_on.wallSeconds
-            : 0.0;
-    const double trace_ratio =
-        trace_off_mps > 0.0 ? trace_on_mps / trace_off_mps : 0.0;
-
-    std::cout << "simd level: "
-              << simd::simdLevelName(simd::activeSimdLevel())
-              << " (git " << PCE_GIT_REV << ")\n"
-              << n_streams << " streams x " << frames_per_stream
-              << " frames at " << w << "x" << h << ", " << threads
-              << " threads\n"
-              << "single-shot: " << singleshot_mps << " MP/s\n"
-              << "trace off/on (shards " << sweep.front()
-              << "): " << trace_off_mps << " / " << trace_on_mps
-              << " MP/s (ratio " << trace_ratio << ", "
-              << trace_events << " events)\n";
+        trace_off.megapixels / trace_off.wallSeconds;
+    const double trace_on_mps = trace_on.megapixels / trace_on.wallSeconds;
 
     for (const std::size_t shards : sweep) {
         ReplayResult best;
@@ -302,58 +272,29 @@ main(int argc, char **argv)
         }
         const double aggregate_mps =
             best.megapixels / best.wallSeconds;
-        const double efficiency =
-            singleshot_mps > 0.0 ? aggregate_mps / singleshot_mps
-                                 : 0.0;
 
-        std::ostringstream rec;
-        rec << "  {\n"
-            << "    \"bench\": \"encode_service\",\n"
-            << "    \"date\": \"" << bench::isoNowUtc() << "\",\n"
-            << "    \"git_rev\": \"" << PCE_GIT_REV << "\",\n"
-            << "    \"simd_level\": \""
-            << simd::simdLevelName(simd::activeSimdLevel()) << "\",\n"
-            << "    \"width\": " << w << ",\n"
-            << "    \"height\": " << h << ",\n"
-            << "    \"streams\": " << n_streams << ",\n"
-            << "    \"frames_per_stream\": " << frames_per_stream
-            << ",\n"
-            << "    \"repeats\": " << repeats << ",\n"
-            << "    \"hw_threads\": "
-            << std::thread::hardware_concurrency() << ",\n"
-            << "    \"mt_threads\": " << threads << ",\n"
-            << "    \"mt_pool_workers\": " << (threads - 1) << ",\n"
-            << "    \"shard_count\": " << shards << ",\n"
-            << "    \"stolen_frames\": " << best.stolenFrames << ",\n"
-            << "    \"queue_peak_depth\": " << best.queuePeakDepth
-            << ",\n"
-            << "    \"shard_occupancy_mean\": " << best.occupancyMean
-            << ",\n"
-            << "    \"aggregate_mps\": " << aggregate_mps << ",\n"
-            << "    \"singleshot_mps\": " << singleshot_mps << ",\n"
-            << "    \"service_efficiency\": " << efficiency << ",\n"
-            << "    \"queue_p50_ms\": " << best.queueP50Ms << ",\n"
-            << "    \"queue_p99_ms\": " << best.queueP99Ms << ",\n"
-            << "    \"queue_max_ms\": " << best.queueMaxMs << ",\n"
-            << "    \"trace_off_aggregate_mps\": " << trace_off_mps
-            << ",\n"
-            << "    \"trace_on_aggregate_mps\": " << trace_on_mps
-            << ",\n"
-            << "    \"trace_on_vs_off\": " << trace_ratio << ",\n"
-            << "    \"trace_events\": " << trace_events
-            << "\n  }";
-        bench::appendJsonRecord(out_path, rec.str());
-
-        std::cout << "shards " << shards << ": " << aggregate_mps
-                  << " MP/s (" << efficiency * 100.0
-                  << "% of single-shot), stolen " << best.stolenFrames
-                  << ", queue peak " << best.queuePeakDepth
-                  << ", occupancy " << best.occupancyMean << "\n"
-                  << "  queue latency: p50 " << best.queueP50Ms
-                  << " ms, p99 " << best.queueP99Ms << " ms, max "
-                  << best.queueMaxMs << " ms\n";
+        bench::Record rec("encode_service", threads);
+        rec.num("width", w)
+            .num("height", h)
+            .num("streams", n_streams)
+            .num("frames_per_stream", frames_per_stream)
+            .num("repeats", repeats)
+            .num("shard_count", shards)
+            .num("stolen_frames", best.stolenFrames)
+            .num("queue_peak_depth", best.queuePeakDepth)
+            .num("shard_occupancy_mean", best.occupancyMean)
+            .num("aggregate_mps", aggregate_mps)
+            .num("singleshot_mps", singleshot_mps)
+            .num("service_efficiency", aggregate_mps / singleshot_mps)
+            .num("queue_p50_ms", best.queueP50Ms)
+            .num("queue_p99_ms", best.queueP99Ms)
+            .num("queue_max_ms", best.queueMaxMs)
+            .num("trace_off_aggregate_mps", trace_off_mps)
+            .num("trace_on_aggregate_mps", trace_on_mps)
+            .num("trace_on_vs_off", trace_on_mps / trace_off_mps)
+            .num("trace_events", trace_events);
+        if (!rec.appendTo(out_path))
+            return 1;
     }
-    std::cout << "appended " << sweep.size() << " record(s) to "
-              << out_path << "\n";
     return 0;
 }

@@ -72,7 +72,9 @@ TSAN_OPTIONS="halt_on_error=1" \
 echo "== Bounded fault-campaign smoke (Release) =="
 # A tiny end-to-end fault_runner invocation (seconds, not minutes)
 # proving the campaign harness and record writer work as shipped; the
-# record lands in a scratch file, not the checked-in trajectory.
+# record lands in a scratch file, not the checked-in trajectory. The
+# runner writes only a record that passes the schema table
+# (bench/bench_record.hh), so `test -s` also proves it conformed.
 rm -f build/fault_smoke.json
 PCE_BENCH_FAULT_WIDTH=48 PCE_BENCH_FAULT_HEIGHT=48 \
 PCE_BENCH_FAULT_TRIALS=6 PCE_BENCH_REPEATS=1 \

@@ -1,22 +1,24 @@
 /**
  * @file
- * BENCH_encoder.json schema validation (docs/PERF.md, "BENCH_encoder
- * record schema"): the checked-in trajectory file must parse as a JSON
- * array of record objects with the documented fields and types, and
- * the runners' append path must keep it that way. The strict
- * recursive-descent parser lives in tests/support/json_test_util.hh
- * (shared with the trace-export structural check) and is itself
- * exercised against malformed inputs below. scripts/check.sh runs this
- * suite explicitly so a perf-record regression can never slip through
- * a filtered ctest invocation.
+ * Every checked-in BENCH_encoder.json record must pass the schema
+ * table in bench/bench_record.hh and its type's cross-field checks.
+ * Also pins that the table is enforced, that the append refuses a
+ * file that is not a JSON array, and the strict JSON parser
+ * (tests/support/json_test_util.hh) the file is read with.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "../../bench/bench_record.hh"
 #include "../support/json_test_util.hh"
 
 #ifndef PCE_SOURCE_DIR
@@ -25,51 +27,17 @@
 
 namespace {
 
+using namespace pce::bench;
 using testjson::JsonParser;
 using testjson::JsonValue;
 using testjson::readFile;
 
-// ------------------------------------------------------ schema checks
-
-std::string
-benchFilePath()
-{
-    return std::string(PCE_SOURCE_DIR) + "/BENCH_encoder.json";
-}
-
-/** Assert @p rec has string field @p key (non-empty). */
-void
-expectString(const JsonValue &rec, const char *key, std::size_t index)
-{
-    const JsonValue *v = rec.find(key);
-    ASSERT_NE(v, nullptr) << "record " << index << " missing \"" << key
-                          << "\"";
-    EXPECT_TRUE(v->isString())
-        << "record " << index << " field \"" << key
-        << "\" is not a string";
-    EXPECT_FALSE(v->string.empty())
-        << "record " << index << " field \"" << key << "\" is empty";
-}
-
-/** Assert @p rec has a finite, non-negative numeric field @p key. */
-void
-expectNumber(const JsonValue &rec, const char *key, std::size_t index)
-{
-    const JsonValue *v = rec.find(key);
-    ASSERT_NE(v, nullptr) << "record " << index << " missing \"" << key
-                          << "\"";
-    EXPECT_TRUE(v->isNumber())
-        << "record " << index << " field \"" << key
-        << "\" is not a number";
-    EXPECT_GE(v->number, 0.0)
-        << "record " << index << " field \"" << key << "\" is negative";
-}
-
 TEST(BenchSchema, TrajectoryFileParsesAndConforms)
 {
-    const std::string text = readFile(benchFilePath());
-    ASSERT_FALSE(text.empty())
-        << benchFilePath() << " is missing or empty";
+    const std::string path =
+        std::string(PCE_SOURCE_DIR) + "/BENCH_encoder.json";
+    const std::string text = readFile(path);
+    ASSERT_FALSE(text.empty()) << path << " is missing or empty";
     JsonValue doc;
     ASSERT_NO_THROW(doc = JsonParser(text).parse())
         << "BENCH_encoder.json does not parse";
@@ -81,278 +49,206 @@ TEST(BenchSchema, TrajectoryFileParsesAndConforms)
     for (std::size_t i = 0; i < doc.array.size(); ++i) {
         const JsonValue &rec = doc.array[i];
         ASSERT_TRUE(rec.isObject()) << "record " << i;
+        const std::vector<std::string> errors = validateRecord(rec);
+        for (const std::string &e : errors)
+            ADD_FAILURE() << "record " << i << ": " << e;
+        if (!errors.empty())
+            continue;
 
-        // Shared fields (docs/PERF.md). Records predating the `bench`
-        // discriminator are full_frame_encoder records; known types
-        // are full_frame_encoder, encode_service, gaze_encode,
-        // fault_campaign, and net_delivery.
-        std::string bench = "full_frame_encoder";
-        if (const JsonValue *b = rec.find("bench")) {
-            ASSERT_TRUE(b->isString()) << "record " << i;
-            bench = b->string;
-        }
-        for (const char *key : {"width", "height", "repeats"})
-            expectNumber(rec, key, i);
-
-        // Provenance fields exist on every record since PR 2; the
-        // PR 1 record predates them (it carries `threads` instead of
-        // the mt_* pair), detected by the absence of `date`.
-        const bool legacy = rec.find("date") == nullptr;
-        if (legacy) {
-            expectNumber(rec, "threads", i);
-        } else {
-            expectString(rec, "date", i);
-            expectString(rec, "git_rev", i);
-            expectString(rec, "simd_level", i);
-            for (const char *key :
-                 {"hw_threads", "mt_threads", "mt_pool_workers"})
-                expectNumber(rec, key, i);
-
-            // ISO-8601 date shape: YYYY-MM-DDThh:mm:ssZ.
-            const JsonValue *d = rec.find("date");
-            ASSERT_NE(d, nullptr) << "record " << i;
-            const std::string &date = d->string;
-            EXPECT_EQ(date.size(), 20u) << "record " << i;
-            if (date.size() == 20) {
-                EXPECT_EQ(date[4], '-') << "record " << i;
-                EXPECT_EQ(date[10], 'T') << "record " << i;
-                EXPECT_EQ(date[19], 'Z') << "record " << i;
-            }
-        }
-
-        if (bench == "full_frame_encoder") {
-            for (const char *key :
-                 {"adjust_mps_1t", "encode_mps_1t", "adjust_mps_mt",
-                  "encode_mps_mt", "baseline_adjust_mps_1t",
-                  "baseline_encode_mps_1t",
-                  "adjust_speedup_vs_baseline",
-                  "encode_speedup_vs_baseline"})
-                expectNumber(rec, key, i);
-            expectString(rec, "scene", i);
-            // decode_* fields appeared in PR 3; require them from any
-            // record that carries the decode baseline.
-            if (rec.find("baseline_decode_mps_1t") != nullptr)
-                for (const char *key :
-                     {"decode_mps_1t", "decode_mps_mt",
-                      "decode_speedup_vs_baseline"})
-                    expectNumber(rec, key, i);
-            // Trace-overhead fields appeared with the obs subsystem
-            // (PR 10): tracing-off vs tracing-on single-thread encode
-            // throughput plus their ratio. The off run must not pay
-            // for disabled instrumentation (one relaxed load per
-            // span), so the on/off ratio is a real measurement, not
-            // noise around zero.
-            if (rec.find("trace_on_vs_off") != nullptr) {
-                for (const char *key :
-                     {"trace_off_encode_mps_1t",
-                      "trace_on_encode_mps_1t", "trace_on_vs_off",
-                      "trace_events"})
-                    expectNumber(rec, key, i);
-                const JsonValue *ratio = rec.find("trace_on_vs_off");
-                const JsonValue *ev = rec.find("trace_events");
-                ASSERT_TRUE(ratio && ev) << "record " << i;
-                EXPECT_GT(ratio->number, 0.0) << "record " << i;
-                EXPECT_GT(ev->number, 0.0)
-                    << "record " << i
-                    << ": a traced run must record events";
-            }
-        } else if (bench == "encode_service") {
-            for (const char *key :
-                 {"streams", "frames_per_stream", "aggregate_mps",
-                  "singleshot_mps", "service_efficiency",
-                  "queue_p50_ms", "queue_p99_ms", "queue_max_ms"})
-                expectNumber(rec, key, i);
-            // Sharded-dispatch fields appeared in PR 8; records from
-            // the single-dispatcher era lack them. Any record that
-            // carries shard_count must carry the whole group, and a
-            // sharded run must use at least one shard.
-            if (rec.find("shard_count") != nullptr) {
-                for (const char *key :
-                     {"shard_count", "stolen_frames",
-                      "queue_peak_depth", "shard_occupancy_mean"})
-                    expectNumber(rec, key, i);
-                const JsonValue *sc = rec.find("shard_count");
-                ASSERT_NE(sc, nullptr) << "record " << i;
-                EXPECT_GE(sc->number, 1.0)
-                    << "record " << i << ": shard_count must be >= 1";
-            }
-            // Trace-overhead fields (PR 10): aggregate service
-            // throughput with tracing off vs on, as one gated group.
-            if (rec.find("trace_on_vs_off") != nullptr) {
-                for (const char *key :
-                     {"trace_off_aggregate_mps",
-                      "trace_on_aggregate_mps", "trace_on_vs_off",
-                      "trace_events"})
-                    expectNumber(rec, key, i);
-                const JsonValue *ratio = rec.find("trace_on_vs_off");
-                const JsonValue *ev = rec.find("trace_events");
-                ASSERT_TRUE(ratio && ev) << "record " << i;
-                EXPECT_GT(ratio->number, 0.0) << "record " << i;
-                EXPECT_GT(ev->number, 0.0)
-                    << "record " << i
-                    << ": a traced run must record events";
-            }
-        } else if (bench == "gaze_encode") {
-            for (const char *key :
-                 {"frames", "refix_incremental_ms", "refix_rebuild_ms",
-                  "refix_speedup", "refix_fallback_rebuilds",
-                  "gaze_encode_mps", "rebuild_encode_mps",
-                  "moving_fixation_speedup", "saccade_frames"})
-                expectNumber(rec, key, i);
-            // The point of the record: incremental re-fixation must
-            // be measurably cheaper than a full per-frame rebuild.
-            const JsonValue *speedup = rec.find("refix_speedup");
-            ASSERT_NE(speedup, nullptr) << "record " << i;
-            EXPECT_GT(speedup->number, 1.0)
-                << "record " << i
-                << ": incremental re-fixation not cheaper than "
-                   "rebuild";
-        } else if (bench == "fault_campaign") {
-            for (const char *key :
-                 {"total_trials", "max_flips", "campaign_seconds",
-                  "baseline_encode_mps", "hardened_encode_mps"})
-                expectNumber(rec, key, i);
-            // Per-surface coverage / silent-corruption rates for both
-            // configurations; rates are probabilities. The net_packet
-            // surface appeared with the delivery tier (PR 7): require
-            // its fields only on records that carry them.
-            static const char *const surfaces[] = {
-                "tile_scratch", "bd_stream", "png_payload",
-                "queue_slot",   "ecc_map",   "frame_output"};
-            static const char *const metrics[] = {
-                "_baseline_coverage", "_hardened_coverage",
-                "_baseline_silent_rate", "_hardened_silent_rate"};
-            std::vector<std::string> surface_names(
-                surfaces, surfaces + std::size(surfaces));
-            if (rec.find("net_packet_baseline_coverage") != nullptr)
-                surface_names.push_back("net_packet");
-            for (const std::string &surface : surface_names)
-                for (const char *metric : metrics) {
-                    const std::string key = surface + metric;
-                    expectNumber(rec, key.c_str(), i);
-                    const JsonValue *v = rec.find(key);
-                    ASSERT_NE(v, nullptr) << "record " << i;
-                    EXPECT_LE(v->number, 1.0)
-                        << "record " << i << " field \"" << key
-                        << "\" is not a rate";
-                }
-            // The point of the record: on every surface the selective
-            // hardening defends, silent corruption must drop and
-            // detection coverage must rise relative to baseline.
+        // Cross-field checks — the point of the fault and adaptive
+        // records — which the per-field table cannot state.
+        const auto num = [&](const std::string &key) {
+            return rec.find(key)->number;  // validated: present
+        };
+        if (rec.find("bench")->string == "fault_campaign") {
+            // On every surface the selective hardening defends, silent
+            // corruption must drop and detection coverage must rise.
             std::vector<std::string> defended = {
                 "bd_stream", "queue_slot", "ecc_map", "frame_output"};
             if (rec.find("net_packet_baseline_coverage") != nullptr)
                 defended.push_back("net_packet");
             for (const std::string &s : defended) {
-                const JsonValue *bs =
-                    rec.find(s + "_baseline_silent_rate");
-                const JsonValue *hs =
-                    rec.find(s + "_hardened_silent_rate");
-                const JsonValue *bc =
-                    rec.find(s + "_baseline_coverage");
-                const JsonValue *hc =
-                    rec.find(s + "_hardened_coverage");
-                ASSERT_TRUE(bs && hs && bc && hc) << "record " << i;
-                EXPECT_LT(hs->number, bs->number)
+                EXPECT_LT(num(s + "_hardened_silent_rate"),
+                          num(s + "_baseline_silent_rate"))
                     << "record " << i << " surface " << s
                     << ": hardening did not reduce silent corruption";
-                EXPECT_GT(hc->number, bc->number)
+                EXPECT_GT(num(s + "_hardened_coverage"),
+                          num(s + "_baseline_coverage"))
                     << "record " << i << " surface " << s
                     << ": hardening did not raise detection coverage";
             }
-        } else if (bench == "net_delivery") {
-            expectNumber(rec, "frames_per_loss_point", i);
-            for (const int loss : {0, 10, 25}) {
-                const std::string p = "loss" + std::to_string(loss);
-                for (const char *metric :
-                     {"_delivered_tile_fraction", "_foveal_intact_rate",
-                      "_retransmit_overhead", "_effective_psnr_db"})
-                    expectNumber(rec, (p + metric).c_str(), i);
-                const JsonValue *frac =
-                    rec.find(p + "_delivered_tile_fraction");
-                const JsonValue *intact =
-                    rec.find(p + "_foveal_intact_rate");
-                const JsonValue *retx =
-                    rec.find(p + "_retransmit_overhead");
-                ASSERT_TRUE(frac && intact && retx)
-                    << "record " << i;
-                EXPECT_LE(frac->number, 1.0) << "record " << i;
-                EXPECT_LE(intact->number, 1.0) << "record " << i;
-                EXPECT_LE(retx->number, 1.0) << "record " << i;
-                EXPECT_GE(frac->number, 0.0) << "record " << i;
-                EXPECT_GE(intact->number, 0.0) << "record " << i;
-                EXPECT_GE(retx->number, 0.0) << "record " << i;
-            }
-            // A clean channel must be fully transparent.
-            const JsonValue *clean =
-                rec.find("loss0_delivered_tile_fraction");
-            ASSERT_NE(clean, nullptr) << "record " << i;
-            EXPECT_DOUBLE_EQ(clean->number, 1.0)
+        } else if (const JsonValue *gate =
+                       rec.find("adaptive_loss_schedules")) {
+            const auto names = splitNames(gate->string);
+            EXPECT_GE(names.size(), 2u)
                 << "record " << i
-                << ": tiles lost over a clean channel";
-            // Adaptive rate-control sweep fields (ISSUE 9), gated by
-            // adaptive_loss_schedules for records predating the
-            // controller. The gate names the schedules the record
-            // carries ("step,burst"); each contributes a full metric
-            // group.
-            if (const JsonValue *gate =
-                    rec.find("adaptive_loss_schedules")) {
-                ASSERT_TRUE(gate->isString()) << "record " << i;
-                expectNumber(rec, "adaptive_frames", i);
-                std::stringstream names(gate->string);
-                std::string sched;
-                int schedules_seen = 0;
-                while (std::getline(names, sched, ',')) {
-                    ++schedules_seen;
-                    const std::string p = "adaptive_" + sched;
-                    for (const char *metric :
-                         {"_mean_budget_bytes_per_round",
-                          "_foveal_intact_rate",
-                          "_delivered_tile_fraction"})
-                        expectNumber(rec, (p + metric).c_str(), i);
-                    const JsonValue *budget =
-                        rec.find(p + "_mean_budget_bytes_per_round");
-                    const JsonValue *intact =
-                        rec.find(p + "_foveal_intact_rate");
-                    const JsonValue *frac =
-                        rec.find(p + "_delivered_tile_fraction");
-                    ASSERT_TRUE(budget && intact && frac)
-                        << "record " << i << " schedule " << sched;
-                    EXPECT_GT(budget->number, 0.0)
-                        << "record " << i << " schedule " << sched;
-                    EXPECT_LE(intact->number, 1.0)
-                        << "record " << i << " schedule " << sched;
-                    EXPECT_LE(frac->number, 1.0)
-                        << "record " << i << " schedule " << sched;
-                    // Convergence: frames until byte-identical
-                    // delivery returned after the loss ended; -1 =
-                    // never within the run, anything else bounded by
-                    // the run length.
-                    const JsonValue *conv =
-                        rec.find(p + "_convergence_frames");
-                    const JsonValue *total =
-                        rec.find("adaptive_frames");
-                    ASSERT_TRUE(conv && conv->isNumber())
-                        << "record " << i << " schedule " << sched
-                        << " missing convergence frames";
-                    ASSERT_TRUE(total != nullptr) << "record " << i;
-                    EXPECT_GE(conv->number, -1.0)
-                        << "record " << i << " schedule " << sched;
-                    EXPECT_LE(conv->number, total->number)
-                        << "record " << i << " schedule " << sched;
-                }
-                EXPECT_GE(schedules_seen, 2)
-                    << "record " << i
-                    << ": adaptive sweep must cover step and burst";
-            }
-        } else {
-            ADD_FAILURE() << "record " << i
-                          << " has unknown bench type \"" << bench
-                          << "\" — document it in docs/PERF.md and "
-                             "extend this test";
+                << ": adaptive sweep must cover step and burst";
+            // Convergence is -1 (never) or within the run.
+            for (const std::string &s : names)
+                EXPECT_LE(num("adaptive_" + s + "_convergence_frames"),
+                          num("adaptive_frames"))
+                    << "record " << i << " schedule " << s;
         }
     }
 }
+
+/**
+ * A conforming record of type @p schema, built through Record from the
+ * table itself: every field of every group, the gated ones included,
+ * at an in-range value.
+ */
+Record
+minimalRecord(const RecordSchema &schema)
+{
+    Record rec(schema.bench, 1);
+    for (const GroupSpec &g : schema.groups) {
+        if (g.ifAbsent)
+            continue;  // the legacy shape; Record stamps `date`
+        for (const auto &[key, spec] : groupFields(g, rec)) {
+            if (spec.kind == FieldKind::Number)
+                rec.num(key, std::min(spec.hi, spec.lo + 1));
+            else if (spec.kind == FieldKind::String)
+                rec.str(key, "step,burst");
+        }
+    }
+    return rec;
+}
+
+TEST(BenchSchema, TableRejectsEveryMutation)
+{
+    for (const RecordSchema &schema : schemaTable()) {
+        const Record rec = minimalRecord(schema);
+        ASSERT_TRUE(validateRecord(rec).empty()) << schema.bench;
+        // Mutate the record as its JSON text reads back.
+        const JsonValue base = JsonParser(rec.json()).parse();
+        ASSERT_TRUE(validateRecord(base).empty()) << schema.bench;
+        const auto expectRejected = [&](const std::string &what,
+                                        const auto &mutate) {
+            JsonValue m = base;
+            mutate(m.object);
+            EXPECT_FALSE(validateRecord(m).empty())
+                << schema.bench << " accepted " << what;
+        };
+
+        for (const GroupSpec &g : schema.groups)
+            for (const auto &[k, spec] : groupFields(g, base)) {
+                if (base.find(k) == nullptr)
+                    continue;  // the legacy group's `threads`
+                expectRejected("no " + k, [&](auto &o) { o.erase(k); });
+                if (spec.kind != FieldKind::Number) {
+                    expectRejected(k + " as a number", [&](auto &o) {
+                        o[k].type = JsonValue::Type::Number;
+                    });
+                    continue;
+                }
+                expectRejected(k + " as a string", [&](auto &o) {
+                    o[k].type = JsonValue::Type::String;
+                    o[k].string = "1";
+                });
+                // Negative wherever the bound is the default 0.
+                expectRejected(k + " below its bound", [&](auto &o) {
+                    o[k].number = spec.loOpen ? spec.lo : spec.lo - 0.5;
+                });
+                if (std::isfinite(spec.hi))
+                    expectRejected(k + " above its bound", [&](auto &o) {
+                        o[k].number = spec.hi + 0.5;
+                    });
+            }
+        expectRejected("a date without a time", [](auto &o) {
+            o["date"].string = "2026-10-17";
+        });
+        // The bounds that carry a record's point, pinned by value.
+        const std::vector<std::pair<std::string, double>> pins = {
+            {"shard_count", 0.0},     {"refix_speedup", 1.0},
+            {"trace_on_vs_off", 0.0}, {"trace_events", 0.0},
+            {"loss0_delivered_tile_fraction", 0.99}};
+        for (const auto &[k, bad] : pins)
+            if (base.find(k) != nullptr)
+                expectRejected(k + " at " + std::to_string(bad),
+                               [&](auto &o) { o[k].number = bad; });
+        if (base.find("adaptive_loss_schedules") != nullptr)
+            expectRejected("a named schedule without its group",
+                           [](auto &o) {
+                               std::erase_if(o, [](const auto &kv) {
+                                   return kv.first.starts_with(
+                                       "adaptive_burst_");
+                               });
+                           });
+        expectRejected("no bench", [](auto &o) { o.erase("bench"); });
+        expectRejected("an unknown bench type", [](auto &o) {
+            o["bench"].string = "not_a_bench";
+        });
+    }
+}
+
+// --------------------------------------------------------------- append
+
+/** A scratch trajectory file, removed with its .tmp after each test. */
+class BenchAppend : public ::testing::Test
+{
+  protected:
+    void TearDown() override
+    {
+        std::remove(path_.c_str());
+        std::remove(tmp_.c_str());
+    }
+
+    static void write(const std::string &path, const std::string &text)
+    {
+        std::ofstream(path, std::ios::binary) << text;
+    }
+
+    const std::string path_ = ::testing::TempDir() + "bench_append_" +
+                              std::to_string(::getpid()) + ".json";
+    const std::string tmp_ = path_ + ".tmp";
+    const std::string rec_ = "  {\"bench\": \"z\"}";
+    const std::string two_ =
+        "[\n  {\"bench\": \"x\"},\n  {\"bench\": \"y\"}\n]";
+};
+
+TEST_F(BenchAppend, StartsOrExtendsAnArray)
+{
+    ASSERT_TRUE(appendJsonRecord(path_, rec_));  // no file yet
+    EXPECT_EQ(readFile(path_), "[\n" + rec_ + "\n]\n");
+
+    const std::vector<std::pair<std::string, std::size_t>> cases = {
+        {"[]", 1}, {"[\n]\n", 1}, {two_ + "\n \n\t", 3},
+        {"[\r\n  {}\r\n]\r\n", 2}};  // trailing whitespace, CRLF
+    for (const auto &[existing, records] : cases) {
+        write(path_, existing);
+        ASSERT_TRUE(appendJsonRecord(path_, rec_)) << existing;
+        const JsonValue doc = JsonParser(readFile(path_)).parse();
+        ASSERT_EQ(doc.array.size(), records) << existing;
+        EXPECT_EQ(doc.array.back().find("bench")->string, "z");
+    }
+}
+
+TEST_F(BenchAppend, RefusesAnythingButAnArray)
+{
+    for (const std::string &existing : std::vector<std::string>{
+             two_ + "\n<<<<<<< HEAD\n", "{\"bench\": \"x\"}\n",
+             two_.substr(0, two_.size() - 2)})
+        for (const bool stale_tmp : {false, true}) {
+            write(path_, existing);
+            std::remove(tmp_.c_str());
+            if (stale_tmp)  // left over from an earlier run
+                write(tmp_, "[\n" + rec_ + "\n]\n");
+            EXPECT_FALSE(appendJsonRecord(path_, rec_)) << existing;
+            EXPECT_EQ(readFile(path_), existing);
+        }
+}
+
+TEST_F(BenchAppend, NonConformingRecordIsNeverWritten)
+{
+    write(path_, two_);
+    EXPECT_FALSE(Record("gaze_encode", 1).appendTo(path_));
+    EXPECT_EQ(readFile(path_), two_);
+
+    EXPECT_TRUE(minimalRecord(schemaTable().front()).appendTo(path_));
+    EXPECT_EQ(JsonParser(readFile(path_)).parse().array.size(), 3u);
+}
+
+// --------------------------------------------------------------- parser
 
 TEST(BenchSchema, ParserRejectsMalformedDocuments)
 {
