@@ -124,7 +124,7 @@ runSchedule(net::LossScheduleId schedule,
         if (rep.fovealIntact)
             ++foveal_intact_frames;
         budget_sum +=
-            static_cast<double>(rep.frame.budgetBytesPerRound);
+            static_cast<double>(rep.budgetBytesPerRound);
         if (drop == 0.0 && last_lossy >= 0 &&
             first_identical_after_loss < 0 && rep.frame.byteIdentical)
             first_identical_after_loss = f;

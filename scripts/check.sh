@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification in both Release and sanitizer configurations,
-# plus the repo consistency checks (docs links/layer map, bench record
-# schema).
+# plus the repo consistency checks (docs links, layer map and code
+# references; bench record schema).
 #
 # Usage: scripts/check.sh [jobs]
 #
@@ -21,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-2}"
 
-echo "== Docs consistency (layer map + markdown links) =="
+echo "== Docs consistency (layer map, markdown links, code references) =="
 scripts/check_docs.sh
 
 echo "== Release build =="

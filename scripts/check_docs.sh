@@ -5,6 +5,10 @@
 #     directory (the layer map must not drift from the tree);
 #  2. every intra-repo markdown link in the tracked *.md files must
 #     resolve (relative to the file containing it).
+#  3. every qualified name inside a backticked span of README.md or
+#     docs/*.md (`Type::member`, `obs::traceInstant`) must have its last
+#     component appear as a word in the code, so a deleted or renamed
+#     symbol cannot live on in the docs.
 #
 # Exits non-zero listing every violation.
 set -euo pipefail
@@ -39,6 +43,17 @@ for md in README.md ROADMAP.md PAPER.md PAPERS.md docs/*.md; do
         fi
     done < <(grep -oE '\]\([^)]+\)' "$md" | sed 's/^](//; s/)$//')
 done
+
+# --- 3. backticked qualified names still exist in the code ----------
+while IFS= read -r qname; do
+    member="${qname##*::}"
+    if ! grep -rqw -- "$member" src bench tests examples perfbench; then
+        echo "check_docs: stale reference in the docs: \`$qname\`"
+        fail=1
+    fi
+done < <(grep -ohE '`[^`]+`' README.md docs/*.md |
+             grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)+' |
+             sort -u)
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED"

@@ -51,6 +51,45 @@ bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
     std::memcpy(out8, header, sizeof header);
 }
 
+BdStreamHeader
+bdReadStreamHeader(const std::uint8_t *data, std::size_t size_bytes,
+                   std::uint64_t max_pixels)
+{
+    const std::uint64_t stream_bits =
+        static_cast<std::uint64_t>(size_bytes) * 8;
+    if (stream_bits < kBdStreamHeaderBits)
+        throw std::runtime_error(
+            "bdReadStreamHeader: stream shorter than header");
+    BitReader hdr(data, size_bytes);
+    if (hdr.getBits(kMagicBits) != kMagic)
+        throw std::runtime_error("bdReadStreamHeader: bad magic");
+    const std::uint64_t w = hdr.getBits(kDimBits);
+    const std::uint64_t h = hdr.getBits(kDimBits);
+    const std::uint64_t tile = hdr.getBits(kTileBits);
+    if (w == 0 || h == 0 || tile == 0)
+        throw std::runtime_error("bdReadStreamHeader: bad header");
+    // Decompression-bomb guard: flat tiles compress so well that a
+    // huge frame can be *honestly* described by a tiny stream, so no
+    // consistency check bounds the output size — only this cap does.
+    if (w * h > max_pixels)
+        throw std::runtime_error(
+            "bdReadStreamHeader: frame exceeds the decode pixel cap");
+    // All tile arithmetic is 64-bit: an adversarial 0xFFFF x 0xFFFF
+    // header yields ~2^32 tiles, which must be *counted* correctly (no
+    // 32-bit wrap). Every tile-channel costs at least its meta+base
+    // bits; a stream below that floor cannot describe the claimed
+    // frame. This bounds the tile count by the actual stream size.
+    const std::uint64_t n_tiles =
+        ((w + tile - 1) / tile) * ((h + tile - 1) / tile);
+    if (n_tiles * 3 * (kWidthFieldBits + kBaseBits) >
+        stream_bits - kBdStreamHeaderBits)
+        throw std::runtime_error(
+            "bdReadStreamHeader: stream too short for header "
+            "dimensions");
+    return {static_cast<int>(w), static_cast<int>(h),
+            static_cast<int>(tile)};
+}
+
 unsigned
 bdDeltaWidth(uint8_t min_value, uint8_t max_value)
 {
@@ -484,56 +523,20 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                     int participants, std::uint64_t max_pixels,
                     bool duplicate_validate)
 {
-    constexpr std::size_t kHeaderBits =
-        kMagicBits + 2 * kDimBits + kTileBits;
-    const std::uint64_t stream_bits =
-        static_cast<std::uint64_t>(stream.size()) * 8;
-    if (stream_bits < kHeaderBits)
-        throw std::runtime_error(
-            "BdCodec::decode: stream shorter than header");
-    BitReader hdr(stream);
-    if (hdr.getBits(kMagicBits) != kMagic)
-        throw std::runtime_error("BdCodec::decode: bad magic");
-    const uint32_t w = hdr.getBits(kDimBits);
-    const uint32_t h = hdr.getBits(kDimBits);
-    const uint32_t tile = hdr.getBits(kTileBits);
-    if (w == 0 || h == 0 || tile == 0)
-        throw std::runtime_error("BdCodec::decode: bad header");
-    // Decompression-bomb guard: flat tiles compress so well that a
-    // huge frame can be *honestly* described by a tiny stream, so no
-    // consistency check below bounds the output size — only this cap
-    // does.
-    if (static_cast<std::uint64_t>(w) * h > max_pixels)
-        throw std::runtime_error(
-            "BdCodec::decode: frame exceeds the decode pixel cap");
-
-    // All tile/pixel arithmetic below is 64-bit: an adversarial
-    // 0xFFFF x 0xFFFF header yields ~2^32 tiles and ~2^34 payload
-    // bits, which must be *counted* correctly (no 32-bit wrap) so the
-    // floor check rejects the stream before any allocation scales with
-    // the claimed dimensions.
-    const std::uint64_t tiles_x = (w + tile - 1) / tile;
-    const std::uint64_t tiles_y = (h + tile - 1) / tile;
-    const std::uint64_t n_tiles64 = tiles_x * tiles_y;
-    // Every tile-channel costs at least its meta+base bits; a stream
-    // below that floor cannot describe the claimed frame. This bounds
-    // n_tiles by the actual stream size, so the tile grid and offset
-    // arrays built next are O(stream), never O(claimed dimensions).
-    if (n_tiles64 * 3 * (kWidthFieldBits + kBaseBits) >
-        stream_bits - kHeaderBits)
-        throw std::runtime_error(
-            "BdCodec::decode: stream too short for header dimensions");
+    // Header checks first, before any buffer scales with the claimed
+    // geometry: the tile grid and offset arrays built next are
+    // O(stream), never O(claimed dimensions).
+    const BdStreamHeader hdr =
+        bdReadStreamHeader(stream.data(), stream.size(), max_pixels);
 
     BdDecodeScratch local;
     BdDecodeScratch &s = scratch ? *scratch : local;
-    if (s.tilesWidth != static_cast<int>(w) ||
-        s.tilesHeight != static_cast<int>(h) ||
-        s.tilesSize != static_cast<int>(tile)) {
-        s.tiles = tileGrid(static_cast<int>(w), static_cast<int>(h),
-                           static_cast<int>(tile));
-        s.tilesWidth = static_cast<int>(w);
-        s.tilesHeight = static_cast<int>(h);
-        s.tilesSize = static_cast<int>(tile);
+    if (s.tilesWidth != hdr.width || s.tilesHeight != hdr.height ||
+        s.tilesSize != hdr.tileSize) {
+        s.tiles = tileGrid(hdr.width, hdr.height, hdr.tileSize);
+        s.tilesWidth = hdr.width;
+        s.tilesHeight = hdr.height;
+        s.tilesSize = hdr.tileSize;
     }
     const std::size_t n_tiles = s.tiles.size();
 
@@ -569,7 +572,7 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     // The stream must be exactly the header + payload padded to a byte
     // boundary with zero bits: a longer buffer is trailing garbage, and
     // nonzero padding is garbage smuggled below the byte count.
-    const std::uint64_t total_bits = kHeaderBits + offset;
+    const std::uint64_t total_bits = kBdStreamHeaderBits + offset;
     if ((total_bits + 7) / 8 != stream.size())
         throw std::runtime_error(
             "BdCodec::decode: stream length disagrees with payload "
@@ -585,9 +588,8 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     // are disjoint pixel ranges, so the output is byte-identical for
     // any participant count. Reallocate only on geometry change; every
     // byte of the image is overwritten below.
-    if (out.width() != static_cast<int>(w) ||
-        out.height() != static_cast<int>(h))
-        out = ImageU8(static_cast<int>(w), static_cast<int>(h));
+    if (out.width() != hdr.width || out.height() != hdr.height)
+        out = ImageU8(hdr.width, hdr.height);
     const uint8_t *data = stream.data();
     const std::size_t size = stream.size();
     auto decodeRange = [&](std::size_t begin, std::size_t end, int) {

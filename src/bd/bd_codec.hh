@@ -97,6 +97,31 @@ inline constexpr unsigned kBdStreamHeaderBits = 64;
 void bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
                          int tile_size);
 
+/** Frame geometry carried by a BD stream header. */
+struct BdStreamHeader
+{
+    int width = 0;
+    int height = 0;
+    int tileSize = 0;
+};
+
+/**
+ * Parse and validate the header of the BD stream in @p data — the one
+ * reader every consumer of an untrusted stream (BdCodec::decodeInto,
+ * the network packetizer) goes through before it sizes anything from
+ * the header. Checks, in order: the stream holds a whole header, the
+ * magic matches, the dimensions and tile size are nonzero, the frame
+ * does not exceed @p max_pixels (decompression-bomb guard), and the
+ * stream is long enough to hold the meta+base bits of every
+ * tile-channel the header claims (tile-count floor, counted in 64
+ * bits). After it returns, a tile grid built from the geometry is
+ * O(stream size), never O(claimed dimensions).
+ * @throws std::runtime_error on any failed check.
+ */
+BdStreamHeader bdReadStreamHeader(
+    const std::uint8_t *data, std::size_t size_bytes,
+    std::uint64_t max_pixels = kBdDefaultMaxDecodePixels);
+
 /** Per-tile, per-channel bit accounting (drives Fig. 11). */
 struct BdChannelStats
 {
@@ -260,12 +285,11 @@ class BdCodec
      *
      * Two passes. Pass 1 (serial) validates the stream *before any
      * pixel is touched or any frame-sized buffer allocated*: the full
-     * header (magic, non-zero 16-bit dimensions, non-zero tile size,
-     * with all tile/pixel arithmetic in 64 bits so adversarial
-     * 0xFFFF x 0xFFFF headers cannot overflow or trigger a huge
-     * allocation), then every per-tile-channel record — a delta width
-     * field above 8 bits, a delta payload running past the end of the
-     * stream (truncated mid-tile), a stream whose byte count disagrees
+     * header (bdReadStreamHeader, so adversarial 0xFFFF x 0xFFFF
+     * headers cannot overflow or trigger a huge allocation), then
+     * every per-tile-channel record — a delta width field above 8
+     * bits, a delta payload running past the end of the stream
+     * (truncated mid-tile), a stream whose byte count disagrees
      * with the computed total bit length (trailing garbage), or nonzero
      * padding bits in the final byte all throw std::runtime_error. The
      * walk only reads the 12-bit meta fields and seeks across delta

@@ -301,8 +301,7 @@ PerceptualEncoder::verifyRoundTrip(EncodedFrame &frame) const
 {
     BdCodec::decodeInto(frame.bdStream, frame.roundTripSrgb,
                         &frame.bdDecodeScratch, pool_,
-                        params_.threads, kBdDefaultMaxDecodePixels,
-                        params_.duplicateValidate);
+                        params_.threads);
     return frame.roundTripSrgb == frame.adjustedSrgb;
 }
 

@@ -56,13 +56,6 @@ struct PipelineParams
      * (clamped by the pool's own size).
      */
     ThreadPool *pool = nullptr;
-    /**
-     * Selective-EDDI hardening of decode paths driven through this
-     * pipeline (verifyRoundTrip): run the BD decoder's serial
-     * validate+prefix walk twice and compare (see
-     * BdCodec::decodeInto's duplicate_validate and docs/FAULTS.md).
-     */
-    bool duplicateValidate = false;
 };
 
 /** Aggregate statistics of one encoded frame. */

@@ -151,10 +151,9 @@ deliverFrame(const std::vector<std::uint8_t> &bd_stream,
     rep.frame = receiver.finalizeFrame(policy.streamId, frame_id, out);
     finSpan.end();
 
-    rep.frame.adaptiveRate = rate != nullptr;
-    rep.frame.budgetBytesPerRound = round_budget;
-    rep.frame.cutoffEccDeg = cut.cutoffEccDeg;
-    rep.frame.shedBytes = rep.shedBytes;
+    rep.adaptiveRate = rate != nullptr;
+    rep.budgetBytesPerRound = round_budget;
+    rep.cutoffEccDeg = cut.cutoffEccDeg;
     if (rate != nullptr) {
         // Fold this frame back into the controller so the *next*
         // frame adapts. Admitted-but-undelivered packets count as
@@ -169,8 +168,8 @@ deliverFrame(const std::vector<std::uint8_t> &bd_stream,
                 ++fb.undeliveredAdmitted;
         fb.roundsUsed = rep.roundsUsed;
         rate->onFrame(fb);
-        rep.frame.estimatedLossRate = rate->estimator().lossRate();
-        rep.frame.estimatedRttRounds = rate->estimator().rttRounds();
+        rep.estimatedLossRate = rate->estimator().lossRate();
+        rep.estimatedRttRounds = rate->estimator().rttRounds();
     }
 
     // Foveal accounting lives here, not in the receiver: the receiver
@@ -227,23 +226,9 @@ DeliverySession::deliverNext(ImageU8 &out,
             rate_->onIdleFrame();  // stale channel knowledge decays
         return rep;
     }
-    DeliveryReport rep =
-        deliverFrame(lease->bdStream, nextFrame_++, ecc_, channel_,
-                     receiver_, out, policy_,
-                     rate_ ? &*rate_ : nullptr);
-    // Fold the delivery outcome into the stream's service-side stats
-    // so EncodeService::report() covers the full pipeline.
-    DeliverySample sample;
-    sample.adaptiveRate = rep.frame.adaptiveRate;
-    sample.budgetBytesPerRound = rep.frame.budgetBytesPerRound;
-    sample.estimatedLossRate = rep.frame.estimatedLossRate;
-    sample.cutoffEccDeg = rep.frame.cutoffEccDeg;
-    sample.bytesSent = rep.bytesSent;
-    sample.shedBytes = rep.shedBytes;
-    sample.fovealIntact = rep.fovealIntact;
-    sample.byteIdentical = rep.frame.byteIdentical;
-    service_.recordDelivery(handle_, sample);
-    return rep;
+    return deliverFrame(lease->bdStream, nextFrame_++, ecc_, channel_,
+                        receiver_, out, policy_,
+                        rate_ ? &*rate_ : nullptr);
 }
 
 } // namespace pce::net

@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <optional>
@@ -104,10 +105,25 @@ struct DeliveryReport
     std::size_t shedTiles = 0;
     /** Wire bytes those shed packets would have cost. */
     std::size_t shedBytes = 0;
+    /** The frame ran under a RateController-derived budget. This
+     *  and the fields below are the sender's rate-control state; the
+     *  defaults describe a non-adaptive sender. */
+    bool adaptiveRate = false;
+    /** Congestion budget the frame's rounds spent, bytes per round
+     *  (the policy constant when not adaptive). */
+    std::size_t budgetBytesPerRound = 0;
+    /** Controller's EWMA loss-rate estimate after this frame. */
+    double estimatedLossRate = 0.0;
+    /** Controller's EWMA delivery-RTT estimate, rounds. */
+    double estimatedRttRounds = 0.0;
+    /** Continuous foveal shed radius: tiles at eccentricities above
+     *  this were shed before transmission. Infinity = nothing shed
+     *  proactively (every packet admitted). */
+    double cutoffEccDeg = std::numeric_limits<double>::infinity();
     /**
      * Smallest tile eccentricity among shed packets, degrees;
      * infinity when nothing was shed. Planned shedding starts at
-     * frame.cutoffEccDeg and moves outward; when the loss estimate
+     * cutoffEccDeg and moves outward; when the loss estimate
      * underruns the channel, admitted packets can additionally
      * starve on retransmission pressure and shed *inside* the
      * cutoff. The invariants the soak harness holds this to: the
@@ -144,8 +160,8 @@ struct DeliveryReport
  * rate control: the round budget comes from the controller, packets
  * beyond the continuous foveal cutoff are shed before transmission,
  * and the frame's feedback is folded back into the controller so the
- * next frame adapts. The controller's fields of the returned
- * report's `frame` record exactly what the frame ran under.
+ * next frame adapts. The returned report's rate-control fields
+ * record exactly what the frame ran under.
  */
 DeliveryReport deliverFrame(const std::vector<std::uint8_t> &bd_stream,
                             std::uint64_t frame_id,

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "bd/bd_codec.hh"
-#include "common/bitstream.hh"
 #include "common/integrity.hh"
 #include "image/image.hh"
 #include "perception/display.hh"
@@ -21,32 +20,13 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
     if (params.mtuBytes <= kPacketHeaderBytes)
         throw std::invalid_argument(
             "packetizeFrame: MTU does not fit the packet header");
-    if (bd_stream.size() < kBdStreamHeaderBits / 8)
-        throw std::runtime_error(
-            "packetizeFrame: stream shorter than the BD header");
 
-    // Read the geometry fields, then validate the whole header by
-    // re-serializing it — one source of truth for the header layout
-    // (bdWriteStreamHeader) instead of a duplicated magic constant.
-    BitReader hdr(bd_stream);
-    hdr.seek(24);  // past the magic, checked bit-exactly below
-    const std::uint32_t w = hdr.getBits(16);
-    const std::uint32_t h = hdr.getBits(16);
-    const std::uint32_t tile = hdr.getBits(8);
-    std::uint8_t expect[kBdStreamHeaderBits / 8];
-    try {
-        bdWriteStreamHeader(expect, static_cast<int>(w),
-                            static_cast<int>(h),
-                            static_cast<int>(tile));
-    } catch (const std::invalid_argument &) {
-        throw std::runtime_error("packetizeFrame: bad BD header");
-    }
-    if (!std::equal(expect, expect + sizeof(expect), bd_stream.data()))
-        throw std::runtime_error("packetizeFrame: bad BD magic");
-
-    const std::vector<TileRect> tiles = tileGrid(
-        static_cast<int>(w), static_cast<int>(h),
-        static_cast<int>(tile));
+    // The shared header reader bounds the tile grid by the stream size
+    // before it is built (decode pixel cap and tile-count floor).
+    const BdStreamHeader hdr =
+        bdReadStreamHeader(bd_stream.data(), bd_stream.size());
+    const std::vector<TileRect> tiles =
+        tileGrid(hdr.width, hdr.height, hdr.tileSize);
     const std::size_t n_tiles = tiles.size();
     std::vector<std::size_t> offsets(n_tiles + 1);
     BdCodec::walkTileRange(bd_stream.data(), bd_stream.size(), tiles, 0,
@@ -79,9 +59,9 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
     }
 
     PacketizedFrame pf;
-    pf.manifest.width = w;
-    pf.manifest.height = h;
-    pf.manifest.tileSize = tile;
+    pf.manifest.width = static_cast<std::uint32_t>(hdr.width);
+    pf.manifest.height = static_cast<std::uint32_t>(hdr.height);
+    pf.manifest.tileSize = static_cast<std::uint32_t>(hdr.tileSize);
     pf.manifest.tileCount = static_cast<std::uint32_t>(n_tiles);
     pf.manifest.packetCount = static_cast<std::uint32_t>(ranges.size());
     pf.manifest.payloadBits = offsets[n_tiles];

@@ -71,8 +71,9 @@ struct PacketizedFrame
 
 /**
  * Packetize one encoded frame's BD stream. Validates the stream with
- * the full prefix walk first (throws std::runtime_error on a malformed
- * stream, std::invalid_argument on an unusable MTU); @p ecc null
+ * bdReadStreamHeader and the full prefix walk first (throws
+ * std::runtime_error on a malformed or over-cap stream,
+ * std::invalid_argument on an unusable MTU); @p ecc null
  * degrades the schedule to plain tile order.
  */
 PacketizedFrame packetizeFrame(const std::vector<std::uint8_t> &bd_stream,

@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -103,25 +102,6 @@ struct FrameDeliveryReport
     bool byteIdentical = false;
     /** Per-tile delivery mask (totalTiles entries, 1 = from wire). */
     std::vector<std::uint8_t> tileDelivered;
-
-    // ---- Sender-side rate-control state for the frame. Filled by
-    //      deliverFrame (net/delivery.cc) after finalization, not by
-    //      the reassembler; defaults describe a non-adaptive sender.
-    /** The frame ran under a RateController-derived budget. */
-    bool adaptiveRate = false;
-    /** Congestion budget the frame's rounds spent, bytes per round
-     *  (the policy constant when not adaptive). */
-    std::size_t budgetBytesPerRound = 0;
-    /** Controller's EWMA loss-rate estimate after this frame. */
-    double estimatedLossRate = 0.0;
-    /** Controller's EWMA delivery-RTT estimate, rounds. */
-    double estimatedRttRounds = 0.0;
-    /** Continuous foveal shed radius: tiles at eccentricities above
-     *  this were shed before transmission. Infinity = nothing shed
-     *  proactively (every packet admitted). */
-    double cutoffEccDeg = std::numeric_limits<double>::infinity();
-    /** Wire bytes of packets never transmitted (congestion shed). */
-    std::size_t shedBytes = 0;
 };
 
 class FrameReassembler

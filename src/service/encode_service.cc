@@ -97,16 +97,6 @@ struct StreamState
     std::uint64_t faultsDetected = 0;
     std::uint64_t framesQuarantined = 0;
     std::uint64_t gazeRecoveries = 0;
-    // Delivery-tier counters (recordDelivery; see StreamStats).
-    std::uint64_t framesDelivered = 0;
-    std::uint64_t framesAdaptive = 0;
-    std::uint64_t framesFovealIntact = 0;
-    std::uint64_t framesByteIdentical = 0;
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
-    double budgetBytesSum = 0.0;  ///< running sum for the mean
-    double lastEstimatedLossRate = 0.0;
-    double lastCutoffEccDeg = 0.0;
 };
 
 } // namespace detail
@@ -808,33 +798,6 @@ EncodeService::dispatchLoop(std::size_t shard)
     }
 }
 
-void
-EncodeService::recordDelivery(StreamHandle handle,
-                              const DeliverySample &sample)
-{
-    if (!handle.valid())
-        throw std::invalid_argument(
-            "EncodeService::recordDelivery: invalid stream handle");
-    StreamState &s = *handle.state_;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    ++s.framesDelivered;
-    if (sample.adaptiveRate)
-        ++s.framesAdaptive;
-    if (sample.fovealIntact)
-        ++s.framesFovealIntact;
-    if (sample.byteIdentical)
-        ++s.framesByteIdentical;
-    s.deliveryBytesSent += sample.bytesSent;
-    s.deliveryShedBytes += sample.shedBytes;
-    // The budget mean only covers adaptive frames: a non-adaptive
-    // policy's SIZE_MAX "uncongested" sentinel is not a budget.
-    if (sample.adaptiveRate)
-        s.budgetBytesSum +=
-            static_cast<double>(sample.budgetBytesPerRound);
-    s.lastEstimatedLossRate = sample.estimatedLossRate;
-    s.lastCutoffEccDeg = sample.cutoffEccDeg;
-}
-
 ServiceReport
 EncodeService::report() const
 {
@@ -866,10 +829,6 @@ EncodeService::report() const
                            ? sh.busySeconds / rep.wallSeconds
                            : 0.0;
         sh.participants = rt.participants;
-        sh.queueResidencyP50Ms = rt.residency->percentile(50.0);
-        sh.queueResidencyP90Ms = rt.residency->percentile(90.0);
-        sh.queueResidencyP99Ms = rt.residency->percentile(99.0);
-        sh.residencySamples = rt.residency->count();
         if (rt.pool != nullptr) {
             sh.poolDispatches = rt.pool->dispatchCalls();
             sh.poolMeanParticipants =
@@ -908,19 +867,6 @@ EncodeService::report() const
             st.faultsDetected = s.faultsDetected;
             st.framesQuarantined = s.framesQuarantined;
             st.gazeRecoveries = s.gazeRecoveries;
-            st.framesDelivered = s.framesDelivered;
-            st.framesAdaptive = s.framesAdaptive;
-            st.framesFovealIntact = s.framesFovealIntact;
-            st.framesByteIdentical = s.framesByteIdentical;
-            st.deliveryBytesSent = s.deliveryBytesSent;
-            st.deliveryShedBytes = s.deliveryShedBytes;
-            st.meanBudgetBytesPerRound =
-                s.framesAdaptive > 0
-                    ? s.budgetBytesSum /
-                          static_cast<double>(s.framesAdaptive)
-                    : 0.0;
-            st.lastEstimatedLossRate = s.lastEstimatedLossRate;
-            st.lastCutoffEccDeg = s.lastCutoffEccDeg;
         }
         st.encodeMps = st.encodeSeconds > 0.0
                            ? st.megapixels / st.encodeSeconds
@@ -941,10 +887,6 @@ EncodeService::report() const
         rep.faultsDetected += st.faultsDetected;
         rep.framesQuarantined += st.framesQuarantined;
         rep.gazeRecoveries += st.gazeRecoveries;
-        rep.framesDelivered += st.framesDelivered;
-        rep.framesFovealIntact += st.framesFovealIntact;
-        rep.deliveryBytesSent += st.deliveryBytesSent;
-        rep.deliveryShedBytes += st.deliveryShedBytes;
         rep.streams.push_back(std::move(st));
     }
     rep.aggregateMps = rep.wallSeconds > 0.0

@@ -233,32 +233,6 @@ struct GazeStreamParams
 };
 
 /**
- * One delivered frame's outcome, reported back into the stream's
- * stats by the delivery tier (DeliverySession in net/delivery.hh via
- * EncodeService::recordDelivery). Plain types only — the service
- * layer stays independent of src/net.
- */
-struct DeliverySample
-{
-    /** The frame ran under an adaptive (RateController) budget. */
-    bool adaptiveRate = false;
-    /** Congestion budget the frame's rounds spent, bytes per round. */
-    std::size_t budgetBytesPerRound = 0;
-    /** Controller's loss-rate estimate after the frame (0 when not
-     *  adaptive). */
-    double estimatedLossRate = 0.0;
-    /** Continuous foveal shed radius, degrees (infinity = no shed). */
-    double cutoffEccDeg = 0.0;
-    /** Wire bytes the delivery spent / shed before transmission. */
-    std::size_t bytesSent = 0;
-    std::size_t shedBytes = 0;
-    /** Foveal region arrived intact from the wire. */
-    bool fovealIntact = false;
-    /** Frame proven byte-identical end to end (manifest CRC). */
-    bool byteIdentical = false;
-};
-
-/**
  * Per-stream service statistics (one entry per ServiceReport).
  *
  * Consistency contract: every field of one StreamStats entry is
@@ -320,27 +294,6 @@ struct StreamStats
     std::uint64_t faultsDetected = 0;
     std::uint64_t framesQuarantined = 0;
     std::uint64_t gazeRecoveries = 0;
-    /**
-     * Delivery-tier counters, fed by recordDelivery (the net tier's
-     * DeliverySession reports each delivered frame back). Zero until
-     * a delivery session runs on the stream.
-     */
-    std::uint64_t framesDelivered = 0;
-    /** Of those, frames delivered under an adaptive rate budget. */
-    std::uint64_t framesAdaptive = 0;
-    /** Frames whose foveal region arrived intact from the wire. */
-    std::uint64_t framesFovealIntact = 0;
-    /** Frames proven byte-identical end to end (manifest CRC). */
-    std::uint64_t framesByteIdentical = 0;
-    /** Wire bytes sent / shed across the stream's deliveries. */
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
-    /** Mean adaptive budget (bytes/round) over adaptive frames; 0
-     *  when none ran (a constant policy's budget is not averaged). */
-    double meanBudgetBytesPerRound = 0.0;
-    /** Latest controller loss estimate / cutoff radius reported. */
-    double lastEstimatedLossRate = 0.0;
-    double lastCutoffEccDeg = 0.0;
 };
 
 /**
@@ -353,7 +306,9 @@ struct StreamStats
  * each is exact on its own, but the set is not one instant's
  * snapshot, so e.g. framesEncoded can be one ahead of busySeconds
  * mid-encode. After drain()/shutdown() everything is quiescent and
- * mutually consistent.
+ * mutually consistent. Queue residency of the frames homed here is
+ * the "shard/<i>/queue_residency_ms" histogram in
+ * EncodeService::metrics().
  */
 struct ShardStats
 {
@@ -380,19 +335,6 @@ struct ShardStats
      *  serialization tell: with one dispatcher, N busy streams show
      *  one shard pinned at ~1.0; sharded, occupancy spreads. */
     double occupancy = 0.0;
-    /**
-     * Queue residency (submit to encode start) percentiles for
-     * frames *homed* to this shard, milliseconds, from the shard's
-     * "shard/<i>/queue_residency_ms" LogHistogram. Attribution is by
-     * home shard regardless of which dispatcher ultimately encoded
-     * the frame, so a persistently hot shard shows up here even when
-     * stealing hides it from the throughput numbers — the signal a
-     * home-shard rebalancer would act on (ROADMAP).
-     */
-    double queueResidencyP50Ms = 0.0;
-    double queueResidencyP90Ms = 0.0;
-    double queueResidencyP99Ms = 0.0;
-    std::uint64_t residencySamples = 0;
     /** Parallel encode participants this shard's slice runs. */
     int participants = 1;
     /** Pool participation accounting (ThreadPool::dispatchCalls /
@@ -442,12 +384,6 @@ struct ServiceReport
     std::uint64_t faultsDetected = 0;
     std::uint64_t framesQuarantined = 0;
     std::uint64_t gazeRecoveries = 0;
-    /** Delivery-tier aggregates, summed across streams (zero until a
-     *  delivery session reports; see StreamStats). */
-    std::uint64_t framesDelivered = 0;
-    std::uint64_t framesFovealIntact = 0;
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
 };
 
 /**
@@ -627,15 +563,6 @@ class EncodeService
      * by the destructor.
      */
     void shutdown();
-
-    /**
-     * Fold one delivered frame's outcome into the stream's stats (the
-     * delivery tier calls this once per deliverFrame; see
-     * DeliverySample). Thread-safe per the stream's mutex; callable
-     * after shutdown() — stats outlive the dispatchers.
-     */
-    void recordDelivery(StreamHandle handle,
-                        const DeliverySample &sample);
 
     /** Point-in-time statistics (safe to call at any time; see the
      *  StreamStats/ShardStats consistency contracts). */

@@ -244,9 +244,9 @@ runSweep(int seed_index, LossScheduleId schedule, bool adaptive,
             policy, adaptive ? &rate : nullptr);
 
         FrameTrace t;
-        t.budget = rep.frame.budgetBytesPerRound;
-        t.estimatedLoss = rep.frame.estimatedLossRate;
-        t.cutoffEccDeg = rep.frame.cutoffEccDeg;
+        t.budget = rep.budgetBytesPerRound;
+        t.estimatedLoss = rep.estimatedLossRate;
+        t.cutoffEccDeg = rep.cutoffEccDeg;
         t.packetsSent = rep.packetsSent;
         t.bytesSent = rep.bytesSent;
         t.retransmitted = rep.retransmittedPackets;
@@ -283,10 +283,11 @@ runSweep(int seed_index, LossScheduleId schedule, bool adaptive,
             EXPECT_GT(rep.minShedEccDeg, policy.fovealCutoffDeg)
                 << "frame " << f << " shed a foveal packet";
             if (rep.retransmittedPackets == 0 &&
-                std::isfinite(rep.frame.cutoffEccDeg))
-                EXPECT_GE(rep.minShedEccDeg, rep.frame.cutoffEccDeg)
+                std::isfinite(rep.cutoffEccDeg)) {
+                EXPECT_GE(rep.minShedEccDeg, rep.cutoffEccDeg)
                     << "frame " << f
                     << " shed inside the cutoff radius";
+            }
         }
         // Frames the schedule leaves clean keep the fovea intact:
         // even a worst-case loss estimate derates capacity no further

@@ -152,6 +152,14 @@ TEST(Packetizer, RejectsNonsense)
     bad.push_back(0);  // trailing garbage
     EXPECT_THROW(packetizeFrame(bad, 0, nullptr, {}),
                  std::runtime_error);
+
+    // A 16-byte stream claiming a 0xFFFF x 0xFFFF frame of 1-pixel
+    // tiles: refused from the header alone, before a ~2^32-entry tile
+    // grid is sized from it.
+    bad.assign(16, 0);
+    bdWriteStreamHeader(bad.data(), 0xFFFF, 0xFFFF, 1);
+    EXPECT_THROW(packetizeFrame(bad, 0, nullptr, {}),
+                 std::runtime_error);
 }
 
 TEST(Packetizer, DeterministicAcrossCalls)

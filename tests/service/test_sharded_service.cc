@@ -76,6 +76,25 @@ namesHomedTo(std::size_t shard, std::size_t shards, std::size_t count)
     return out;
 }
 
+/**
+ * Samples in shard @p shard's queue-residency histogram — the one
+ * place residency lives (EncodeService::metrics()).
+ */
+std::uint64_t
+residencySamples(const EncodeService &svc, std::size_t shard)
+{
+    const std::string name =
+        "shard/" + std::to_string(shard) + "/queue_residency_ms";
+    for (const obs::MetricsRegistry::Reading &r : svc.metrics().snapshot())
+        if (r.name == name) {
+            EXPECT_EQ(r.kind,
+                      obs::MetricsRegistry::Reading::Kind::Histogram);
+            return r.count;
+        }
+    ADD_FAILURE() << "no metric " << name;
+    return 0;
+}
+
 /** A gate a dispatcher blocks on inside preEncodeFaultHook. */
 struct EncodeGate
 {
@@ -313,6 +332,11 @@ TEST(ShardedService, StealingKeepsCohomedStreamsStarvationFree)
     EXPECT_EQ(stealsBy, rep.stolenFrames);
     EXPECT_EQ(queued, 4u) << "all four requests homed to shard 0";
     EXPECT_EQ(rep.shards[0].framesQueued, 4u);
+    // Residency is attributed to the home shard even for the frames
+    // other shards stole.
+    EXPECT_EQ(residencySamples(svc, 0), 4u);
+    for (std::size_t i = 1; i < rep.shards.size(); ++i)
+        EXPECT_EQ(residencySamples(svc, i), 0u) << "shard " << i;
     std::uint64_t streamStolen = 0;
     for (const StreamStats &st : rep.streams) {
         EXPECT_EQ(st.shard, 0u);
@@ -481,6 +505,12 @@ TEST(ShardedService, ReportExposesShardCountersAndCapacities)
     }
     EXPECT_EQ(encoded, rep.framesEncoded);
     EXPECT_EQ(rep.framesEncoded, submitted);
+
+    // Every frame queued on a shard's ring is one residency sample
+    // there, whoever encoded it.
+    for (const ShardStats &sh : rep.shards)
+        EXPECT_EQ(residencySamples(svc, sh.shard), sh.framesQueued)
+            << "shard " << sh.shard;
 }
 
 TEST(ShardedService, InvalidShardParamsThrow)
