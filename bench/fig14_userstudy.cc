@@ -45,7 +45,7 @@ main()
         const ImageF frame = renderScene(id, {w, h, 0, 0.0, 0});
         const auto encoded = encoder.encodeFrame(frame, ecc);
         const auto result = runUserStudy(
-            population, frame, encoded.adjustedLinear, ecc,
+            population, frame, encoder.adjustFrame(frame, ecc), ecc,
             bench::benchModel());
         const double quality =
             psnr(toSrgb8(frame), encoded.adjustedSrgb);

@@ -83,7 +83,7 @@ main(int argc, char **argv)
             const EncodedFrame encoded =
                 encoder.encodeFrame(frame, ecc);
             const bool notices = user.noticesArtifact(
-                frame, encoded.adjustedLinear, ecc, population);
+                frame, encoder.adjustFrame(frame, ecc), ecc, population);
             table.addRow(
                 {sceneName(id),
                  which == 0 ? "population" : "per-user RBF",

@@ -11,11 +11,13 @@
 # (-DFOVE_SANITIZE=thread; tsan cannot combine with asan, so it gets
 # its own tree) — running the full ctest suite in the first two and
 # the concurrency-heavy suites (ctest label "tsan", listed in
-# CMakeLists.txt) in the third. Exits non-zero on the
-# first failure. Build directories:
-#   build/        Release (shared with normal development)
-#   build-san/    address,undefined sanitizers
-#   build-tsan/   ThreadSanitizer
+# CMakeLists.txt) in the third. It also builds the repository
+# benchmark (perfbench/) against the library and runs its self-test.
+# Exits non-zero on the first failure. Build directories:
+#   build/            Release (shared with normal development)
+#   build-san/        address,undefined sanitizers
+#   build-tsan/       ThreadSanitizer
+#   build-perfbench/  the benchmark, Release
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,5 +83,14 @@ PCE_BENCH_FAULT_TRIALS=6 PCE_BENCH_REPEATS=1 \
 PCE_BENCH_THREADS=2 \
     ./build/fault_runner build/fault_smoke.json
 test -s build/fault_smoke.json
+
+echo "== Benchmark build and self-test (Release) =="
+# perfbench compiles against the library's public frame API
+# (adjustFrameInto, toSrgb8Into, BdCodec::encodeInto, the EncodedFrame
+# fields) but no tier-1 target builds it, so a removed or renamed name
+# would otherwise surface only when the benchmark runs.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build build-perfbench -j"$JOBS"
+./build-perfbench/perfbench --self-test
 
 echo "== All checks passed =="

@@ -8,7 +8,6 @@
 #include "common/bitstream.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
-#include "simd/tile_kernels.hh"
 
 namespace pce {
 
@@ -306,58 +305,78 @@ emitTileRange(const ImageU8 &img, const std::vector<TileRect> &tiles,
 } // namespace
 
 void
+bdTileStats(const ImageU8 &img, const TileRect &rect, uint8_t base[3],
+            uint8_t width[3])
+{
+    uint8_t lo[3] = {255, 255, 255};
+    uint8_t hi[3] = {0, 0, 0};
+    for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+        const uint8_t *p = img.pixel(rect.x0, y);
+        for (int x = 0; x < 3 * rect.w; x += 3) {
+            for (int c = 0; c < 3; ++c) {
+                lo[c] = std::min(lo[c], p[x + c]);
+                hi[c] = std::max(hi[c], p[x + c]);
+            }
+        }
+    }
+    for (int c = 0; c < 3; ++c) {
+        base[c] = lo[c];
+        width[c] = static_cast<uint8_t>(bdDeltaWidth(lo[c], hi[c]));
+    }
+}
+
+const std::vector<TileRect> &
+BdCodec::prepareStats(BdEncodeScratch &s, int width, int height) const
+{
+    if (s.tilesWidth != width || s.tilesHeight != height ||
+        s.tilesSize != tileSize_) {
+        s.tiles = tileGrid(width, height, tileSize_);
+        s.tilesWidth = width;
+        s.tilesHeight = height;
+        s.tilesSize = tileSize_;
+    }
+    s.base.resize(s.tiles.size() * 3);
+    s.width.resize(s.tiles.size() * 3);
+    return s.tiles;
+}
+
+void
 BdCodec::encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
                     std::vector<uint8_t> &out, BdEncodeScratch *scratch,
                     ThreadPool *pool, int participants) const
 {
     BdEncodeScratch local;
     BdEncodeScratch &s = scratch ? *scratch : local;
-    if (s.tilesWidth != img.width() || s.tilesHeight != img.height() ||
-        s.tilesSize != tileSize_) {
-        s.tiles = tileGrid(img.width(), img.height(), tileSize_);
-        s.tilesWidth = img.width();
-        s.tilesHeight = img.height();
-        s.tilesSize = tileSize_;
-    }
-    const std::vector<TileRect> &tiles = s.tiles;
-    const std::size_t n_tiles = tiles.size();
-    const bool parallel = pool != nullptr && participants > 1 &&
-                          n_tiles > 1;
+    const std::vector<TileRect> &tiles =
+        prepareStats(s, img.width(), img.height());
 
-    // Pass 1: per-tile-channel minimum and delta width, through the
-    // dispatched min/max kernel (32 bytes per op under AVX2; the scalar
-    // table is the byte-wise reference — identical results either way,
-    // min/max over integers is order-independent).
-    s.base.resize(n_tiles * 3);
-    s.width.resize(n_tiles * 3);
-    const simd::TileKernels &kernels = simd::activeTileKernels();
-    const std::size_t row_stride =
-        static_cast<std::size_t>(img.width()) * 3;
-    const uint8_t *buf_end = img.data().data() + img.data().size();
+    // Pass 1: per-tile-channel minimum and delta width.
     auto statsRange = [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t t = begin; t < end; ++t) {
-            const TileRect &rect = tiles[t];
-            uint8_t lo[3];
-            uint8_t hi[3];
-            kernels.bdTileMinMax(img.pixel(rect.x0, rect.y0),
-                                 row_stride, rect.w, rect.h, buf_end,
-                                 lo, hi);
-            for (int c = 0; c < 3; ++c) {
-                s.base[3 * t + c] = lo[c];
-                s.width[3 * t + c] =
-                    static_cast<uint8_t>(bdDeltaWidth(lo[c], hi[c]));
-            }
-        }
+        for (std::size_t t = begin; t < end; ++t)
+            bdTileStats(img, tiles[t], &s.base[3 * t], &s.width[3 * t]);
     };
     {
         // Pass spans record on the dispatching thread only — worker
         // time inside parallelFor is inside the span's wall time.
         obs::TraceSpan span("bd/stats");
-        if (parallel)
-            pool->parallelFor(n_tiles, 16, participants, statsRange);
+        if (pool != nullptr && participants > 1 && tiles.size() > 1)
+            pool->parallelFor(tiles.size(), 16, participants,
+                              statsRange);
         else
-            statsRange(0, n_tiles, 0);
+            statsRange(0, tiles.size(), 0);
     }
+    encodeFromStats(img, stats_out, out, s, pool, participants);
+}
+
+void
+BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
+                         std::vector<uint8_t> &out, BdEncodeScratch &s,
+                         ThreadPool *pool, int participants) const
+{
+    const std::vector<TileRect> &tiles = s.tiles;
+    const std::size_t n_tiles = tiles.size();
+    const bool parallel = pool != nullptr && participants > 1 &&
+                          n_tiles > 1;
 
     // Pass 2 (serial): exact per-tile bit offsets by prefix sum.
     BdFrameStats stats;

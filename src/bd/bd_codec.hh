@@ -160,11 +160,11 @@ struct BdFrameStats
 };
 
 /**
- * Reusable working storage of BdCodec::encodeInto. A caller that keeps
- * one scratch across a stream of frames (EncodedFrame owns one) makes
- * the encode allocation-free in the steady state: the tile grid, the
- * per-tile stats, the prefix offsets, and the per-chunk seam bytes all
- * grow once and are reused.
+ * Reusable working storage of BdCodec::encodeInto / encodeFromStats. A
+ * caller that keeps one scratch across a stream of frames
+ * (EncodedFrame owns one) makes the encode allocation-free in the
+ * steady state: the tile grid, the per-tile stats, the prefix offsets,
+ * and the per-chunk seam bytes all grow once and are reused.
  */
 struct BdEncodeScratch
 {
@@ -243,9 +243,10 @@ class BdCodec
     /**
      * encode() into a caller-owned stream with optional parallelism.
      *
-     * Three passes: (1) per-tile-channel min/width stats, parallel over
-     * tiles; (2) a serial prefix pass turning the stats into exact
-     * per-tile bit offsets (and the frame's total size); (3) emission —
+     * Three passes: (1) per-tile-channel min/width stats
+     * (bdTileStats), parallel over tiles; (2) a serial prefix pass
+     * turning the stats into exact per-tile bit offsets (and the
+     * frame's total size); (3) emission —
      * @p out is sized exactly, the header written with
      * bdWriteStreamHeader, and tiles are split into contiguous chunks
      * that workers emit straight into @p out, each starting at its
@@ -272,6 +273,29 @@ class BdCodec
                     BdEncodeScratch *scratch = nullptr,
                     ThreadPool *pool = nullptr,
                     int participants = 1) const;
+
+    /**
+     * Key @p scratch's tile grid to a @p width x @p height frame and
+     * size its base / width tables, for a caller that computes the
+     * pass-1 stats itself (the frame pipeline's tile loop, which has
+     * them from the adjust kernels). Returns the grid.
+     */
+    const std::vector<TileRect> &prepareStats(BdEncodeScratch &scratch,
+                                              int width,
+                                              int height) const;
+
+    /**
+     * Passes 2 and 3 of encodeInto, from pass-1 stats already in
+     * @p scratch: prepareStats keyed it to @p img's geometry, and each
+     * tile's base / width entries hold what bdTileStats gives for that
+     * tile of @p img. encodeInto is pass 1 plus this call, so there is
+     * one emitter and the bytes are identical either way.
+     */
+    void encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
+                         std::vector<uint8_t> &out,
+                         BdEncodeScratch &scratch,
+                         ThreadPool *pool = nullptr,
+                         int participants = 1) const;
 
     /**
      * Decode a BD bitstream produced by encode(). Thin wrapper over
@@ -404,6 +428,14 @@ class BdCodec
 
 /** Number of delta bits for a [min, max] range: ceil(log2(range+1)). */
 unsigned bdDeltaWidth(uint8_t min_value, uint8_t max_value);
+
+/**
+ * Pass-1 stats of one tile of @p img (encodeInto): per channel c, the
+ * minimum into base[c] and bdDeltaWidth(minimum, maximum) into
+ * width[c].
+ */
+void bdTileStats(const ImageU8 &img, const TileRect &rect,
+                 uint8_t base[3], uint8_t width[3]);
 
 /**
  * BD bit cost of one tile given its pixels' already-quantized sRGB

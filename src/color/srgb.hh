@@ -62,8 +62,8 @@ void linearToSrgb8(const Vec3 &rgb, uint8_t out[3]);
 /**
  * Quantize @p n linear-RGB pixels to interleaved 8-bit sRGB codes
  * (3 bytes per pixel). One call per tile/row amortizes the call and
- * table-lookup setup that a per-channel loop pays 3n times; the tile
- * adjuster's axis costing and toSrgb8 both run through this.
+ * table-lookup setup that a per-channel loop pays 3n times; the frame
+ * pass's bypassed tile rows and toSrgb8 both run through this.
  */
 void linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes);
 
@@ -71,10 +71,9 @@ void linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes);
  * Planar variant of the batched quantizer: channels arrive as separate
  * x/y/z arrays (the TileSoA lane layout of src/simd) and leave as the
  * same interleaved 3-byte codes. Bit-identical to the Vec3 overload on
- * the same values. The production kernels quantize inline through
- * srgbForwardTable() with the costing fused in; this materializing
- * form is their reference oracle (tests/simd) and the general planar
- * entry point.
+ * the same values. The scalar cost kernel quantizes through it; the
+ * AVX2 kernel inlines the lookup through srgbForwardTable(). It is
+ * both kernels' reference oracle (tests/simd).
  */
 void linearToSrgb8Planar(const double *x, const double *y,
                          const double *z, std::size_t n, uint8_t *codes);

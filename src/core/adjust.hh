@@ -136,8 +136,9 @@ class TileAdjuster
      * per pixel, extrema for both axes from one quadric, both candidate
      * moves, the fused sRGB-quantize + BD cost, smaller cost chosen.
      * The chosen candidate lives in the kOutRed* (axis 0) or kOutBlue*
-     * (axis 2) lanes. Zero allocation once the arena has grown to the
-     * tile size.
+     * (axis 2) lanes, its sRGB codes and min/max in
+     * soa.codesOf(chosenAxis). Zero allocation once the arena has grown
+     * to the tile size.
      */
     TileOutcome adjustTile(simd::TileSoA &soa) const;
 

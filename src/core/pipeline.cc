@@ -1,8 +1,10 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
+#include "color/srgb.hh"
 #include "common/integrity.hh"
 #include "obs/trace.hh"
 
@@ -48,71 +50,35 @@ PerceptualEncoder::PerceptualEncoder(const DiscriminationModel &model,
     }
 }
 
-ImageF
-PerceptualEncoder::adjustFrame(const ImageF &frame,
-                               const EccentricityMap &ecc,
-                               PipelineStats *stats_out) const
-{
-    ImageF out;
-    adjustFrameInto(frame, ecc, out, stats_out);
-    return out;
-}
-
+template <class Bypass, class Adjusted>
 void
-PerceptualEncoder::adjustFrameInto(const ImageF &frame,
-                                   const EccentricityMap &ecc,
-                                   ImageF &out,
-                                   PipelineStats *stats_out) const
+PerceptualEncoder::framePass(const ImageF &frame,
+                             const EccentricityMap *ecc,
+                             const std::vector<TileRect> &tiles,
+                             PipelineStats *stats_out,
+                             const Bypass &bypass,
+                             const Adjusted &adjusted) const
 {
-    if (frame.width() != ecc.width() || frame.height() != ecc.height())
+    if (ecc != nullptr &&
+        (frame.width() != ecc->width() || frame.height() != ecc->height()))
         throw std::invalid_argument(
             "PerceptualEncoder: eccentricity map size mismatch");
-
-    // No frame-wide copy: every tile is either adjusted (its rows are
-    // fully written below) or foveal-bypassed (its rows are copied from
-    // the source in the bypass branch), so the output is covered
-    // exactly once either way.
-    if (out.width() != frame.width() ||
-        out.height() != frame.height())
-        out = ImageF(frame.width(), frame.height());
-
-    // Geometry-keyed tile-grid cache (same pattern as
-    // BdEncodeScratch.tiles): a stream of same-size frames must not
-    // rebuild the grid per frame. encodeFrameInto ends up holding the
-    // grid twice (here and in the BD scratch) — accepted: the copies
-    // are small and keeping the codec's scratch self-contained beats
-    // threading a shared cache through its API.
-    struct TileGridCache
-    {
-        int w = -1, h = -1, tile = -1;
-        std::vector<TileRect> tiles;
-    };
-    static thread_local TileGridCache grid;
-    if (grid.w != frame.width() || grid.h != frame.height() ||
-        grid.tile != params_.tileSize) {
-        grid.tiles = tileGrid(frame.width(), frame.height(),
-                              params_.tileSize);
-        grid.w = frame.width();
-        grid.h = frame.height();
-        grid.tile = params_.tileSize;
-    }
-    const std::vector<TileRect> &tiles = grid.tiles;
 
     const int participants = std::max(
         1, std::min<int>(params_.threads,
                          static_cast<int>(tiles.size())));
     // Per-slot working sets, reused across frames. Thread-local (not
-    // members) so concurrent adjustFrame calls on one const encoder
-    // from different threads stay safe; within one call the slots are
-    // shared with the pool workers through the lambda as before. The
-    // arenas grow to the tile size once and then make the steady state
-    // of a frame stream allocation-free. Reuse is capped at moderate
-    // tile sizes: the SoA arena costs ~28 lanes x tileSize^2 doubles
-    // per slot (~230 KB at the 32 cap, megabytes beyond), and that
-    // retention must not outlive the call for large-tile configs —
-    // whose per-tile math dwarfs one allocation anyway — so those use
-    // call-local scratch instead. The paper's tile sizes (4..16) all
-    // stay on the reuse path.
+    // members) so concurrent calls on one const encoder from different
+    // threads stay safe; within one call the slots are shared with the
+    // pool workers through the lambda. The arenas grow to the tile size
+    // once and then make the steady state of a frame stream
+    // allocation-free. Reuse is capped at moderate tile sizes: the SoA
+    // arena costs ~28 lanes x tileSize^2 doubles per slot (~230 KB at
+    // the 32 cap, megabytes beyond), and that retention must not
+    // outlive the call for large-tile configs — whose per-tile math
+    // dwarfs one allocation anyway — so those use call-local scratch
+    // instead. The paper's tile sizes (4..16) all stay on the reuse
+    // path.
     static thread_local std::vector<PipelineStats> partial_tls;
     static thread_local std::vector<simd::TileSoA> scratch_tls;
     std::vector<simd::TileSoA> scratch_local;
@@ -131,15 +97,18 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
         for (std::size_t i = begin; i < end; ++i) {
             const TileRect &rect = tiles[i];
             ++stats.totalTiles;
+            if (ecc == nullptr) {
+                ++stats.saccadeBypassTiles;
+                bypass(i, rect);
+                continue;
+            }
 
             // Foveal bypass: any tile touching the foveal region is
             // left numerically intact (Sec. 5.1). Tested on the map
             // alone, before any pixel is gathered.
-            if (ecc.minInRect(rect) < params_.fovealCutoffDeg) {
+            if (ecc->minInRect(rect) < params_.fovealCutoffDeg) {
                 ++stats.fovealBypassTiles;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y)
-                    std::copy_n(&frame.at(rect.x0, y), rect.w,
-                                &out.at(rect.x0, y));
+                bypass(i, rect);
                 continue;
             }
 
@@ -156,7 +125,7 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
                     px[k] = row[x].x;
                     py[k] = row[x].y;
                     pz[k] = row[x].z;
-                    pe[k] = ecc.at(rect.x0 + x, y);
+                    pe[k] = ecc->at(rect.x0 + x, y);
                 }
             }
             const TileOutcome adj = adjuster_.adjustTile(soa);
@@ -170,21 +139,7 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
                 ++stats.blueAxisTiles;
             stats.gamutClampedPixels +=
                 static_cast<std::size_t>(adj.gamutClampedPixels);
-
-            // Adjusted pixels go straight into the output rows.
-            const bool red = adj.chosenAxis == 0;
-            const double *ox =
-                soa.lane(red ? simd::kOutRedX : simd::kOutBlueX);
-            const double *oy =
-                soa.lane(red ? simd::kOutRedY : simd::kOutBlueY);
-            const double *oz =
-                soa.lane(red ? simd::kOutRedZ : simd::kOutBlueZ);
-            k = 0;
-            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                Vec3 *row = &out.at(rect.x0, y);
-                for (int x = 0; x < rect.w; ++x, ++k)
-                    row[x] = Vec3(ox[k], oy[k], oz[k]);
-            }
+            adjusted(i, rect, soa, adj.chosenAxis);
         }
     };
 
@@ -202,6 +157,53 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
     }
 }
 
+ImageF
+PerceptualEncoder::adjustFrame(const ImageF &frame,
+                               const EccentricityMap &ecc,
+                               PipelineStats *stats_out) const
+{
+    ImageF out;
+    adjustFrameInto(frame, ecc, out, stats_out);
+    return out;
+}
+
+void
+PerceptualEncoder::adjustFrameInto(const ImageF &frame,
+                                   const EccentricityMap &ecc,
+                                   ImageF &out,
+                                   PipelineStats *stats_out) const
+{
+    if (out.width() != frame.width() ||
+        out.height() != frame.height())
+        out = ImageF(frame.width(), frame.height());
+    // A BD scratch keeps the geometry-keyed tile grid, exactly as the
+    // encode path's does, so a frame stream builds it once.
+    static thread_local BdEncodeScratch grid;
+    framePass(
+        frame, &ecc,
+        codec_.prepareStats(grid, frame.width(), frame.height()), stats_out,
+        [&](std::size_t, const TileRect &r) {
+            for (int y = r.y0; y < r.y0 + r.h; ++y)
+                std::copy_n(&frame.at(r.x0, y), r.w, &out.at(r.x0, y));
+        },
+        [&](std::size_t, const TileRect &r, const simd::TileSoA &soa,
+            int axis) {
+            const bool red = axis == 0;
+            const double *ox =
+                soa.lane(red ? simd::kOutRedX : simd::kOutBlueX);
+            const double *oy =
+                soa.lane(red ? simd::kOutRedY : simd::kOutBlueY);
+            const double *oz =
+                soa.lane(red ? simd::kOutRedZ : simd::kOutBlueZ);
+            std::size_t k = 0;
+            for (int y = r.y0; y < r.y0 + r.h; ++y) {
+                Vec3 *row = &out.at(r.x0, y);
+                for (int x = 0; x < r.w; ++x, ++k)
+                    row[x] = Vec3(ox[k], oy[k], oz[k]);
+            }
+        });
+}
+
 EncodedFrame
 PerceptualEncoder::encodeFrame(const ImageF &frame,
                                const EccentricityMap &ecc) const
@@ -216,18 +218,54 @@ PerceptualEncoder::encodeFrameInto(const ImageF &frame,
                                    const EccentricityMap &ecc,
                                    EncodedFrame &out) const
 {
+    encodePass(frame, &ecc, out);
+}
+
+void
+PerceptualEncoder::encodePass(const ImageF &frame,
+                              const EccentricityMap *ecc,
+                              EncodedFrame &out) const
+{
     out.seal = FrameSeal{};
+    ImageU8 &img = out.adjustedSrgb;
+    if (img.width() != frame.width() || img.height() != frame.height())
+        img = ImageU8(frame.width(), frame.height());
+    BdEncodeScratch &bd = out.bdScratch;
     {
-        obs::TraceSpan span("encode/adjust");
-        adjustFrameInto(frame, ecc, out.adjustedLinear, &out.stats);
-    }
-    {
-        obs::TraceSpan span("encode/quantize");
-        toSrgb8Into(out.adjustedLinear, out.adjustedSrgb);
+        // A saccade frame's pass takes the encode/adjust slot of the
+        // frame timeline under its own name: same slot, cheaper work.
+        obs::TraceSpan span(ecc ? "encode/adjust"
+                                : "encode/saccade_bypass");
+        framePass(
+            frame, ecc,
+            codec_.prepareStats(bd, frame.width(), frame.height()),
+            &out.stats,
+            [&](std::size_t t, const TileRect &r) {
+                for (int y = r.y0; y < r.y0 + r.h; ++y)
+                    linearToSrgb8(&frame.at(r.x0, y),
+                                  static_cast<std::size_t>(r.w),
+                                  img.pixel(r.x0, y));
+                bdTileStats(img, r, &bd.base[3 * t], &bd.width[3 * t]);
+            },
+            [&](std::size_t t, const TileRect &r, const simd::TileSoA &soa,
+                int axis) {
+                // The chosen candidate's codes and min/max, as the cost
+                // kernel left them: no second quantize, no rescan.
+                const simd::CandidateCodes &c = soa.codesOf(axis);
+                const std::size_t row = 3 * static_cast<std::size_t>(r.w);
+                for (int y = 0; y < r.h; ++y)
+                    std::memcpy(img.pixel(r.x0, r.y0 + y),
+                                c.srgb.data() + y * row, row);
+                for (int k = 0; k < 3; ++k) {
+                    bd.base[3 * t + k] = c.lo[k];
+                    bd.width[3 * t + k] = static_cast<uint8_t>(
+                        bdDeltaWidth(c.lo[k], c.hi[k]));
+                }
+            });
     }
     obs::TraceSpan span("encode/bd");
-    codec_.encodeInto(out.adjustedSrgb, &out.bdStats, out.bdStream,
-                      &out.bdScratch, pool_, params_.threads);
+    codec_.encodeFromStats(img, &out.bdStats, out.bdStream, bd, pool_,
+                           params_.threads);
 }
 
 GazePhase
@@ -262,37 +300,8 @@ PerceptualEncoder::encodeFrameGazeInto(const ImageF &frame,
         return phase;
     }
 
-    // Saccadic suppression: every tile takes the bypass path — one
-    // frame-wide copy instead of the per-tile adjustment loop, then
-    // the unchanged quantize + BD encode.
-    out.seal = FrameSeal{};
-    {
-        // The bypass span plays the role of encode/adjust in the
-        // frame timeline: same slot, different (cheaper) work.
-        obs::TraceSpan span("encode/saccade_bypass");
-        if (out.adjustedLinear.width() != frame.width() ||
-            out.adjustedLinear.height() != frame.height())
-            out.adjustedLinear = ImageF(frame.width(), frame.height());
-        std::copy(frame.pixels().begin(), frame.pixels().end(),
-                  out.adjustedLinear.pixels().begin());
-        const std::size_t tiles =
-            static_cast<std::size_t>(
-                (frame.width() + params_.tileSize - 1) /
-                params_.tileSize) *
-            static_cast<std::size_t>(
-                (frame.height() + params_.tileSize - 1) /
-                params_.tileSize);
-        out.stats = PipelineStats{};
-        out.stats.totalTiles = tiles;
-        out.stats.saccadeBypassTiles = tiles;
-    }
-    {
-        obs::TraceSpan span("encode/quantize");
-        toSrgb8Into(out.adjustedLinear, out.adjustedSrgb);
-    }
-    obs::TraceSpan span("encode/bd");
-    codec_.encodeInto(out.adjustedSrgb, &out.bdStats, out.bdStream,
-                      &out.bdScratch, pool_, params_.threads);
+    // Saccadic suppression: every tile takes the bypass path.
+    encodePass(frame, nullptr, out);
     return phase;
 }
 

@@ -8,7 +8,8 @@
  * Per tile, the encoder queries per-pixel eccentricities, bypasses tiles
  * inside the foveal cutoff (Sec. 5.1 keeps the central 10-degree FoV,
  * i.e. eccentricity < 5 degrees, unchanged), runs the TileAdjuster on
- * the rest, and hands the adjusted frame to the unmodified BD codec.
+ * the rest, and hands the adjusted sRGB tile and its BD stats straight
+ * to the unmodified BD codec, as the CAU does (Fig. 7).
  * Decoding is plain BD decoding — the algorithm requires no decoder
  * change (Sec. 3.4, "Remarks on Decoding").
  */
@@ -47,13 +48,11 @@ struct PipelineParams
     ExtremaFn extremaFn;
     /**
      * Externally owned worker pool (non-owning; nullptr = the encoder
-     * creates its own when threads > 1). The encode service shares one
-     * pool across every encoder it hosts this way, so concurrent
-     * streams batch onto a single set of persistent workers through
-     * the pool's dynamic chunk scheduler instead of oversubscribing
-     * the machine with per-encoder pools. The pool must outlive the
-     * encoder; @ref threads still caps the participants per dispatch
-     * (clamped by the pool's own size).
+     * creates its own when threads > 1). The encode service builds one
+     * pool per dispatcher shard and hands it to that shard's encoder
+     * this way. The pool must outlive the encoder; @ref threads still
+     * caps the participants per dispatch (clamped by the pool's own
+     * size).
      */
     ThreadPool *pool = nullptr;
 };
@@ -99,17 +98,22 @@ struct FrameSeal
 /**
  * Everything produced for one frame. A frame loop that keeps one
  * EncodedFrame and calls encodeFrameInto reuses every buffer here
- * (images, bitstream, and the BD encoder's working storage), making
- * the steady state allocation-free.
+ * (image, bitstream, and the BD encoder's working storage), making
+ * the steady state allocation-free. The encoder's tile loop writes
+ * adjustedSrgb and the BD stats directly; the adjusted linear frame is
+ * never materialized (adjustFrameInto produces it on request).
  */
 struct EncodedFrame
 {
-    ImageF adjustedLinear;   ///< post-adjustment linear RGB
-    ImageU8 adjustedSrgb;    ///< post-quantization sRGB
+    ImageU8 adjustedSrgb;    ///< adjusted frame, as delivered (sRGB)
     std::vector<uint8_t> bdStream;  ///< BD bitstream of adjustedSrgb
     BdFrameStats bdStats;    ///< bit accounting of the stream
     PipelineStats stats;
-    /** Reusable working storage of the BD encode (not an output). */
+    /**
+     * Reusable working storage of the BD encode (not an output): the
+     * tile loop fills its per-tile stats, the prefix and emit passes
+     * read them.
+     */
     BdEncodeScratch bdScratch;
     /**
      * Reusable storage of verifyRoundTrip (not outputs): the decoded
@@ -146,7 +150,8 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * throughput: per-worker simd::TileSoA arenas make the steady state
  * allocation-free, the foveal-bypass test runs on the eccentricity map
  * before any pixel is gathered (O(tile border) per bypassed tile), and
- * adjusted tiles are written straight into the output image rows. With
+ * each tile's sRGB codes — the ones the BD cost kernel already made for
+ * the chosen candidate — are written straight into the output rows. With
  * threads > 1 the encoder owns a persistent ThreadPool and schedules
  * tiles dynamically in chunks — foveal tiles are nearly free, so static
  * striding would load-imbalance badly. Output is bit-identical for any
@@ -189,7 +194,12 @@ class PerceptualEncoder
                          const EccentricityMap &ecc, ImageF &out,
                          PipelineStats *stats_out = nullptr) const;
 
-    /** Full pipeline: adjust, quantize, BD-encode, account bits. */
+    /**
+     * Full pipeline: one pass over the tiles adjusts, quantizes and
+     * collects the BD stats, then the BD prefix and emit passes run.
+     * Byte-identical to adjustFrameInto -> toSrgb8Into ->
+     * BdCodec::encodeInto.
+     */
     EncodedFrame encodeFrame(const ImageF &frame,
                              const EccentricityMap &ecc) const;
 
@@ -253,6 +263,28 @@ class PerceptualEncoder
     ThreadPool *pool() const { return pool_; }
 
   private:
+    /**
+     * The one frame pass: every tile of @p tiles either bypasses —
+     * all of them when @p ecc is null (a saccade frame), else those
+     * touching the fovea — through bypass(t, rect), or runs the Fig. 7
+     * tile flow in a per-slot TileSoA and hands the chosen candidate to
+     * adjusted(t, rect, soa, axis). Tiles run on the pool; @p stats_out
+     * (optional) gets the frame's totals.
+     */
+    template <class Bypass, class Adjusted>
+    void framePass(const ImageF &frame, const EccentricityMap *ecc,
+                   const std::vector<TileRect> &tiles,
+                   PipelineStats *stats_out, const Bypass &bypass,
+                   const Adjusted &adjusted) const;
+
+    /**
+     * framePass writing each tile's sRGB codes into out.adjustedSrgb and
+     * its BD pass-1 stats into out.bdScratch (@p ecc null: a saccade
+     * frame), then the BD prefix and emit passes.
+     */
+    void encodePass(const ImageF &frame, const EccentricityMap *ecc,
+                    EncodedFrame &out) const;
+
     const DiscriminationModel &model_;
     PipelineParams params_;
     TileAdjuster adjuster_;

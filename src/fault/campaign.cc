@@ -67,6 +67,7 @@ struct CampaignContext
     ImageF input;              ///< the synthetic source frame
     EccentricityMap ecc;       ///< golden map (centered fixation)
     EncodedFrame golden;       ///< golden encode of input against ecc
+    ImageF goldenLinear;       ///< golden adjusted linear frame
     std::vector<uint8_t> goldenPng;  ///< golden PNG of adjustedSrgb
     uint32_t goldenStreamCrc = 0;    ///< seal CRC of the golden stream
     net::PacketizedFrame goldenPackets;  ///< golden wire image
@@ -95,7 +96,8 @@ struct CampaignContext
           encoder(model, makePipeline(config)),
           input(syntheticFrame(config.width, config.height,
                                config.seed)),
-          ecc(geom), golden(encoder.encodeFrame(input, ecc))
+          ecc(geom), golden(encoder.encodeFrame(input, ecc)),
+          goldenLinear(encoder.adjustFrame(input, ecc))
     {
         goldenPng = pngEncode(golden.adjustedSrgb);
         goldenStreamCrc =
@@ -137,8 +139,9 @@ classifyDelivered(const ImageU8 &delivered, const ImageU8 &golden)
 }
 
 /**
- * TileScratch: flip bits of the adjusted linear frame between the
- * tile adjustment and the quantize + BD encode. Neither configuration
+ * TileScratch: flip bits of the adjusted linear values — the per-tile
+ * candidate lanes — between the move and the quantize, modeled over
+ * the whole golden adjusted frame. Neither configuration
  * defends this surface (the measured gap that motivates duplicating
  * the adjustment itself, docs/FAULTS.md "Residual exposure"): the
  * classification is whether the flip survives quantization.
@@ -154,7 +157,7 @@ runTileScratchTrial(CampaignContext &ctx, FaultInjector &inj,
             scratch.height() != ctx.input.height())
             scratch = ImageF(ctx.input.width(), ctx.input.height());
         std::memcpy(scratch.pixels().data(),
-                    ctx.golden.adjustedLinear.pixels().data(),
+                    ctx.goldenLinear.pixels().data(),
                     scratch.pixels().size() * sizeof(Vec3));
         inj.injectDoubles(
             reinterpret_cast<double *>(scratch.pixels().data()),

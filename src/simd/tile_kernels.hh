@@ -7,7 +7,7 @@
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
  *  3. movement clamping/apply along one optimization axis,
- *  4. fused sRGB quantization + BD bit cost of a candidate —
+ *  4. fused sRGB quantization + BD stats and bit cost of a candidate —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
  * Two implementations exist behind one function table: a portable
@@ -126,34 +126,13 @@ struct TileKernels
      * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2). sRGB-
      * quantizes each channel (bit-identical with linearToSrgb8; the
      * same process-wide tables back every level) and folds the per-
-     * channel min/max reduction in, so no interleaved code buffer for
-     * bdTileBitsFromCodes is ever materialized.
+     * channel min/max reduction in. Leaves the interleaved codes and
+     * the min/max in soa.codesOf(axis), so the frame pass hands the
+     * chosen candidate to the BD encoder without quantizing it again.
      * Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits per
      * channel, exactly bdTileBitsFromCodes' accounting.
      */
-    std::size_t (*tileCost)(const TileSoA &soa, int axis);
-
-    /**
-     * BD stats kernel: per-channel min/max over one tile of interleaved
-     * 8-bit sRGB pixels (the pass-1 scan of BdCodec::encodeInto). Unlike
-     * the TileSoA kernels this one runs in the byte domain, directly on
-     * the image's interleaved rows — min/max over integers is
-     * order-independent, so every level is trivially bit-identical.
-     *
-     * @param rows   First pixel of the tile, 3 bytes per pixel.
-     * @param stride Byte distance between successive tile rows (the
-     *               image row pitch).
-     * @param width  Pixels per tile row (>= 1).
-     * @param height Tile rows (>= 1).
-     * @param end    One past the last readable byte of the image
-     *               buffer; vector loads never touch [end, ...). Rows
-     *               whose 32-byte window would cross it fall back to a
-     *               scalar tail.
-     * @param lo,hi  Outputs: per-channel minimum / maximum.
-     */
-    void (*bdTileMinMax)(const uint8_t *rows, std::size_t stride,
-                         int width, int height, const uint8_t *end,
-                         uint8_t lo[3], uint8_t hi[3]);
+    std::size_t (*tileCost)(TileSoA &soa, int axis);
 };
 
 /**

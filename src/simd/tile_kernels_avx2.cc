@@ -405,17 +405,19 @@ moveAxisAvx2(TileSoA &soa, int axis, bool collapse, double target_c2,
 }
 
 /**
- * sRGB-quantize 4 lanes of one channel and fold them into the
- * channel's running min/max. Inlines the linearToSrgb8 lookup over the
- * same process-wide tables (bucket index, base code, one exact
- * threshold compare), so the codes are bit-identical by construction;
- * the bucket scaling and boundary tests run vectorized, the two
- * byte/double table reads per lane stay scalar. @p valid masks the
- * padded lanes of the last block out of the reduction.
+ * sRGB-quantize 4 lanes of one channel into @p codes (every third byte,
+ * starting at the lane's channel) and fold them into the channel's
+ * running min/max. Inlines the linearToSrgb8 lookup over the same
+ * process-wide tables (bucket index, base code, one exact threshold
+ * compare), so the codes are bit-identical by construction; the bucket
+ * scaling and boundary tests run vectorized, the two byte/double table
+ * reads per lane stay scalar. @p valid masks the padded lanes of the
+ * last block out of the stores and the reduction.
  */
 inline void
 quantizeBlock(const SrgbForwardTableView &t, const double *src,
-              std::size_t i, unsigned valid, int &lo, int &hi)
+              std::size_t i, unsigned valid, uint8_t *codes, int &lo,
+              int &hi)
 {
     const d4 x = load(src + i);
     const d4 gt0 = _mm256_cmp_pd(x, bc(0.0), _CMP_GT_OQ);
@@ -446,13 +448,14 @@ quantizeBlock(const SrgbForwardTableView &t, const double *src,
             c = t.bucketCode[idx_s[k]];
             c += x_s[k] >= t.codeMin[c + 1];
         }
+        codes[3 * (i + k)] = static_cast<uint8_t>(c);
         lo = std::min(lo, c);
         hi = std::max(hi, c);
     }
 }
 
 std::size_t
-tileCostAvx2(const TileSoA &soa, int axis)
+tileCostAvx2(TileSoA &soa, int axis)
 {
     std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
     if (soa.n == 0)
@@ -463,6 +466,7 @@ tileCostAvx2(const TileSoA &soa, int axis)
         soa.lane(red ? kOutRedY : kOutBlueY),
         soa.lane(red ? kOutRedZ : kOutBlueZ),
     };
+    CandidateCodes &out = soa.codesOf(axis);
     const SrgbForwardTableView t = srgbForwardTable();
     for (int ch = 0; ch < 3; ++ch) {
         int lo = 255;
@@ -472,119 +476,14 @@ tileCostAvx2(const TileSoA &soa, int axis)
                 i + kLaneWidth > soa.n
                     ? static_cast<unsigned>(soa.n - i)
                     : static_cast<unsigned>(kLaneWidth);
-            quantizeBlock(t, src[ch], i, valid, lo, hi);
+            quantizeBlock(t, src[ch], i, valid, out.srgb.data() + ch, lo,
+                          hi);
         }
-        bits += soa.n * bdDeltaWidth(static_cast<uint8_t>(lo),
-                                     static_cast<uint8_t>(hi));
+        out.lo[ch] = static_cast<uint8_t>(lo);
+        out.hi[ch] = static_cast<uint8_t>(hi);
+        bits += soa.n * bdDeltaWidth(out.lo[ch], out.hi[ch]);
     }
     return bits;
-}
-
-/**
- * BD stats pass: per-channel min/max over one tile's interleaved RGB
- * rows, 32 bytes per op. Channel separation without a deinterleave:
- * every vector load starts at a byte offset that is a multiple of 3
- * within its row (full loads advance by 30, not 32), so byte lane j of
- * every accumulated vector always holds channel j % 3 — the overlap
- * bytes are re-accumulated, which min/max absorbs. Every row has the
- * same split into full loads plus one sub-32-byte tail, so the tail's
- * byte mask is built once per tile; tail lanes outside the tile are
- * forced to the reduction's neutral element with one OR/AND. The tail
- * load reads a full 32-byte window, so rows where that window would
- * cross the end of the image buffer fall back to a scalar tail (only
- * ever the buffer's last rows). The accumulated vector collapses to
- * the three channels with a period-3 alignr fold instead of 32 scalar
- * steps. Min/max over integers is order-independent, so the result is
- * trivially bit-identical to the scalar kernel.
- */
-void
-bdTileMinMaxAvx2(const uint8_t *rows, std::size_t stride, int width,
-                 int height, const uint8_t *end, uint8_t lo[3],
-                 uint8_t hi[3])
-{
-    lo[0] = lo[1] = lo[2] = 255;
-    hi[0] = hi[1] = hi[2] = 0;
-    const std::size_t row_bytes = static_cast<std::size_t>(width) * 3;
-    const __m256i ones = _mm256_set1_epi8(static_cast<char>(0xff));
-    const __m256i zero = _mm256_setzero_si256();
-    // Rows split identically: full loads at 0, 30, ... then one tail
-    // of rem in [2, 32) bytes (row_bytes is a positive multiple of 3).
-    const std::size_t tail_off =
-        row_bytes >= 32 ? ((row_bytes - 32) / 30 + 1) * 30 : 0;
-    const std::size_t rem = row_bytes - tail_off;
-    const __m256i idx = _mm256_setr_epi8(
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
-        18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
-    const __m256i msk = _mm256_cmpgt_epi8(
-        _mm256_set1_epi8(static_cast<char>(rem)), idx);
-    const __m256i inv = _mm256_xor_si256(msk, ones);
-    __m256i vmin = ones;
-    __m256i vmax = zero;
-    bool used_vec = false;
-    for (int y = 0; y < height; ++y) {
-        const uint8_t *p = rows + static_cast<std::size_t>(y) * stride;
-        for (std::size_t off = 0; off < tail_off; off += 30) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + off));
-            vmin = _mm256_min_epu8(vmin, v);
-            vmax = _mm256_max_epu8(vmax, v);
-        }
-        if (p + tail_off + 32 <= end) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + tail_off));
-            vmin = _mm256_min_epu8(vmin, _mm256_or_si256(v, inv));
-            vmax = _mm256_max_epu8(vmax, _mm256_and_si256(v, msk));
-        } else {
-            for (std::size_t off = tail_off; off < row_bytes; ++off) {
-                const uint8_t v = p[off];
-                const int c = static_cast<int>(off % 3);
-                lo[c] = std::min(lo[c], v);
-                hi[c] = std::max(hi[c], v);
-            }
-        }
-        used_vec = used_vec || tail_off > 0;
-    }
-    used_vec = used_vec ||
-               rows + tail_off + 32 <= end;  // any row took the tail?
-    if (height > 0 && used_vec) {
-        // Collapse 32 period-3 lanes to 3 channels. The high half's
-        // lane j holds channel (j + 1) % 3; shifting it up one byte
-        // (neutral element entering at lane 0) realigns it with the
-        // low half, dropping byte 31 — folded back scalar below. Three
-        // period-3 shift+combine steps then pull every lane j = c + 3k
-        // into lane c.
-        const __m128i ones128 = _mm_set1_epi8(static_cast<char>(0xff));
-        const __m128i zero128 = _mm_setzero_si128();
-        __m128i mn = _mm_min_epu8(
-            _mm256_castsi256_si128(vmin),
-            _mm_alignr_epi8(_mm256_extracti128_si256(vmin, 1), ones128,
-                            15));
-        __m128i mx = _mm_max_epu8(
-            _mm256_castsi256_si128(vmax),
-            _mm_alignr_epi8(_mm256_extracti128_si256(vmax, 1), zero128,
-                            15));
-        mn = _mm_min_epu8(mn, _mm_alignr_epi8(ones128, mn, 3));
-        mn = _mm_min_epu8(mn, _mm_alignr_epi8(ones128, mn, 6));
-        mn = _mm_min_epu8(mn, _mm_alignr_epi8(ones128, mn, 12));
-        mx = _mm_max_epu8(mx, _mm_alignr_epi8(zero128, mx, 3));
-        mx = _mm_max_epu8(mx, _mm_alignr_epi8(zero128, mx, 6));
-        mx = _mm_max_epu8(mx, _mm_alignr_epi8(zero128, mx, 12));
-        alignas(16) uint8_t amin[16];
-        alignas(16) uint8_t amax[16];
-        _mm_store_si128(reinterpret_cast<__m128i *>(amin), mn);
-        _mm_store_si128(reinterpret_cast<__m128i *>(amax), mx);
-        for (int c = 0; c < 3; ++c) {
-            lo[c] = std::min(lo[c], amin[c]);
-            hi[c] = std::max(hi[c], amax[c]);
-        }
-        // Byte 31 (channel 31 % 3 == 1) fell off the realigning shift.
-        const uint8_t b31min = static_cast<uint8_t>(
-            _mm256_extract_epi8(vmin, 31));
-        const uint8_t b31max = static_cast<uint8_t>(
-            _mm256_extract_epi8(vmax, 31));
-        lo[1] = std::min(lo[1], b31min);
-        hi[1] = std::max(hi[1], b31max);
-    }
 }
 
 } // namespace
@@ -593,8 +492,7 @@ const TileKernels &
 avx2TileKernels()
 {
     static const TileKernels k{ellipsoidsAvx2, extremaBothAvx2,
-                               moveAxisAvx2, tileCostAvx2,
-                               bdTileMinMaxAvx2};
+                               moveAxisAvx2, tileCostAvx2};
     return k;
 }
 

@@ -182,59 +182,40 @@ extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
 }
 
 std::size_t
-tileCostScalar(const TileSoA &soa, int axis)
+tileCostScalar(TileSoA &soa, int axis)
 {
     const bool red = axis == 0;
-    const double *ox = soa.lane(red ? kOutRedX : kOutBlueX);
-    const double *oy = soa.lane(red ? kOutRedY : kOutBlueY);
-    const double *oz = soa.lane(red ? kOutRedZ : kOutBlueZ);
+    CandidateCodes &out = soa.codesOf(axis);
+    linearToSrgb8Planar(soa.lane(red ? kOutRedX : kOutBlueX),
+                        soa.lane(red ? kOutRedY : kOutBlueY),
+                        soa.lane(red ? kOutRedZ : kOutBlueZ), soa.n,
+                        out.srgb.data());
 
-    // bdTileBitsFromCodes over linearToSrgb8 of each channel, with the
-    // min/max reduction fused in instead of a materialized code buffer.
+    // bdTileBitsFromCodes over those codes, keeping its min/max.
     std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
     if (soa.n == 0)
         return bits;
-    uint8_t lo[3] = {255, 255, 255};
-    uint8_t hi[3] = {0, 0, 0};
+    for (int k = 0; k < 3; ++k) {
+        out.lo[k] = 255;
+        out.hi[k] = 0;
+    }
     for (std::size_t i = 0; i < soa.n; ++i) {
-        const uint8_t c[3] = {linearToSrgb8(ox[i]),
-                              linearToSrgb8(oy[i]),
-                              linearToSrgb8(oz[i])};
         for (int k = 0; k < 3; ++k) {
-            lo[k] = std::min(lo[k], c[k]);
-            hi[k] = std::max(hi[k], c[k]);
+            const uint8_t c = out.srgb[3 * i + k];
+            out.lo[k] = std::min(out.lo[k], c);
+            out.hi[k] = std::max(out.hi[k], c);
         }
     }
     for (int k = 0; k < 3; ++k)
-        bits += soa.n * bdDeltaWidth(lo[k], hi[k]);
+        bits += soa.n * bdDeltaWidth(out.lo[k], out.hi[k]);
     return bits;
-}
-
-void
-bdTileMinMaxScalar(const uint8_t *rows, std::size_t stride, int width,
-                   int height, const uint8_t *, uint8_t lo[3],
-                   uint8_t hi[3])
-{
-    lo[0] = lo[1] = lo[2] = 255;
-    hi[0] = hi[1] = hi[2] = 0;
-    for (int y = 0; y < height; ++y) {
-        const uint8_t *p = rows + static_cast<std::size_t>(y) * stride;
-        for (int x = 0; x < width; ++x) {
-            for (int c = 0; c < 3; ++c) {
-                const uint8_t v = p[3 * x + c];
-                lo[c] = std::min(lo[c], v);
-                hi[c] = std::max(hi[c], v);
-            }
-        }
-    }
 }
 
 const TileKernels &
 scalarTileKernels()
 {
     static const TileKernels k{ellipsoidsScalar, extremaBothScalar,
-                               moveAxisScalar, tileCostScalar,
-                               bdTileMinMaxScalar};
+                               moveAxisScalar, tileCostScalar};
     return k;
 }
 

@@ -25,6 +25,7 @@
 #define PCE_SIMD_TILE_SOA_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace pce::simd {
@@ -56,12 +57,26 @@ enum Lane : int
     kLaneCount
 };
 
+/**
+ * Stage 4 output of one candidate: its sRGB codes, exactly what
+ * linearToSrgb8Planar makes of the candidate lanes, and their per-
+ * channel min / max — the tile's BD base and delta range.
+ */
+struct CandidateCodes
+{
+    std::vector<uint8_t> srgb;  ///< 3 interleaved bytes per valid pixel
+    uint8_t lo[3] = {};
+    uint8_t hi[3] = {};
+};
+
 /** One grow-once arena of every planar lane. */
 struct TileSoA
 {
     std::size_t n = 0;       ///< valid pixels per lane
     std::size_t stride = 0;  ///< doubles per lane (n padded to kLaneWidth)
     std::vector<double> buf; ///< kLaneCount lanes of `stride` doubles
+    /** Stage 4 outputs of the Red (0) and Blue (1) candidates. */
+    CandidateCodes codes[2];
 
     /**
      * Set the pixel count and (re)provision the arena. The buffer only
@@ -77,6 +92,9 @@ struct TileSoA
         stride = (count + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
         if (buf.size() < stride * kLaneCount)
             buf.resize(stride * kLaneCount);
+        for (CandidateCodes &c : codes)
+            if (c.srgb.size() < 3 * n)
+                c.srgb.resize(3 * n);
         for (int l = kPx; l <= kEcc; ++l)
             for (std::size_t i = n; i < stride; ++i)
                 lane(l)[i] = 0.0;
@@ -84,6 +102,11 @@ struct TileSoA
 
     double *lane(int l) { return buf.data() + stride * l; }
     const double *lane(int l) const { return buf.data() + stride * l; }
+
+    /** Stage 4 outputs of optimization axis @p axis (0 or 2). */
+    CandidateCodes &codesOf(int axis) { return codes[axis == 0 ? 0 : 1]; }
+    const CandidateCodes &codesOf(int axis) const
+    { return codes[axis == 0 ? 0 : 1]; }
 };
 
 } // namespace pce::simd

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "core/pipeline.hh"
 #include "render/scenes.hh"
@@ -48,7 +49,6 @@ TEST(EncodeInto, MatchesAllocatingApi)
     EncodedFrame b;
     enc.encodeFrameInto(frame, ecc, b);
 
-    EXPECT_EQ(a.adjustedLinear.pixels(), b.adjustedLinear.pixels());
     EXPECT_EQ(a.adjustedSrgb, b.adjustedSrgb);
     EXPECT_EQ(a.bdStream, b.bdStream);
     EXPECT_EQ(a.bdStats.totalBits(), b.bdStats.totalBits());
@@ -79,7 +79,6 @@ TEST(EncodeInto, SteadyStateReusesEveryBuffer)
 
     // Second frame of the stream: identical results, same allocations
     // (data pointers and capacities must not move).
-    const Vec3 *linear_data = out.adjustedLinear.pixels().data();
     const uint8_t *srgb_data = out.adjustedSrgb.data().data();
     const uint8_t *stream_data = out.bdStream.data();
     const std::size_t stream_cap = out.bdStream.capacity();
@@ -87,7 +86,6 @@ TEST(EncodeInto, SteadyStateReusesEveryBuffer)
     for (int repeat = 0; repeat < 3; ++repeat) {
         enc.encodeFrameInto(frame, ecc, out);
         EXPECT_EQ(out.bdStream, first_stream);
-        EXPECT_EQ(out.adjustedLinear.pixels().data(), linear_data);
         EXPECT_EQ(out.adjustedSrgb.data().data(), srgb_data);
         EXPECT_EQ(out.bdStream.data(), stream_data);
         EXPECT_EQ(out.bdStream.capacity(), stream_cap);
@@ -107,8 +105,8 @@ TEST(EncodeInto, ReusedResultAdaptsToNewGeometry)
     EncodedFrame out;
     enc.encodeFrameInto(small, ecc64, out);
     enc.encodeFrameInto(large, ecc96, out);
-    EXPECT_EQ(out.adjustedLinear.width(), 96);
-    EXPECT_EQ(out.adjustedLinear.height(), 80);
+    EXPECT_EQ(out.adjustedSrgb.width(), 96);
+    EXPECT_EQ(out.adjustedSrgb.height(), 80);
     EXPECT_EQ(out.bdStream, enc.encodeFrame(large, ecc96).bdStream);
     enc.encodeFrameInto(small, ecc64, out);
     EXPECT_EQ(out.bdStream, enc.encodeFrame(small, ecc64).bdStream);
@@ -190,8 +188,67 @@ TEST(EncodeInto, ThreadAndSimdInvariance)
     EncodedFrame scalar_out;
     scalar_enc.encodeFrameInto(frame, ecc, scalar_out);
     EXPECT_EQ(scalar_out.bdStream, reference.bdStream);
-    EXPECT_EQ(scalar_out.adjustedLinear.pixels(),
-              reference.adjustedLinear.pixels());
+    EXPECT_EQ(scalar_enc.adjustFrame(frame, ecc).pixels(),
+              enc1.adjustFrame(frame, ecc).pixels());
+}
+
+TEST(EncodeInto, TileLoopStatsMatchBdPassOne)
+{
+    // The tile loop hands the BD encoder its per-tile stats (the cost
+    // kernel's min/max for adjusted tiles, a scan of the quantized rows
+    // for bypassed ones); the stream must equal the standalone encode
+    // of the delivered image, whose pass 1 rescans it. Ragged edges,
+    // odd tile sizes, both gaze phases, serial and pooled.
+    const int w = 61;
+    const int h = 47;
+    const ImageF frame = renderScene(SceneId::Office, {w, h, 0, 0.0, 0});
+    DisplayGeometry geom;
+    geom.width = w;
+    geom.height = h;
+    geom.horizontalFovDeg = 100.0;
+    geom.fixationX = w / 2.0;
+    geom.fixationY = h / 2.0;
+    const EccentricityMap ecc(geom);
+
+    for (const int tile : {3, 4, 8, 16}) {
+        for (const int threads : {1, 3}) {
+            PipelineParams p;
+            p.tileSize = tile;
+            p.threads = threads;
+            const PerceptualEncoder enc(model(), p);
+            const BdCodec codec(tile);
+            const std::string where = "tile " + std::to_string(tile) +
+                                      ", " + std::to_string(threads) +
+                                      " threads";
+            auto expectPassOne = [&](const EncodedFrame &out,
+                                     const std::string &what) {
+                BdFrameStats stats;
+                EXPECT_EQ(out.bdStream,
+                          codec.encode(out.adjustedSrgb, &stats))
+                    << what << ", " << where;
+                EXPECT_EQ(out.bdStats.totalBits(), stats.totalBits())
+                    << what << ", " << where;
+            };
+
+            EncodedFrame out;
+            enc.encodeFrameInto(frame, ecc, out);
+            expectPassOne(out, "encodeFrameInto");
+            EXPECT_EQ(out.adjustedSrgb, toSrgb8(enc.adjustFrame(frame, ecc)))
+                << where;
+
+            GazeTrackedEccentricity gaze(geom);
+            EXPECT_EQ(enc.encodeFrameGazeInto(
+                          frame, gaze, {0.0, geom.fixationX, geom.fixationY},
+                          out),
+                      GazePhase::Fixation);
+            expectPassOne(out, "fixation frame");
+            EXPECT_EQ(enc.encodeFrameGazeInto(frame, gaze,
+                                              {1.0 / 72.0, 58.0, 4.0}, out),
+                      GazePhase::Saccade);
+            expectPassOne(out, "saccade frame");
+            EXPECT_EQ(out.adjustedSrgb, toSrgb8(frame)) << where;
+        }
+    }
 }
 
 } // namespace

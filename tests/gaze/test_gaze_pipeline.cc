@@ -114,9 +114,7 @@ TEST(GazePipeline, SaccadeFrameBypassesAdjustmentAndStillDecodes)
     EXPECT_EQ(out.stats.saccadeBypassTiles, out.stats.totalTiles);
     EXPECT_EQ(out.stats.totalTiles, 16u * 16u);
     EXPECT_EQ(out.stats.fovealBypassTiles, 0u);
-    for (int y = 0; y < n; ++y)
-        for (int x = 0; x < n; ++x)
-            ASSERT_EQ(out.adjustedLinear.at(x, y), frame.at(x, y));
+    EXPECT_EQ(out.adjustedSrgb, toSrgb8(frame));
 
     // The stream is still a valid lossless encode of the frame.
     EncodedFrame &mutable_out = out;
@@ -148,7 +146,6 @@ TEST(GazePipeline, SteadyStateGazeLoopPinsEveryBuffer)
     enc.encodeFrameGazeInto(frame, gaze, {1.005, 25.0, 24.5}, out);
 
     const double *map_ptr = gaze.map().data();
-    const Vec3 *lin_ptr = out.adjustedLinear.pixels().data();
     const uint8_t *srgb_ptr = out.adjustedSrgb.data().data();
     const uint8_t *stream_ptr = out.bdStream.data();
     const std::size_t stream_cap = out.bdStream.capacity();
@@ -161,7 +158,6 @@ TEST(GazePipeline, SteadyStateGazeLoopPinsEveryBuffer)
         t += (i == 13) ? 0.005 : 1.0;
         enc.encodeFrameGazeInto(frame, gaze, {t, x, y}, out);
         ASSERT_EQ(gaze.map().data(), map_ptr) << i;
-        ASSERT_EQ(out.adjustedLinear.pixels().data(), lin_ptr) << i;
         ASSERT_EQ(out.adjustedSrgb.data().data(), srgb_ptr) << i;
         ASSERT_EQ(out.bdStream.capacity(), stream_cap) << i;
         ASSERT_EQ(out.bdStream.data(), stream_ptr) << i;

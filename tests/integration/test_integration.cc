@@ -98,7 +98,7 @@ TEST(Integration, PerceptualQualityChainHolds)
     ObserverPopulationParams params;
     const SimulatedObserver average(1.0, params);
     EXPECT_LT(average.supraThresholdFraction(frame,
-                                             encoded.adjustedLinear,
+                                             enc.adjustFrame(frame, ecc),
                                              ecc, model()),
               0.02);
 }

@@ -112,14 +112,12 @@ TEST(EncodeService, SteadyStatePinsEveryPerStreamBuffer)
     // Warm-up: cycle every slot once (depth=2) so buffers reach their
     // steady-state size, recording each slot's pointers.
     std::vector<const uint8_t *> stream_ptrs;
-    std::vector<const Vec3 *> linear_ptrs;
     std::vector<const uint8_t *> srgb_ptrs;
     std::vector<std::vector<uint8_t>> first_streams;
     for (int i = 0; i < 2; ++i) {
         svc.submit(stream, frame);
         const FrameLease lease = svc.collect(stream);
         stream_ptrs.push_back(lease->bdStream.data());
-        linear_ptrs.push_back(lease->adjustedLinear.pixels().data());
         srgb_ptrs.push_back(lease->adjustedSrgb.data().data());
         first_streams.push_back(lease->bdStream);
     }
@@ -134,8 +132,6 @@ TEST(EncodeService, SteadyStatePinsEveryPerStreamBuffer)
         bool pinned = false;
         for (std::size_t s = 0; s < stream_ptrs.size(); ++s) {
             if (lease->bdStream.data() == stream_ptrs[s]) {
-                EXPECT_EQ(lease->adjustedLinear.pixels().data(),
-                          linear_ptrs[s]);
                 EXPECT_EQ(lease->adjustedSrgb.data().data(),
                           srgb_ptrs[s]);
                 pinned = true;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -287,103 +288,56 @@ TEST_P(SimdLevelTest, DarkAdaptationModelMatchesReferenceExactly)
 
 TEST_P(SimdLevelTest, TileCostMatchesCodePath)
 {
-    // The fused quantize+cost kernel vs. the materialized-codes path.
+    // The fused quantize+cost kernel vs. the materialized-codes path:
+    // the bit cost, and the codes and per-channel min/max it leaves for
+    // the frame pass, of both candidates.
     const simd::TileKernels &k = simd::tileKernels(GetParam());
     Rng rng(404);
     simd::TileSoA soa;
-    for (const std::size_t n : {16u, 3u, 9u}) {
+    for (const std::size_t n : {16u, 3u, 9u, 1u, 6u}) {
         for (int trial = 0; trial < 25; ++trial) {
             soa.resize(n);
-            // Raw candidate values, including slightly out-of-gamut
-            // and exact-boundary inputs the quantizer must clamp.
-            for (std::size_t i = 0; i < n; ++i) {
-                soa.lane(simd::kOutRedX)[i] = rng.uniform(-0.1, 1.1);
-                soa.lane(simd::kOutRedY)[i] = rng.uniform(0.0, 1.0);
-                soa.lane(simd::kOutRedZ)[i] =
-                    i % 4 == 0 ? 1.0 : rng.uniform();
+            // Raw candidate values, including out-of-gamut values and
+            // lanes exactly at 0 and 1 the quantizer must clamp.
+            for (const int lane : {simd::kOutRedX, simd::kOutRedY,
+                                   simd::kOutRedZ, simd::kOutBlueX,
+                                   simd::kOutBlueY, simd::kOutBlueZ}) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double edges[4] = {0.0, 1.0, -0.25, 1.25};
+                    soa.lane(lane)[i] = (i + lane + trial) % 5 == 0
+                                            ? edges[(i + trial) % 4]
+                                            : rng.uniform(-0.1, 1.1);
+                }
             }
-            std::vector<uint8_t> codes(n * 3);
-            linearToSrgb8Planar(soa.lane(simd::kOutRedX),
-                                soa.lane(simd::kOutRedY),
-                                soa.lane(simd::kOutRedZ), n,
-                                codes.data());
-            EXPECT_EQ(k.tileCost(soa, 0),
-                      bdTileBitsFromCodes(codes.data(), n));
-        }
-    }
-}
+            for (const int axis : {0, 2}) {
+                const bool red = axis == 0;
+                std::vector<uint8_t> codes(n * 3);
+                linearToSrgb8Planar(
+                    soa.lane(red ? simd::kOutRedX : simd::kOutBlueX),
+                    soa.lane(red ? simd::kOutRedY : simd::kOutBlueY),
+                    soa.lane(red ? simd::kOutRedZ : simd::kOutBlueZ), n,
+                    codes.data());
+                EXPECT_EQ(k.tileCost(soa, axis),
+                          bdTileBitsFromCodes(codes.data(), n));
 
-TEST_P(SimdLevelTest, BdTileMinMaxMatchesDirectScanExactly)
-{
-    // The BD stats kernel vs. a direct per-channel scan over every
-    // tile of the grid: full tiles, ragged edge tiles, tiles ending at
-    // the very last byte of the buffer (exercising the in-bounds guard
-    // of the vector tail), and row widths on both sides of the 32-byte
-    // vector width.
-    const simd::TileKernels &k = simd::tileKernels(GetParam());
-    Rng rng(808);
-    const struct
-    {
-        int w, h, tile;
-    } cases[] = {{64, 64, 4},  {61, 47, 4}, {13, 7, 5}, {128, 96, 16},
-                 {1, 1, 4},    {40, 40, 8}, {9, 9, 3},  {33, 2, 32},
-                 {256, 3, 255}};
-    for (const auto &cs : cases) {
-        ImageU8 img(cs.w, cs.h);
-        for (auto &b : img.data())
-            b = static_cast<uint8_t>(rng.uniformInt(256));
-        const std::size_t stride =
-            static_cast<std::size_t>(cs.w) * 3;
-        const uint8_t *end = img.data().data() + img.data().size();
-        for (const TileRect &rect :
-             tileGrid(cs.w, cs.h, cs.tile)) {
-            uint8_t lo[3];
-            uint8_t hi[3];
-            k.bdTileMinMax(img.pixel(rect.x0, rect.y0), stride,
-                           rect.w, rect.h, end, lo, hi);
-            uint8_t ref_lo[3] = {255, 255, 255};
-            uint8_t ref_hi[3] = {0, 0, 0};
-            for (int y = rect.y0; y < rect.y0 + rect.h; ++y)
-                for (int x = rect.x0; x < rect.x0 + rect.w; ++x)
-                    for (int c = 0; c < 3; ++c) {
-                        const uint8_t v = img.channel(x, y, c);
-                        ref_lo[c] = std::min(ref_lo[c], v);
-                        ref_hi[c] = std::max(ref_hi[c], v);
+                const simd::CandidateCodes &out = soa.codesOf(axis);
+                EXPECT_EQ(std::vector<uint8_t>(out.srgb.begin(),
+                                               out.srgb.begin() + 3 * n),
+                          codes)
+                    << "n " << n << " axis " << axis;
+                for (int c = 0; c < 3; ++c) {
+                    uint8_t lo = 255;
+                    uint8_t hi = 0;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        lo = std::min(lo, codes[3 * i + c]);
+                        hi = std::max(hi, codes[3 * i + c]);
                     }
-            for (int c = 0; c < 3; ++c) {
-                EXPECT_EQ(lo[c], ref_lo[c])
-                    << cs.w << "x" << cs.h << " tile " << cs.tile
-                    << " at (" << rect.x0 << "," << rect.y0
-                    << ") channel " << c;
-                EXPECT_EQ(hi[c], ref_hi[c])
-                    << cs.w << "x" << cs.h << " tile " << cs.tile
-                    << " at (" << rect.x0 << "," << rect.y0
-                    << ") channel " << c;
+                    EXPECT_EQ(out.lo[c], lo) << "n " << n << " ch " << c;
+                    EXPECT_EQ(out.hi[c], hi) << "n " << n << " ch " << c;
+                }
             }
         }
     }
-}
-
-TEST(SimdDispatch, EncodeStatsPassIsLevelInvariant)
-{
-    // The whole-frame encode must emit byte-identical streams whether
-    // the stats pass ran the AVX2 or the scalar min/max kernel (the
-    // FOVE_SIMD override is read per encodeInto call).
-    Rng rng(909);
-    ImageU8 img(61, 53);
-    for (auto &b : img.data())
-        b = static_cast<uint8_t>(rng.uniformInt(256));
-    const BdCodec codec(4);
-
-    ASSERT_EQ(setenv("FOVE_SIMD", "off", 1), 0);
-    std::vector<uint8_t> scalar_stream;
-    codec.encodeInto(img, nullptr, scalar_stream);
-    ASSERT_EQ(unsetenv("FOVE_SIMD"), 0);
-
-    std::vector<uint8_t> active_stream;
-    codec.encodeInto(img, nullptr, active_stream);
-    EXPECT_EQ(scalar_stream, active_stream);
-    EXPECT_EQ(BdCodec::decode(active_stream), img);
 }
 
 TEST_P(SimdLevelTest, NanPixelsCountAndPlaceIdentically)
