@@ -16,10 +16,12 @@
  *
  * The run sweeps dispatcher shard counts (PCE_BENCH_SHARDS, a comma
  * list, default "1,2,4") and appends one record per shard count with
- * the shard fields (shard_count, stolen_frames, queue_peak_depth,
+ * the dispatcher fields (shard_count, stolen_frames, queue_peak_depth,
  * shard_occupancy_mean), so the trajectory shows whether the
  * many-small-streams workload stops serializing behind one
- * dispatcher. On a single-hardware-thread host the sweep measures
+ * dispatcher. stolen_frames counts lane migrations: frames encoded on
+ * a different dispatcher than their stream's previous frame
+ * (ServiceReport::stolenFrames). On a single-hardware-thread host the sweep measures
  * protocol overhead, not core scaling — hw_threads is recorded so a
  * reader can tell which one a record shows.
  *
@@ -63,8 +65,8 @@ struct ReplayResult
     double queueP50Ms = 0.0;
     double queueP99Ms = 0.0;
     double queueMaxMs = 0.0;
-    /** Shard telemetry (ServiceReport): cross-shard steals, exact
-     *  aggregate backlog peak, mean dispatcher occupancy. */
+    /** Dispatcher telemetry (ServiceReport): lane migrations, exact
+     *  queue backlog peak, mean dispatcher occupancy. */
     std::uint64_t stolenFrames = 0;
     std::size_t queuePeakDepth = 0;
     double occupancyMean = 0.0;

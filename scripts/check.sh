@@ -59,8 +59,8 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir build-san --output-on-failure -L soak
 
 echo "== Concurrency suites under ThreadSanitizer =="
-# The sharded dispatch refactor (dispatcher-per-shard, cross-shard
-# work stealing, lane-exclusive per-stream state hand-off) lives or
+# Concurrent dispatch (N dispatchers popping one lane-exclusive queue,
+# per-stream state handed between them) lives or
 # dies on happens-before edges that asan/ubsan cannot see, and the
 # parallel BD encode has workers writing disjoint bytes of one buffer.
 # Build a dedicated tsan tree (tsan is incompatible with asan) with

@@ -160,7 +160,7 @@ class LogHistogram
  * Re-requesting a name returns the same instance, so independent
  * layers can share a metric by agreeing on its name. Naming
  * convention: "layer/instance/quantity_unit" (e.g.
- * "stream/left-eye/queue_latency_ms", "shard/0/queue_residency_ms").
+ * "stream/left-eye/queue_latency_ms").
  */
 class MetricsRegistry
 {

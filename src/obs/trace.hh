@@ -4,9 +4,9 @@
  * span rings with a steady-clock timebase and frame/stream/shard
  * tagging.
  *
- * The pipeline spans five concurrent layers — submit -> sharded
- * dispatch (with stealing) -> parallel encode passes -> packetize ->
- * round-based delivery — and aggregate counters cannot answer "where
+ * The pipeline spans five concurrent layers — submit -> dispatch
+ * (N dispatchers popping one queue) -> parallel encode passes ->
+ * packetize -> round-based delivery — and aggregate counters cannot answer "where
  * did frame N of stream S spend its 14 ms". This layer records *spans*
  * (named begin/end intervals) and *instants* into per-thread ring
  * buffers so one frame's timeline stitches across the producer thread,

@@ -23,23 +23,28 @@ namespace detail {
 struct StreamState
 {
     std::string name;
-    /** Home shard (shardForName): where submissions are queued. */
-    std::size_t shard = 0;
     /** Stable trace id: the `stream` tag on this stream's trace
      *  events (EncodeService::streamTraceId). Open order, from 0. */
     std::uint32_t obsId = 0;
     const EccentricityMap *ecc = nullptr;
     /**
+     * Frame size every submit must match, copied from the map at open:
+     * a gaze stream's map is rewritten by the lane holder while
+     * producers submit, so submit() must not read it.
+     */
+    int width = 0;
+    int height = 0;
+    /**
      * Eye-tracked streams own their eccentricity state (one per
      * stream: concurrent streams re-fixate independently). Null for
      * static-fixation streams, where ecc borrows the caller's map.
-     * Under sharded dispatch this state is *per-slot* in the lane
+     * Under concurrent dispatch this state is *per-slot* in the lane
      * sense: the queue hands out a stream's requests one at a time in
-     * submission order, so whichever dispatcher holds the lane —
-     * home or thief — is the sole toucher, sees gaze samples in time
-     * order, and hands the state to the next holder through the
-     * queue mutex's happens-before edge. The tryBeginExclusive guard
-     * enforces the "sole toucher" half at runtime.
+     * submission order, so whichever dispatcher holds the lane is the
+     * sole toucher, sees gaze samples in time order, and hands the
+     * state to the next holder through the queue mutex's
+     * happens-before edge. The tryBeginExclusive guard enforces the
+     * "sole toucher" half at runtime.
      */
     std::unique_ptr<GazeTrackedEccentricity> gaze;
 
@@ -69,8 +74,13 @@ struct StreamState
     std::uint64_t submitted = 0;
     std::uint64_t encoded = 0;
     std::uint64_t collected = 0;
-    /** Frames of this stream encoded by a non-home dispatcher. */
-    std::uint64_t framesStolen = 0;
+    /**
+     * Dispatcher that encoded the stream's previous frame (kNoShard
+     * before the first). Read and written only by the lane holder,
+     * so it needs no lock: the lane hand-off orders the accesses.
+     */
+    static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+    std::size_t lastShard = kNoShard;
 
     // Stats, guarded by mutex.
     double megapixels = 0.0;
@@ -124,10 +134,15 @@ copyFrameInto(const ImageF &src, ImageF &dst)
               dst.pixels().begin());
 }
 
-/** Size the slot/ready rings once, at stream open. */
+/**
+ * Record the frame size from the stream's map and size the slot/ready
+ * rings, once, at stream open.
+ */
 void
-initStreamRings(StreamState &s, const ServiceParams &params)
+initStream(StreamState &s, const ServiceParams &params)
 {
+    s.width = s.ecc->width();
+    s.height = s.ecc->height();
     const int depth = params.streamDepth;
     s.slots.resize(static_cast<std::size_t>(depth));
     s.freeSlots.reserve(static_cast<std::size_t>(depth));
@@ -186,9 +201,9 @@ FrameLease::release()
 }
 
 /**
- * One dispatcher shard: a slice of the thread budget as its own pool,
- * an encoder bound to that slice, the dispatcher thread that drains
- * the shard's ring (and steals), and the shard's dispatch counters.
+ * One dispatcher: a slice of the thread budget as its own pool, an
+ * encoder bound to that slice, the thread that pops the shared queue,
+ * and its dispatch counters.
  * The counters are monotonic relaxed atomics: each is individually
  * exact; ShardStats documents that the set is not one instant's
  * snapshot.
@@ -199,24 +214,9 @@ struct EncodeService::ShardRuntime
     std::unique_ptr<ThreadPool> pool;  ///< null when participants == 1
     std::unique_ptr<PerceptualEncoder> encoder;
     std::atomic<std::uint64_t> framesEncoded{0};
-    std::atomic<std::uint64_t> framesStolen{0};
     std::atomic<std::uint64_t> busyNanos{0};
-    /**
-     * Queue residency of frames *homed* here, whoever encoded them
-     * ("shard/<i>/queue_residency_ms" in the registry; lock-free).
-     * Home attribution makes this the rebalancing signal: a hot home
-     * shard's residency grows even while thieves keep its throughput
-     * level.
-     */
-    obs::LogHistogram *residency = nullptr;
     std::thread dispatcher;
 };
-
-std::size_t
-EncodeService::shardForName(const std::string &name, std::size_t shards)
-{
-    return shards < 2 ? 0 : std::hash<std::string>{}(name) % shards;
-}
 
 ThreadPool *
 EncodeService::pool(std::size_t shard) const
@@ -227,11 +227,7 @@ EncodeService::pool(std::size_t shard) const
 EncodeService::EncodeService(const DiscriminationModel &model,
                              const ServiceParams &params)
     : params_(params),
-      queue_(params.shards < 1 ? 1 : params.shards,
-             params.shards < 1 || params.queueCapacity < 1
-                 ? 1
-                 : (params.queueCapacity + params.shards - 1) /
-                       params.shards),
+      queue_(params.queueCapacity, params.shards),
       startTime_(Clock::now())
 {
     if (params_.threads < 1)
@@ -268,8 +264,6 @@ EncodeService::EncodeService(const DiscriminationModel &model,
         pipeline.pool = rt->pool.get();
         rt->encoder =
             std::make_unique<PerceptualEncoder>(model, pipeline);
-        rt->residency = &metrics_.histogram(
-            "shard/" + std::to_string(i) + "/queue_residency_ms");
         shards_.push_back(std::move(rt));
     }
     for (std::size_t i = 0; i < n; ++i)
@@ -287,9 +281,8 @@ EncodeService::openStream(std::string name, const EccentricityMap &ecc)
             "EncodeService::openStream: service is shut down");
     auto state = std::make_unique<StreamState>();
     state->name = std::move(name);
-    state->shard = shardForName(state->name, params_.shards);
     state->ecc = &ecc;
-    initStreamRings(*state, params_);
+    initStream(*state, params_);
     state->latencyHist = &metrics_.histogram(
         "stream/" + state->name + "/queue_latency_ms");
 
@@ -325,10 +318,9 @@ EncodeService::openGazeStream(std::string name,
         gaze->sealState();
     auto state = std::make_unique<StreamState>();
     state->name = std::move(name);
-    state->shard = shardForName(state->name, params_.shards);
     state->ecc = &gaze->map();
     state->gaze = std::move(gaze);
-    initStreamRings(*state, params_);
+    initStream(*state, params_);
     state->latencyHist = &metrics_.histogram(
         "stream/" + state->name + "/queue_latency_ms");
 
@@ -377,14 +369,13 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
         throw std::invalid_argument(
             "EncodeService::submit: gaze stream needs a gaze sample "
             "per frame");
-    if (frame.width() != s.ecc->width() ||
-        frame.height() != s.ecc->height())
+    if (frame.width() != s.width || frame.height() != s.height)
         throw std::invalid_argument(
             "EncodeService::submit: frame does not match the stream's "
             "eccentricity map");
 
     // Frame-lifecycle trace, producer side: the submit span covers
-    // slot backpressure, the input copy, and ring backpressure; the
+    // slot backpressure, the input copy, and queue backpressure; the
     // queue-wait span recorded at dispatch begins inside it (at
     // submitTime), so the timeline stitches producer -> dispatcher.
     const bool tracing = obs::traceEnabled();
@@ -427,14 +418,12 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
     req.stream = &s;
     req.slot = slot;
     req.submitTime = Clock::now();
-    // Per-shard backpressure: blocks while the stream's home ring is
-    // full. The stream's address is its lane key — unique for the
-    // stream's lifetime, and streams live as long as the service.
-    // Peak-depth tracking (per shard and aggregate) happens inside
-    // the queue, under its mutex, so the report's backlog watermark
-    // is exact rather than a sampled race.
-    if (!queue_.push(s.shard,
-                     reinterpret_cast<std::uintptr_t>(&s), req)) {
+    // Service-wide backpressure: blocks while the queue is full. The
+    // stream's address is its lane key — unique for the stream's
+    // lifetime, and streams live as long as the service. Peak-depth
+    // tracking happens inside the queue, under its mutex, so the
+    // report's backlog watermark is exact rather than a sampled race.
+    if (!queue_.push(reinterpret_cast<std::uintptr_t>(&s), req)) {
         // Shut down while waiting: roll the submission back so drains
         // and collects never wait for a frame that will not arrive.
         {
@@ -450,8 +439,7 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
     if (tracing)
         obs::recordSpan(
             "service/submit", submit_begin, obs::traceNowNs(),
-            obs::TraceTag{seq, s.obsId,
-                          static_cast<std::int32_t>(s.shard)});
+            obs::TraceTag{seq, s.obsId, obs::kNoShard});
 }
 
 void
@@ -591,10 +579,10 @@ void
 EncodeService::shutdown()
 {
     accepting_.store(false);
-    // close() refuses new pushes and wakes every waiter on every
-    // shard: producers blocked on any ring's backpressure see the
-    // refusal, and each dispatcher drains its remaining (own plus
-    // stealable) requests before observing closed-and-empty.
+    // close() refuses new pushes and wakes every waiter: producers
+    // blocked on queue backpressure see the refusal, and the
+    // dispatchers drain the remaining requests before observing
+    // closed-and-empty.
     queue_.close();
     {
         // Wake producers blocked on per-stream backpressure so they
@@ -620,12 +608,11 @@ EncodeService::shutdown()
 void
 EncodeService::dispatchLoop(std::size_t shard)
 {
-    // One dispatcher per shard. popForShard serves this shard's ring
-    // in FIFO order and steals from loaded shards when it runs dry;
-    // the queue's lane exclusivity means that while this loop body
-    // runs, no other dispatcher can hold a request of the same
-    // stream — the slot, the gaze state, and the stats mirrors below
-    // are effectively single-threaded per stream, handed between
+    // Every dispatcher pops the one queue in FIFO order; its lane
+    // exclusivity means that while this loop body runs, no other
+    // dispatcher can hold a request of the same stream — the slot,
+    // the gaze state, lastShard, and the stats mirrors below are
+    // effectively single-threaded per stream, handed between
     // dispatchers through the queue mutex. finishLane() at the very
     // end of the iteration (after the ready-ring publish) is what
     // releases the stream's next request, so per-stream FIFO holds
@@ -634,10 +621,15 @@ EncodeService::dispatchLoop(std::size_t shard)
     // Named lazily on the first traced frame so an untraced run never
     // allocates this thread's ring (~1.3 MB at the default capacity).
     bool traceNamed = false;
-    while (auto req = queue_.popForShard(shard)) {
+    while (auto req = queue_.pop()) {
         StreamState &s = *req->value.stream;
         StreamState::Slot &sl =
             s.slots[static_cast<std::size_t>(req->value.slot)];
+        const bool migrated =
+            s.lastShard != StreamState::kNoShard && s.lastShard != shard;
+        s.lastShard = shard;
+        if (migrated)
+            migrations_.fetch_add(1, std::memory_order_relaxed);
         const Clock::time_point start = Clock::now();
         const bool tracing = obs::traceEnabled();
         const obs::TraceTag traceTag{
@@ -653,11 +645,12 @@ EncodeService::dispatchLoop(std::size_t shard)
             }
             // queue_wait ends on the exact timestamp dispatch begins
             // (both use start_ns), so the two spans stitch with no
-            // gap; "stolen" marks a cross-shard hand-off.
+            // gap; "migrated" marks a lane migration (the stream's
+            // previous frame ran on another dispatcher).
             obs::recordSpan("service/queue_wait",
                             obs::traceToNs(req->value.submitTime),
-                            start_ns, traceTag, "stolen",
-                            req->stolen ? 1 : 0);
+                            start_ns, traceTag, "migrated",
+                            migrated ? 1 : 0);
             // Nested spans (encode passes, seal, verify) inherit the
             // frame/stream/shard tag ambiently for the whole hold.
             tagScope.emplace(traceTag);
@@ -686,7 +679,7 @@ EncodeService::dispatchLoop(std::size_t shard)
             if (s.gaze != nullptr) {
                 // Claim the gaze state for this lane hold. A failure
                 // here means two dispatchers hold the same stream —
-                // a steal-protocol bug, surfaced as a frame error
+                // a lane-protocol bug, surfaced as a frame error
                 // rather than silent state corruption.
                 if (!s.gaze->tryBeginExclusive())
                     throw std::logic_error(
@@ -740,8 +733,6 @@ EncodeService::dispatchLoop(std::size_t shard)
             obs::recordSpan("service/dispatch", start_ns,
                             obs::traceToNs(end), traceTag);
         rt.framesEncoded.fetch_add(1, std::memory_order_relaxed);
-        if (req->stolen)
-            rt.framesStolen.fetch_add(1, std::memory_order_relaxed);
         rt.busyNanos.fetch_add(
             static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -751,8 +742,6 @@ EncodeService::dispatchLoop(std::size_t shard)
         {
             std::lock_guard<std::mutex> lock(s.mutex);
             ++s.encoded;
-            if (req->stolen)
-                ++s.framesStolen;
             if (!sl.error) {
                 s.megapixels +=
                     static_cast<double>(sl.input.pixelCount()) / 1e6;
@@ -778,14 +767,8 @@ EncodeService::dispatchLoop(std::size_t shard)
                 s.fullRebuilds = s.gaze->fullRebuilds();
                 s.deferredGazeUpdates = s.gaze->deferredUpdates();
             }
-            const double wait_ms =
-                secondsBetween(req->value.submitTime, start) * 1e3;
-            // Queue latency: the stream's full-history histogram plus
-            // the *home* shard's residency histogram — attributed to
-            // the shard the frame was queued on even when a thief
-            // encoded it, which is exactly the rebalancing signal.
-            s.latencyHist->record(wait_ms);
-            shards_[s.shard]->residency->record(wait_ms);
+            s.latencyHist->record(
+                secondsBetween(req->value.submitTime, start) * 1e3);
             s.readyRing[(s.readyHead + s.readyCount) %
                         s.readyRing.size()] = req->value.slot;
             ++s.readyCount;
@@ -793,7 +776,7 @@ EncodeService::dispatchLoop(std::size_t shard)
         s.frameReady.notify_all();
         // Only now may the stream's next request be handed out: the
         // result above is fully published, so the next holder (any
-        // shard) sees a consistent slot ring and gaze state.
+        // dispatcher) sees a consistent slot ring and gaze state.
         queue_.finishLane(req->lane);
     }
 }
@@ -804,23 +787,16 @@ EncodeService::report() const
     ServiceReport rep;
     rep.wallSeconds = secondsBetween(startTime_, Clock::now());
     rep.queuedRequests = queue_.size();
-    rep.queuePeakDepth = queue_.aggregatePeakDepth();
+    rep.queuePeakDepth = queue_.peakDepth();
     rep.queueCapacity = queue_.capacity();
+    rep.stolenFrames = migrations_.load(std::memory_order_relaxed);
     rep.shards.reserve(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const ShardRuntime &rt = *shards_[i];
-        const auto qc = queue_.counters(i);
         ShardStats sh;
         sh.shard = i;
         sh.framesEncoded =
             rt.framesEncoded.load(std::memory_order_relaxed);
-        sh.framesStolen =
-            rt.framesStolen.load(std::memory_order_relaxed);
-        sh.framesStolenFrom = qc.stolenFrom;
-        sh.framesQueued = qc.pushes;
-        sh.queueDepth = qc.depth;
-        sh.queuePeakDepth = qc.peakDepth;
-        sh.queueCapacity = queue_.capacityPerShard();
         sh.busySeconds =
             static_cast<double>(
                 rt.busyNanos.load(std::memory_order_relaxed)) /
@@ -837,7 +813,6 @@ EncodeService::report() const
                           static_cast<double>(sh.poolDispatches)
                     : 0.0;
         }
-        rep.stolenFrames += sh.framesStolen;
         rep.shards.push_back(sh);
     }
     std::lock_guard<std::mutex> lock(streamsMutex_);
@@ -851,8 +826,6 @@ EncodeService::report() const
             // lock-free.
             std::lock_guard<std::mutex> slock(s.mutex);
             st.name = s.name;
-            st.shard = s.shard;
-            st.framesStolen = s.framesStolen;
             st.framesSubmitted = s.submitted;
             st.framesEncoded = s.encoded;
             st.framesCollected = s.collected;
@@ -879,8 +852,6 @@ EncodeService::report() const
         st.queueLatencyP50Ms = s.latencyHist->percentile(50.0);
         st.queueLatencyP90Ms = s.latencyHist->percentile(90.0);
         st.queueLatencyP99Ms = s.latencyHist->percentile(99.0);
-        if (st.shard < rep.shards.size())
-            ++rep.shards[st.shard].streamsHomed;
         rep.framesEncoded += st.framesEncoded;
         rep.megapixels += st.megapixels;
         rep.corruptFrames += st.corruptFrames;

@@ -11,21 +11,17 @@
  * submit frames asynchronously, and collect encoded results in
  * submission order.
  *
- * ## Sharded concurrent dispatch
+ * ## Concurrent dispatch
  *
- * Dispatch is sharded: the service runs ServiceParams::shards
- * dispatcher threads, each owning a bounded request ring
- * (common/sharded_queue.hh), a persistent ThreadPool slice of the
- * configured `threads` budget, and a PerceptualEncoder bound to that
- * slice. Streams are hash-assigned to a home shard at open
- * (shardForName), so unrelated streams ride different rings, different
- * condvars, and different encoders — two small-frame streams on
- * different shards encode truly concurrently instead of serializing
- * behind one dispatcher. An idle shard *steals* whole queued requests
- * from the most-loaded other shard, so a skewed stream->shard
- * assignment degrades to shared work, not idle cores.
+ * The service runs ServiceParams::shards dispatcher threads. Each owns
+ * a persistent ThreadPool slice of the configured `threads` budget and
+ * a PerceptualEncoder bound to that slice, and all of them pop the one
+ * bounded request queue (common/lane_queue.hh): whichever dispatcher
+ * is idle takes the oldest eligible request, so two small-frame
+ * streams encode truly concurrently on different dispatchers instead
+ * of serializing behind one.
  *
- * What makes stealing safe is the queue's **lane exclusivity**
+ * What makes the shared queue safe is its **lane exclusivity**
  * contract: each stream is one lane, at most one of a lane's requests
  * is ever handed out at a time, and lanes hand out strictly in push
  * order. Per-stream state that a concurrent design must treat as
@@ -36,10 +32,10 @@
  * additionally carries a tryBeginExclusive guard that turns any lane
  * protocol violation into a loud error instead of silent corruption).
  * In-order hand-out of one-at-a-time lanes means a stream's frames
- * *finish* in submission order too, whichever shards encoded them:
- * FIFO collect is preserved by construction, and results stay
- * byte-identical to direct encodeFrameInto calls for any shard count,
- * thread count, and steal schedule.
+ * *finish* in submission order too, whichever dispatchers encoded
+ * them: FIFO collect is preserved by construction, and results stay
+ * byte-identical to direct encodeFrameInto calls for any dispatcher
+ * count, thread count, and hand-off schedule.
  *
  * ## Ownership and reuse contracts
  *
@@ -65,21 +61,18 @@
  * Two bounds keep memory proportional to configuration, never to
  * offered load: submit() blocks while all of the stream's slots are in
  * flight (per-stream backpressure, bounded by `streamDepth`), and
- * while the stream's *home shard ring* is full (per-shard
- * backpressure, bounded by ceil(queueCapacity / shards) per shard —
- * the queue's per-shard not-full condvar wakes only that shard's
- * producers, so a backlogged shard never stalls submitters of the
- * others). Producers therefore self-pace to the encode rate.
+ * while the service queue holds `queueCapacity` requests (service-wide
+ * backpressure; the bound is exact). Producers therefore self-pace to
+ * the encode rate.
  *
  * ## Drain and shutdown
  *
  * drain(stream) blocks until everything submitted on the stream has
  * been encoded. shutdown() (also run by the destructor) refuses new
- * submissions, *finishes* every request already queued on every
- * shard, then joins all dispatchers — in-flight work is never
- * dropped, and submitters blocked on any shard's backpressure are
- * woken with an error instead of hanging. Results already encoded
- * remain collectible after shutdown.
+ * submissions, *finishes* every request already queued, then joins
+ * all dispatchers — in-flight work is never dropped, and submitters
+ * blocked on backpressure are woken with an error instead of
+ * hanging. Results already encoded remain collectible after shutdown.
  *
  * Results are byte-identical to calling encodeFrameInto directly for
  * the same frames, for any stream count and any thread count (tests
@@ -99,7 +92,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/sharded_queue.hh"
+#include "common/lane_queue.hh"
 #include "common/thread_pool.hh"
 #include "core/pipeline.hh"
 #include "gaze/incremental_ecc.hh"
@@ -140,13 +133,12 @@ struct ServiceParams
      */
     int threads = 1;
     /**
-     * Dispatcher shards. Each shard runs its own dispatcher thread,
-     * request ring, pool slice, and encoder; streams are hash-homed to
-     * a shard and idle shards steal queued requests from loaded ones
-     * (see the file comment). 1 reproduces the original
-     * single-dispatcher service. More shards buy cross-stream
-     * concurrency on multi-core hosts at the cost of splitting the
-     * `threads` budget per frame.
+     * Dispatchers ("shards"). Each runs its own dispatcher thread,
+     * pool slice, and encoder, and all pop the one request queue (see
+     * the file comment). 1 reproduces the original single-dispatcher
+     * service. More dispatchers buy cross-stream concurrency on
+     * multi-core hosts at the cost of splitting the `threads` budget
+     * per frame.
      */
     std::size_t shards = 1;
     /** BD tile edge for every stream (paper default 4). */
@@ -155,11 +147,8 @@ struct ServiceParams
     double fovealCutoffDeg = 5.0;
     /**
      * Service-wide bound on queued (accepted, not yet encoding)
-     * requests, split across shards: each shard ring holds
-     * ceil(queueCapacity / shards) and submit() blocks while the
-     * stream's *home* ring is full. ServiceReport::queueCapacity is
-     * the effective total (shards * per-shard bound; equal to this
-     * value whenever shards divides it).
+     * requests: submit() blocks while the queue holds this many.
+     * ServiceReport::queueCapacity reports it unchanged.
      */
     std::size_t queueCapacity = 64;
     /**
@@ -246,11 +235,6 @@ struct GazeStreamParams
 struct StreamStats
 {
     std::string name;
-    /** Home shard the stream's submissions are queued to. */
-    std::size_t shard = 0;
-    /** Frames of this stream encoded by a non-home shard's
-     *  dispatcher (stolen work; correctness is unaffected). */
-    std::uint64_t framesStolen = 0;
     std::uint64_t framesSubmitted = 0;
     std::uint64_t framesEncoded = 0;
     std::uint64_t framesCollected = 0;
@@ -297,38 +281,19 @@ struct StreamStats
 };
 
 /**
- * Per-shard dispatch statistics (ServiceReport::shards).
+ * Per-dispatcher statistics (ServiceReport::shards).
  *
- * Consistency contract: queue fields (depth, peak, steal counters)
- * are snapshotted together under the queue mutex and are exact;
- * dispatch fields (framesEncoded, framesStolen, busySeconds, pool
- * accounting) are monotonic relaxed atomics read individually —
- * each is exact on its own, but the set is not one instant's
- * snapshot, so e.g. framesEncoded can be one ahead of busySeconds
- * mid-encode. After drain()/shutdown() everything is quiescent and
- * mutually consistent. Queue residency of the frames homed here is
- * the "shard/<i>/queue_residency_ms" histogram in
- * EncodeService::metrics().
+ * Consistency contract: the fields are monotonic relaxed atomics
+ * read individually — each is exact on its own, but the set is not
+ * one instant's snapshot, so e.g. framesEncoded can be one ahead of
+ * busySeconds mid-encode. After drain()/shutdown() everything is
+ * quiescent and mutually consistent.
  */
 struct ShardStats
 {
     std::size_t shard = 0;
-    /** Streams whose home shard this is. */
-    std::size_t streamsHomed = 0;
-    /** Frames this shard's dispatcher encoded (own + stolen). */
+    /** Frames this dispatcher encoded. */
     std::uint64_t framesEncoded = 0;
-    /** ...of which it stole from other shards' rings. */
-    std::uint64_t framesStolen = 0;
-    /** Frames pushed to this ring but encoded by another shard. */
-    std::uint64_t framesStolenFrom = 0;
-    /** Requests pushed to this shard's ring, total. */
-    std::uint64_t framesQueued = 0;
-    /** Requests sitting in this shard's ring right now. */
-    std::size_t queueDepth = 0;
-    /** Deepest this shard's ring has been. */
-    std::size_t queuePeakDepth = 0;
-    /** This shard's ring bound (ceil(queueCapacity / shards)). */
-    std::size_t queueCapacity = 0;
     /** Wall time this shard's dispatcher spent encoding. */
     double busySeconds = 0.0;
     /** busySeconds / report wallSeconds: 1.0 = never idle. The
@@ -356,23 +321,24 @@ struct ServiceReport
     double wallSeconds = 0.0;
     /** megapixels / wallSeconds across all streams. */
     double aggregateMps = 0.0;
-    /** Requests sitting in the service queues right now (all shards). */
+    /** Requests sitting in the service queue right now. */
     std::size_t queuedRequests = 0;
     /**
-     * Deepest the *aggregate* backlog (summed across shard rings) has
-     * ever been — tracked inside the queue mutex at push, so it is
-     * exact and directly comparable to the single-queue peak this
-     * metric baselined before sharding. A peak approaching
-     * queueCapacity means producers outrun the dispatchers; per-shard
-     * peaks in `shards` localize which ring backs up.
+     * Deepest the request queue has ever been — tracked inside the
+     * queue mutex at push, so it is exact. A peak approaching
+     * queueCapacity means producers outrun the dispatchers.
      */
     std::size_t queuePeakDepth = 0;
-    /** Effective total bound the peak is measured against
-     *  (shards * per-shard ring bound). */
+    /** The bound the peak is measured against
+     *  (ServiceParams::queueCapacity). */
     std::size_t queueCapacity = 0;
-    /** Frames encoded by a non-home shard, service-wide: zero means
-     *  the hash assignment balanced on its own; high counts mean
-     *  stealing is what kept shards busy. */
+    /**
+     * Lane migrations, service-wide: frames a dispatcher encoded when
+     * a different dispatcher had encoded the stream's previous frame.
+     * The locality cost of the shared queue (the next frame finds a
+     * cold encoder and caches); 0 with one dispatcher. Correctness is
+     * unaffected either way.
+     */
     std::uint64_t stolenFrames = 0;
     /**
      * Deployment-health aggregates, summed across streams: round-trip
@@ -571,9 +537,8 @@ class EncodeService
     const ServiceParams &params() const { return params_; }
 
     /**
-     * The service's metric registry (obs/metrics.hh): per-stream
-     * "stream/<name>/queue_latency_ms" and per-home-shard
-     * "shard/<i>/queue_residency_ms" histograms live here, and the
+     * The service's metric registry (obs/metrics.hh): the per-stream
+     * "stream/<name>/queue_latency_ms" histograms live here, and the
      * report's percentiles are read from them. Exposed so exporters
      * and tests can snapshot the full registry; safe to call from any
      * thread at any time.
@@ -590,15 +555,6 @@ class EncodeService
      */
     std::uint32_t streamTraceId(StreamHandle handle) const;
 
-    /**
-     * The home shard a stream named @p name is assigned to under
-     * @p shards dispatcher shards. Exposed so tests and load planners
-     * can reason about (or deliberately collide) stream homing; the
-     * hash is stable for the life of the process, not across builds.
-     */
-    static std::size_t shardForName(const std::string &name,
-                                    std::size_t shards);
-
     /** Shard @p shard's worker pool (nullptr when that shard's slice
      *  is a single participant). */
     ThreadPool *pool(std::size_t shard = 0) const;
@@ -613,13 +569,15 @@ class EncodeService
                            const std::chrono::milliseconds *timeout);
 
     const ServiceParams params_;
-    ShardedStealQueue<detail::EncodeRequest> queue_;
+    LaneQueue<detail::EncodeRequest> queue_;
+    /** Lane migrations (ServiceReport::stolenFrames). */
+    std::atomic<std::uint64_t> migrations_{0};
     std::atomic<bool> accepting_{true};
 
     mutable std::mutex streamsMutex_;  ///< guards streams_
     std::vector<std::unique_ptr<detail::StreamState>> streams_;
 
-    /** Owns every stream/shard histogram; outlives their recorders. */
+    /** Owns every stream histogram; outlives their recorders. */
     obs::MetricsRegistry metrics_;
 
     std::chrono::steady_clock::time_point startTime_;

@@ -1,11 +1,11 @@
 /**
  * @file
- * DeliverySession over sharded collect: per-frame delivery deadlines
- * must compose with dispatcher-per-shard encoding. Concurrent
- * sessions on streams homed to the *same* shard stay byte-identical
- * at 0% loss (their frames ride the steal protocol), and a session
- * whose stream is stuck behind a parked dispatcher degrades on its
- * deadline while a co-homed session keeps delivering via steals.
+ * DeliverySession over multi-dispatcher collect: per-frame delivery
+ * deadlines must compose with several dispatchers popping one queue.
+ * Concurrent sessions stay byte-identical at 0% loss while their
+ * frames hop between dispatchers, and a session whose stream is stuck
+ * behind a parked dispatcher degrades on its deadline while a
+ * neighbouring session keeps delivering through the idle one.
  */
 
 #include <gtest/gtest.h>
@@ -44,25 +44,11 @@ centeredMap(int w, int h)
     return EccentricityMap(g);
 }
 
-std::vector<std::string>
-namesHomedTo(std::size_t shard, std::size_t shards, std::size_t count)
+TEST(DeliverySharded, ConcurrentSessionsDeliverByteIdenticalFrames)
 {
-    std::vector<std::string> out;
-    for (int i = 0; out.size() < count && i < 100000; ++i) {
-        std::string name = "net-" + std::to_string(i);
-        if (EncodeService::shardForName(name, shards) == shard)
-            out.push_back(std::move(name));
-    }
-    EXPECT_EQ(out.size(), count);
-    return out;
-}
-
-TEST(DeliverySharded, CohomedSessionsDeliverByteIdenticalFrames)
-{
-    // Two sessions on streams hash-homed to the same shard of a
-    // 4-shard service: their interleaved encodes exercise cross-shard
-    // stealing, and every frame must still arrive byte-identical over
-    // a clean channel.
+    // Two sessions on a 4-dispatcher service: their interleaved
+    // encodes land on any mix of dispatchers, and every frame must
+    // still arrive byte-identical over a clean channel.
     const int n = 32;
     const EccentricityMap ecc = centeredMap(n, n);
 
@@ -70,7 +56,7 @@ TEST(DeliverySharded, CohomedSessionsDeliverByteIdenticalFrames)
     sp.shards = 4;
     sp.streamDepth = 2;
     EncodeService svc(model(), sp);
-    const std::vector<std::string> names = namesHomedTo(0, sp.shards, 2);
+    const std::vector<std::string> names = {"net-0", "net-1"};
 
     std::vector<net::LossyChannel> channels(2);  // clean
     std::vector<net::DeliverySession> sessions;
@@ -88,8 +74,8 @@ TEST(DeliverySharded, CohomedSessionsDeliverByteIdenticalFrames)
 
     constexpr int kFrames = 4;
     for (int i = 0; i < kFrames; ++i) {
-        // Interleave submissions so both streams are queued on shard
-        // 0 at once before either delivery collects.
+        // Interleave submissions so both streams are queued at once
+        // before either delivery collects.
         for (int s = 0; s < 2; ++s)
             sessions[s].submit(renderScene(
                 SceneId::Office, {n, n, s, 0.1 * i + 0.3 * s, 0}));
@@ -110,13 +96,12 @@ TEST(DeliverySharded, CohomedSessionsDeliverByteIdenticalFrames)
 
 TEST(DeliverySharded, ParkedDispatcherDegradesOneSessionNotItsNeighbor)
 {
-    // Stream A's first encode parks its dispatcher; stream B is homed
-    // to the same shard. A's session must degrade on its encode
-    // deadline (whole-frame hold), while B's — behind A in the same
-    // ring — still delivers intact within a bounded deadline because
-    // another shard steals it. This is the sharded-collect contract
-    // the delivery tier depends on: one stalled stream cannot wedge a
-    // co-homed neighbor's delivery loop.
+    // Stream A's first encode parks its dispatcher. A's session must
+    // degrade on its encode deadline (whole-frame hold), while B's —
+    // queued behind A — still delivers intact within a bounded
+    // deadline because the other dispatcher takes it. This is the
+    // multi-dispatcher collect contract the delivery tier depends on:
+    // one stalled stream cannot wedge a neighbor's delivery loop.
     const int n = 32;
     const EccentricityMap ecc = centeredMap(n, n);
 
@@ -127,7 +112,7 @@ TEST(DeliverySharded, ParkedDispatcherDegradesOneSessionNotItsNeighbor)
     ServiceParams sp;
     sp.shards = 2;
     sp.streamDepth = 2;
-    const std::vector<std::string> names = namesHomedTo(0, sp.shards, 2);
+    const std::vector<std::string> names = {"net-0", "net-1"};
     const std::string gatedName = names[0];
     sp.preEncodeFaultHook = [&](const std::string &name, std::uint64_t,
                                 ImageF &) {
@@ -158,7 +143,7 @@ TEST(DeliverySharded, ParkedDispatcherDegradesOneSessionNotItsNeighbor)
     ImageU8 outB;
     net::DeliveryReport repB = sesB.deliverNext(outB, 30000ms);
     EXPECT_FALSE(repB.encodeTimedOut)
-        << "co-homed stream starved behind the parked dispatcher";
+        << "stream starved behind the parked dispatcher";
     EXPECT_TRUE(repB.frame.byteIdentical);
 
     ImageU8 outA;

@@ -91,7 +91,7 @@ TEST(TraceExport, EventsCarryTimesTagsAndPayloads)
     span.frame = 7;
     span.stream = 1;
     span.shard = 0;
-    span.argName = "stolen";
+    span.argName = "migrated";
     span.arg = 1;
     span.tid = 2;
     events.push_back(span);
@@ -123,7 +123,7 @@ TEST(TraceExport, EventsCarryTimesTagsAndPayloads)
     EXPECT_DOUBLE_EQ(x.find("args")->find("frame")->number, 7.0);
     EXPECT_DOUBLE_EQ(x.find("args")->find("stream")->number, 1.0);
     EXPECT_DOUBLE_EQ(x.find("args")->find("shard")->number, 0.0);
-    EXPECT_DOUBLE_EQ(x.find("args")->find("stolen")->number, 1.0);
+    EXPECT_DOUBLE_EQ(x.find("args")->find("migrated")->number, 1.0);
 
     const JsonValue &ii = out[2];
     EXPECT_EQ(ii.find("ph")->string, "i");
