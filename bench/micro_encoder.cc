@@ -3,7 +3,9 @@
  * google-benchmark microbenches of the encoder stages, mirroring the
  * CAU pipeline decomposition (Fig. 8): ellipsoid evaluation (the GPU's
  * job), extrema computation (Compute Extrema Block), per-tile
- * adjustment (full PE), frame-level encoding, and the BD codec.
+ * adjustment (full PE), frame-level encoding, the BD codec, and CRC-32.
+ * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
+ * one-thread rows (the frame pass on one worker) and BM_Crc32_77KB.
  *
  * These quantify the paper's motivation: the algorithm in software runs
  * far below display rate (2 FPS on a mobile GPU), which is why the CAU
@@ -14,6 +16,7 @@
 
 #include "bd/bd_codec.hh"
 #include "bench_common.hh"
+#include "common/integrity.hh"
 #include "common/rng.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
@@ -155,10 +158,15 @@ BM_FrameEncode(benchmark::State &state)
 {
     // Full-frame throughput (adjust + sRGB + BD encode), the number
     // that tracks the perf trajectory in BENCH_encoder.json; the
-    // items/s counter reads directly in pixels/s.
+    // items/s counter reads directly in pixels/s. Args: side, threads,
+    // scene (0 Skyline, 1 Office). The 256x256 one-thread rows are the
+    // stage harness docs/PERF.md cites: with one participant the frame
+    // pass runs inline on one tile arena, without the pool.
     const int n = static_cast<int>(state.range(0));
     const ImageF frame =
-        renderScene(SceneId::Office, {n, n, 0, 0.0, 0});
+        renderScene(state.range(2) == 0 ? SceneId::Skyline
+                                        : SceneId::Office,
+                    {n, n, 0, 0.0, 0});
     const EccentricityMap ecc(pce::bench::benchDisplay(n, n));
     PipelineParams params;
     params.threads = static_cast<int>(state.range(1));
@@ -169,9 +177,10 @@ BM_FrameEncode(benchmark::State &state)
                             static_cast<int64_t>(frame.pixelCount()));
 }
 BENCHMARK(BM_FrameEncode)
-    ->Args({256, 1})
-    ->Args({512, 1})
-    ->Args({512, 4});
+    ->Args({256, 1, 0})
+    ->Args({256, 1, 1})
+    ->Args({512, 1, 1})
+    ->Args({512, 4, 1});
 
 void
 BM_BdEncode(benchmark::State &state)
@@ -207,6 +216,23 @@ BM_BdDecode(benchmark::State &state)
                             static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_BdDecode)->Arg(256)->Arg(512);
+
+void
+BM_Crc32_77KB(benchmark::State &state)
+{
+    // One CRC-32 over a buffer the size of a 256x256 frame's BD stream
+    // (~77 KB): the unit cost behind the frame seal, its verification,
+    // the manifest stream CRC and every packet CRC.
+    std::vector<uint8_t> buf(77 * 1024);
+    Rng rng(3);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.uniformInt(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32_77KB);
 
 } // namespace
 

@@ -31,6 +31,15 @@ cmake -B build -S . > /dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "== Stage-harness smoke (Release) =="
+# A bounded run of the frame-pass and CRC-32 harnesses docs/PERF.md
+# cites, so they cannot rot. micro_encoder is built only when
+# google-benchmark is installed.
+if [ -x build/micro_encoder ]; then
+    ./build/micro_encoder --benchmark_filter='FrameEncode/256/1/|Crc32' \
+        --benchmark_min_time=0.01
+fi
+
 echo "== Sanitizer build (address,undefined) =="
 cmake -B build-san -S . -DFOVE_SANITIZE=address,undefined > /dev/null
 cmake --build build-san -j"$JOBS"

@@ -157,13 +157,6 @@ linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes)
     }
 }
 
-SrgbForwardTableView
-srgbForwardTable()
-{
-    const SrgbTables &t = tables();
-    return {t.bucketCode, t.codeMin, kFwdBuckets};
-}
-
 void
 linearToSrgb8Planar(const double *x, const double *y, const double *z,
                     std::size_t n, uint8_t *codes)

@@ -8,9 +8,9 @@
  * near black and a 1/2.4 power segment elsewhere, scaled to [0,255].
  *
  * The quantizing forward map linearToSrgb8() and the inverse
- * srgb8ToLinear() are table-driven: the encoder evaluates them three
- * times per pixel per candidate axis inside the tile loop, and the pow
- * calls of the continuous forms dominated the profile. The forward
+ * srgb8ToLinear() are table-driven: the encoder evaluates the forward
+ * map three times per delivered pixel, and the pow calls of the
+ * continuous forms dominated the profile. The forward
  * table is a 4096-bucket code index plus per-code exact double
  * thresholds (found by bisection over the reference), which makes the
  * fast path bit-exact with linearToSrgb8Reference() for every input —
@@ -36,8 +36,11 @@ double linearToSrgbContinuous(double x);
 
 /**
  * Eq. 1: linear RGB channel in [0,1] -> quantized 8-bit sRGB code.
- * Values outside [0,1] are clamped first. Table-driven; bit-exact with
- * linearToSrgb8Reference().
+ * Values outside [0,1] are clamped first, NaN maps to 0. Table-driven;
+ * bit-exact with linearToSrgb8Reference(). A non-decreasing step
+ * function of x (tests/color pins every step), so the code range of a
+ * set of values is the codes of its value range: the tile cost kernels
+ * of src/simd rely on this.
  */
 uint8_t linearToSrgb8(double x);
 
@@ -71,33 +74,15 @@ void linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes);
  * Planar variant of the batched quantizer: channels arrive as separate
  * x/y/z arrays (the TileSoA lane layout of src/simd) and leave as the
  * same interleaved 3-byte codes. Bit-identical to the Vec3 overload on
- * the same values. The scalar cost kernel quantizes through it; the
- * AVX2 kernel inlines the lookup through srgbForwardTable(). It is
- * both kernels' reference oracle (tests/simd).
+ * the same values. The frame pass quantizes each tile's chosen
+ * candidate through it, and it is the cost kernels' reference oracle
+ * (tests/simd).
  */
 void linearToSrgb8Planar(const double *x, const double *y,
                          const double *z, std::size_t n, uint8_t *codes);
 
 /** Apply srgb8ToLinear per channel. */
 Vec3 srgb8ToLinear(const uint8_t in[3]);
-
-/**
- * Read-only view of the forward-quantization tables backing
- * linearToSrgb8, for kernels (src/simd) that inline the lookup:
- * code(x) = bucketCode[int(x * buckets)], +1 if x >= codeMin[code+1],
- * with x <= 0 -> 0 and x >= 1 -> 255. Sharing the exact tables keeps
- * any reimplementation bit-identical with linearToSrgb8 by
- * construction.
- */
-struct SrgbForwardTableView
-{
-    const uint8_t *bucketCode;  ///< per-bucket base code
-    const double *codeMin;      ///< smallest double mapping to >= code
-    int buckets;                ///< bucket count (input scale factor)
-};
-
-/** The view of the process-wide tables (initialized on first use). */
-SrgbForwardTableView srgbForwardTable();
 
 } // namespace pce
 

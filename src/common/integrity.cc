@@ -7,24 +7,45 @@ namespace pce {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables of the reflected CRC-32 polynomial: t[0] is the
+ * classic byte table, and t[k][b] is the CRC of byte b followed by k
+ * zero bytes, so one step can fold eight input bytes with eight
+ * independent lookups.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t n = 0; n < 256; ++n) {
         uint32_t c = n;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[n] = c;
+        t[0][n] = c;
     }
-    return table;
+    for (uint32_t n = 0; n < 256; ++n)
+        for (int k = 1; k < 8; ++k)
+            t[k][n] = t[0][t[k - 1][n] & 0xffu] ^ (t[k - 1][n] >> 8);
+    return t;
 }
 
-const std::array<uint32_t, 256> &
-crcTable()
+const CrcTables &
+crcTables()
 {
-    static const auto table = makeCrcTable();
-    return table;
+    static const CrcTables tables = makeCrcTables();
+    return tables;
+}
+
+/** Little-endian 32-bit word of 4 bytes, on any host byte order. */
+inline uint32_t
+le32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
 }
 
 constexpr uint32_t kAdlerMod = 65521;
@@ -46,9 +67,19 @@ mix64(uint64_t x)
 void
 Crc32::update(const uint8_t *data, std::size_t n)
 {
-    const auto &table = crcTable();
-    for (std::size_t i = 0; i < n; ++i)
-        state_ = table[(state_ ^ data[i]) & 0xffu] ^ (state_ >> 8);
+    const CrcTables &t = crcTables();
+    uint32_t c = state_;
+    for (; n >= 8; data += 8, n -= 8) {
+        const uint32_t a = c ^ le32(data);
+        const uint32_t b = le32(data + 4);
+        c = t[7][a & 0xffu] ^ t[6][(a >> 8) & 0xffu] ^
+            t[5][(a >> 16) & 0xffu] ^ t[4][a >> 24] ^ t[3][b & 0xffu] ^
+            t[2][(b >> 8) & 0xffu] ^ t[1][(b >> 16) & 0xffu] ^
+            t[0][b >> 24];
+    }
+    for (; n > 0; ++data, --n)
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
+    state_ = c;
 }
 
 uint32_t

@@ -34,7 +34,12 @@
 
 namespace pce {
 
-/** Incrementally updatable CRC-32 as used by PNG. */
+/**
+ * Incrementally updatable CRC-32 as used by PNG. update() folds eight
+ * bytes per step (slicing-by-8 tables); the value is the same as the
+ * byte-at-a-time form for any split of the input and any host byte
+ * order.
+ */
 class Crc32
 {
   public:

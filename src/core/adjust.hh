@@ -134,9 +134,9 @@ class TileAdjuster
      * The full Fig. 7 tile flow on caller-filled planar lanes: @p soa
      * must be resize(n)'d with kPx..kPz / kEcc filled. Ellipsoids once
      * per pixel, extrema for both axes from one quadric, both candidate
-     * moves, the fused sRGB-quantize + BD cost, smaller cost chosen.
-     * The chosen candidate lives in the kOutRed* (axis 0) or kOutBlue*
-     * (axis 2) lanes, its sRGB codes and min/max in
+     * moves, both BD costs from the candidates' value ranges, smaller
+     * cost chosen. The chosen candidate lives in the kOutRed* (axis 0)
+     * or kOutBlue* (axis 2) lanes, its per-channel sRGB code range in
      * soa.codesOf(chosenAxis). Zero allocation once the arena has grown
      * to the tile size.
      */
@@ -197,7 +197,7 @@ class TileAdjuster
  * BD bit cost of a tile of linear-RGB pixels after sRGB quantization:
  * per channel, meta(4) + base(8) + N * ceil(log2(range+1)) bits.
  * Convenience wrapper over bdTileBitsFromCodes (src/bd); the tile
- * flow's fused cost kernel (TileKernels::tileCost) reproduces it.
+ * flow's value-range cost kernel (TileKernels::tileCost) reproduces it.
  */
 std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
 

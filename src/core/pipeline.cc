@@ -1,7 +1,6 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "color/srgb.hh"
@@ -188,13 +187,9 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
         },
         [&](std::size_t, const TileRect &r, const simd::TileSoA &soa,
             int axis) {
-            const bool red = axis == 0;
-            const double *ox =
-                soa.lane(red ? simd::kOutRedX : simd::kOutBlueX);
-            const double *oy =
-                soa.lane(red ? simd::kOutRedY : simd::kOutBlueY);
-            const double *oz =
-                soa.lane(red ? simd::kOutRedZ : simd::kOutBlueZ);
+            const double *ox = soa.candidate(axis, 0);
+            const double *oy = soa.candidate(axis, 1);
+            const double *oz = soa.candidate(axis, 2);
             std::size_t k = 0;
             for (int y = r.y0; y < r.y0 + r.h; ++y) {
                 Vec3 *row = &out.at(r.x0, y);
@@ -249,13 +244,19 @@ PerceptualEncoder::encodePass(const ImageF &frame,
             },
             [&](std::size_t t, const TileRect &r, const simd::TileSoA &soa,
                 int axis) {
-                // The chosen candidate's codes and min/max, as the cost
-                // kernel left them: no second quantize, no rescan.
+                // Only the chosen candidate is quantized, row by row
+                // from its lanes; its code range is what the cost
+                // kernel left, so the BD stats need no rescan.
+                const double *ox = soa.candidate(axis, 0);
+                const double *oy = soa.candidate(axis, 1);
+                const double *oz = soa.candidate(axis, 2);
+                const std::size_t w = static_cast<std::size_t>(r.w);
+                for (int y = 0; y < r.h; ++y) {
+                    const std::size_t k = static_cast<std::size_t>(y) * w;
+                    linearToSrgb8Planar(ox + k, oy + k, oz + k, w,
+                                        img.pixel(r.x0, r.y0 + y));
+                }
                 const simd::CandidateCodes &c = soa.codesOf(axis);
-                const std::size_t row = 3 * static_cast<std::size_t>(r.w);
-                for (int y = 0; y < r.h; ++y)
-                    std::memcpy(img.pixel(r.x0, r.y0 + y),
-                                c.srgb.data() + y * row, row);
                 for (int k = 0; k < 3; ++k) {
                     bd.base[3 * t + k] = c.lo[k];
                     bd.width[3 * t + k] = static_cast<uint8_t>(

@@ -150,8 +150,9 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * throughput: per-worker simd::TileSoA arenas make the steady state
  * allocation-free, the foveal-bypass test runs on the eccentricity map
  * before any pixel is gathered (O(tile border) per bypassed tile), and
- * each tile's sRGB codes — the ones the BD cost kernel already made for
- * the chosen candidate — are written straight into the output rows. With
+ * only each tile's chosen candidate is quantized, straight into the
+ * output rows, its BD stats taken from the code range the cost kernel
+ * already found. With
  * threads > 1 the encoder owns a persistent ThreadPool and schedules
  * tiles dynamically in chunks — foveal tiles are nearly free, so static
  * striding would load-imbalance badly. Output is bit-identical for any

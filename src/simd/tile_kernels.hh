@@ -7,7 +7,7 @@
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
  *  3. movement clamping/apply along one optimization axis,
- *  4. fused sRGB quantization + BD stats and bit cost of a candidate —
+ *  4. BD bit cost of a candidate from each channel's value range —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
  * Two implementations exist behind one function table: a portable
@@ -123,14 +123,17 @@ struct TileKernels
 
     /**
      * Stage 4: BD bit cost of one adjusted candidate straight from its
-     * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2). sRGB-
-     * quantizes each channel (bit-identical with linearToSrgb8; the
-     * same process-wide tables back every level) and folds the per-
-     * channel min/max reduction in. Leaves the interleaved codes and
-     * the min/max in soa.codesOf(axis), so the frame pass hands the
-     * chosen candidate to the BD encoder without quantizing it again.
-     * Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits per
-     * channel, exactly bdTileBitsFromCodes' accounting.
+     * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2).
+     * linearToSrgb8 is a non-decreasing step function (NaN maps to 0;
+     * tests/color proves the table monotone), so a channel's min / max
+     * code is the code of its min / max value: lo is 0 when any valid
+     * lane is NaN, hi the code of the largest non-NaN value (0 when
+     * every lane is NaN). Each channel therefore costs one min/max
+     * reduction and two lookups, never a per-pixel quantize. Leaves
+     * the code range in soa.codesOf(axis) for the frame pass's BD
+     * stats. Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits
+     * per channel, exactly bdTileBitsFromCodes' accounting of the
+     * linearToSrgb8Planar codes.
      */
     std::size_t (*tileCost)(TileSoA &soa, int axis);
 };

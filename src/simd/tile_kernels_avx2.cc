@@ -15,23 +15,27 @@
  *  - min/max/clamp are NOT the minpd/maxpd instructions (whose NaN and
  *    +/-0 semantics differ from std::min/std::max): they are
  *    compare+blend sequences mirroring the exact ternaries of the
- *    scalar code, including NaN fall-through.
+ *    scalar code, including NaN fall-through. (The cost kernel's value
+ *    reductions are the one use of minpd/maxpd: their result only
+ *    picks a code, which +/-0 cannot change, and NaN lanes are flagged
+ *    separately.)
  *  - Branches become masks: each lane computes every path and blends in
  *    the scalar code's priority order (degenerate overrides in-gamut
  *    overrides the gamut-clamped path).
  *
  * The kernels run over the full padded stride of each lane (TileSoA
  * zero-fills input padding, which keeps the spare slots' math benign);
- * anything *observable* — the degenerate-ellipsoid check and the
- * gamut-clamp count — is masked to the valid n lanes.
+ * anything *observable* — the degenerate-ellipsoid check, the
+ * gamut-clamp count and the cost kernel's value range — is masked to
+ * the valid n lanes.
  */
 
 #include "simd/tile_kernels.hh"
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "bd/bd_codec.hh"
@@ -404,54 +408,22 @@ moveAxisAvx2(TileSoA &soa, int axis, bool collapse, double target_c2,
     return gamut_clamped;
 }
 
-/**
- * sRGB-quantize 4 lanes of one channel into @p codes (every third byte,
- * starting at the lane's channel) and fold them into the channel's
- * running min/max. Inlines the linearToSrgb8 lookup over the same
- * process-wide tables (bucket index, base code, one exact threshold
- * compare), so the codes are bit-identical by construction; the bucket
- * scaling and boundary tests run vectorized, the two byte/double table
- * reads per lane stay scalar. @p valid masks the padded lanes of the
- * last block out of the stores and the reduction.
- */
-inline void
-quantizeBlock(const SrgbForwardTableView &t, const double *src,
-              std::size_t i, unsigned valid, uint8_t *codes, int &lo,
-              int &hi)
+/** Smallest of the four lanes (none NaN). */
+inline double
+hmin(d4 v)
 {
-    const d4 x = load(src + i);
-    const d4 gt0 = _mm256_cmp_pd(x, bc(0.0), _CMP_GT_OQ);
-    const d4 lt1 = _mm256_cmp_pd(x, bc(1.0), _CMP_LT_OQ);
-    const d4 in01 = _mm256_and_pd(gt0, lt1);
-    // Safe in-range stand-in for out-of-range/NaN lanes so the bucket
-    // index never leaves the table; those lanes are overridden below.
-    const d4 safe = sel(bc(0.5), x, in01);
-    const __m128i idx = _mm256_cvttpd_epi32(
-        _mm256_mul_pd(safe, bc(static_cast<double>(t.buckets))));
+    const __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
+                                 _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
+}
 
-    alignas(16) int32_t idx_s[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(idx_s), idx);
-    alignas(32) double x_s[4];
-    _mm256_store_pd(x_s, x);
-    const unsigned m_gt0 =
-        static_cast<unsigned>(_mm256_movemask_pd(gt0));
-    const unsigned m_lt1 =
-        static_cast<unsigned>(_mm256_movemask_pd(lt1));
-
-    for (unsigned k = 0; k < valid; ++k) {
-        int c;
-        if (!((m_gt0 >> k) & 1u)) {
-            c = 0;          // !(x > 0), NaN included
-        } else if (!((m_lt1 >> k) & 1u)) {
-            c = 255;        // x >= 1
-        } else {
-            c = t.bucketCode[idx_s[k]];
-            c += x_s[k] >= t.codeMin[c + 1];
-        }
-        codes[3 * (i + k)] = static_cast<uint8_t>(c);
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-    }
+/** Largest of the four lanes (none NaN). */
+inline double
+hmax(d4 v)
+{
+    const __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v),
+                                 _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
 }
 
 std::size_t
@@ -460,27 +432,35 @@ tileCostAvx2(TileSoA &soa, int axis)
     std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
     if (soa.n == 0)
         return bits;
-    const bool red = axis == 0;
-    const double *src[3] = {
-        soa.lane(red ? kOutRedX : kOutBlueX),
-        soa.lane(red ? kOutRedY : kOutBlueY),
-        soa.lane(red ? kOutRedZ : kOutBlueZ),
-    };
     CandidateCodes &out = soa.codesOf(axis);
-    const SrgbForwardTableView t = srgbForwardTable();
+    // Valid lanes of the last block; its padded lanes take a copy of
+    // the block's first (always valid) value, which moves no min, max
+    // or NaN flag.
+    const std::size_t tail = soa.n % kLaneWidth;
+    const d4 tail_valid = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(tail)),
+        _mm256_setr_epi64x(0, 1, 2, 3)));
     for (int ch = 0; ch < 3; ++ch) {
-        int lo = 255;
-        int hi = 0;
-        for (std::size_t i = 0; i < soa.stride; i += kLaneWidth) {
-            const unsigned valid =
-                i + kLaneWidth > soa.n
-                    ? static_cast<unsigned>(soa.n - i)
-                    : static_cast<unsigned>(kLaneWidth);
-            quantizeBlock(t, src[ch], i, valid, out.srgb.data() + ch, lo,
-                          hi);
+        // The code range is the codes of the value range (see the
+        // tileCost contract). minpd/maxpd return their second operand
+        // when either is NaN, so NaN lanes leave the running min/max
+        // untouched and only raise the flag.
+        const double *v = soa.candidate(axis, ch);
+        d4 lo = bc(std::numeric_limits<double>::infinity());
+        d4 hi = bc(-std::numeric_limits<double>::infinity());
+        d4 nan = _mm256_setzero_pd();
+        for (std::size_t i = 0; i < soa.n; i += kLaneWidth) {
+            d4 x = load(v + i);
+            if (i + kLaneWidth > soa.n)
+                x = sel(_mm256_broadcast_sd(v + i), x, tail_valid);
+            lo = _mm256_min_pd(x, lo);
+            hi = _mm256_max_pd(x, hi);
+            nan = _mm256_or_pd(nan, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
         }
-        out.lo[ch] = static_cast<uint8_t>(lo);
-        out.hi[ch] = static_cast<uint8_t>(hi);
+        out.lo[ch] = _mm256_movemask_pd(nan) != 0
+                         ? 0
+                         : linearToSrgb8(hmin(lo));
+        out.hi[ch] = linearToSrgb8(hmax(hi));
         bits += soa.n * bdDeltaWidth(out.lo[ch], out.hi[ch]);
     }
     return bits;

@@ -18,6 +18,8 @@
 #include "simd/tile_kernels.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "bd/bd_codec.hh"
 #include "color/srgb.hh"
@@ -184,30 +186,26 @@ extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
 std::size_t
 tileCostScalar(TileSoA &soa, int axis)
 {
-    const bool red = axis == 0;
-    CandidateCodes &out = soa.codesOf(axis);
-    linearToSrgb8Planar(soa.lane(red ? kOutRedX : kOutBlueX),
-                        soa.lane(red ? kOutRedY : kOutBlueY),
-                        soa.lane(red ? kOutRedZ : kOutBlueZ), soa.n,
-                        out.srgb.data());
-
-    // bdTileBitsFromCodes over those codes, keeping its min/max.
     std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
     if (soa.n == 0)
         return bits;
-    for (int k = 0; k < 3; ++k) {
-        out.lo[k] = 255;
-        out.hi[k] = 0;
-    }
-    for (std::size_t i = 0; i < soa.n; ++i) {
-        for (int k = 0; k < 3; ++k) {
-            const uint8_t c = out.srgb[3 * i + k];
-            out.lo[k] = std::min(out.lo[k], c);
-            out.hi[k] = std::max(out.hi[k], c);
+    CandidateCodes &out = soa.codesOf(axis);
+    for (int ch = 0; ch < 3; ++ch) {
+        // The code range is the codes of the value range (see the
+        // tileCost contract); NaN lanes skip the reduction and pin lo.
+        const double *v = soa.candidate(axis, ch);
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = -lo;
+        bool nan = false;
+        for (std::size_t i = 0; i < soa.n; ++i) {
+            nan |= std::isnan(v[i]);
+            lo = v[i] < lo ? v[i] : lo;
+            hi = v[i] > hi ? v[i] : hi;
         }
+        out.lo[ch] = nan ? 0 : linearToSrgb8(lo);
+        out.hi[ch] = linearToSrgb8(hi);
+        bits += soa.n * bdDeltaWidth(out.lo[ch], out.hi[ch]);
     }
-    for (int k = 0; k < 3; ++k)
-        bits += soa.n * bdDeltaWidth(out.lo[k], out.hi[k]);
     return bits;
 }
 

@@ -58,13 +58,14 @@ enum Lane : int
 };
 
 /**
- * Stage 4 output of one candidate: its sRGB codes, exactly what
- * linearToSrgb8Planar makes of the candidate lanes, and their per-
- * channel min / max — the tile's BD base and delta range.
+ * Stage 4 output of one candidate: the per-channel min / max of the
+ * sRGB codes linearToSrgb8Planar makes of its lanes — the tile's BD
+ * base and delta range. The codes themselves are never stored: the
+ * frame pass quantizes only the chosen candidate, straight into the
+ * delivered frame.
  */
 struct CandidateCodes
 {
-    std::vector<uint8_t> srgb;  ///< 3 interleaved bytes per valid pixel
     uint8_t lo[3] = {};
     uint8_t hi[3] = {};
 };
@@ -92,9 +93,6 @@ struct TileSoA
         stride = (count + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
         if (buf.size() < stride * kLaneCount)
             buf.resize(stride * kLaneCount);
-        for (CandidateCodes &c : codes)
-            if (c.srgb.size() < 3 * n)
-                c.srgb.resize(3 * n);
         for (int l = kPx; l <= kEcc; ++l)
             for (std::size_t i = n; i < stride; ++i)
                 lane(l)[i] = 0.0;
@@ -102,6 +100,10 @@ struct TileSoA
 
     double *lane(int l) { return buf.data() + stride * l; }
     const double *lane(int l) const { return buf.data() + stride * l; }
+
+    /** Channel @p ch (0..2) of the candidate of axis @p axis (0 or 2). */
+    const double *candidate(int axis, int ch) const
+    { return lane((axis == 0 ? kOutRedX : kOutBlueX) + ch); }
 
     /** Stage 4 outputs of optimization axis @p axis (0 or 2). */
     CandidateCodes &codesOf(int axis) { return codes[axis == 0 ? 0 : 1]; }

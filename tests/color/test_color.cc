@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "color/dkl.hh"
 #include "color/srgb.hh"
 #include "common/rng.hh"
+#include "../support/srgb_test_util.hh"
 
 namespace pce {
 namespace {
@@ -143,6 +145,38 @@ TEST(SrgbLut, MatchesReferenceOnRandomAndEdgeInputs)
     for (const double x : edges)
         EXPECT_EQ(linearToSrgb8(x), linearToSrgb8Reference(x))
             << "x = " << x;
+}
+
+TEST(SrgbLut, ForwardIsANonDecreasingStepFunction)
+{
+    // The tile cost kernels (src/simd) take a channel's code range from
+    // its value range, which holds only if linearToSrgb8 never steps
+    // down. Find each code's threshold (the smallest double the
+    // reference maps to >= c) by bisection
+    // (tests/support/srgb_test_util.hh), then check the LUT steps
+    // from c - 1 to c exactly there and the thresholds strictly
+    // increase. With the sweeps above pinning the LUT to the reference
+    // between thresholds, the table is the monotone step function
+    // #{c : threshold[c] <= x} on (0, 1).
+    double prev = 0.0;
+    for (int c = 1; c < 256; ++c) {
+        const double t = testsrgb::codeThreshold(c);
+        EXPECT_GT(t, prev) << "code " << c;
+        EXPECT_EQ(linearToSrgb8(t), c) << "code " << c;
+        EXPECT_EQ(linearToSrgb8(std::nextafter(t, 0.0)), c - 1)
+            << "code " << c;
+        prev = t;
+    }
+    // Outside (0, 1): NaN and everything not above 0 give 0, everything
+    // from 1 up gives 255.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(linearToSrgb8(std::numeric_limits<double>::quiet_NaN()), 0);
+    EXPECT_EQ(linearToSrgb8(-inf), 0);
+    EXPECT_EQ(linearToSrgb8(-0.0), 0);
+    EXPECT_EQ(linearToSrgb8(std::numeric_limits<double>::denorm_min()),
+              linearToSrgb8Reference(
+                  std::numeric_limits<double>::denorm_min()));
+    EXPECT_EQ(linearToSrgb8(inf), 255);
 }
 
 TEST(SrgbLut, InverseTableMatchesContinuousForAllCodes)

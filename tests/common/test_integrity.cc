@@ -1,16 +1,21 @@
 /**
  * @file
- * Known-answer tests for CRC-32 and Adler-32, plus detection-property
- * tests for the fast hash64 used by the integrity seals.
+ * Known-answer tests for CRC-32 and Adler-32, a sweep of CRC-32 against
+ * its bit-at-a-time definition (lengths, alignments, incremental
+ * splits, a wire packet), plus detection-property tests for the fast
+ * hash64 used by the integrity seals.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/integrity.hh"
+#include "common/rng.hh"
+#include "net/wire_format.hh"
 
 namespace pce {
 namespace {
@@ -47,14 +52,78 @@ TEST(Crc32, KnownStrings)
               0x414FA339u);
 }
 
+/** Bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition itself. */
+uint32_t
+bitwiseCrc(const uint8_t *data, std::size_t n)
+{
+    uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t>
+randomBytes(std::size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> v(n);
+    for (uint8_t &b : v)
+        b = static_cast<uint8_t>(rng.uniformInt(256));
+    return v;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset)
+{
+    // Every short length at every start alignment: the eight-byte fold
+    // and the byte tail both run, from any address.
+    const std::vector<uint8_t> buf = randomBytes(64 + 8, 11);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t n = 0; n <= 64; ++n)
+            ASSERT_EQ(crc32(buf.data() + off, n),
+                      bitwiseCrc(buf.data() + off, n))
+                << "offset " << off << " length " << n;
+}
+
 TEST(Crc32, IncrementalMatchesOneShot)
 {
-    const std::string s = "incremental-checksum-data-0123456789";
-    Crc32 inc;
-    inc.update(reinterpret_cast<const uint8_t *>(s.data()), 10);
-    inc.update(reinterpret_cast<const uint8_t *>(s.data()) + 10,
-               s.size() - 10);
-    EXPECT_EQ(inc.value(), crcOf(s));
+    // Two updates split at every offset of a 1 KB buffer.
+    const std::vector<uint8_t> buf = randomBytes(1024, 12);
+    const uint32_t want = bitwiseCrc(buf.data(), buf.size());
+    ASSERT_EQ(crc32(buf.data(), buf.size()), want);
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+        Crc32 inc;
+        inc.update(buf.data(), cut);
+        inc.update(buf.data() + cut, buf.size() - cut);
+        ASSERT_EQ(inc.value(), want) << "split at " << cut;
+    }
+}
+
+TEST(Crc32, PacketCrcOnOddPayload)
+{
+    // A datagram whose length is not a multiple of eight: the packet
+    // CRC (the header's trailing CRC field zeroed) must equal the
+    // reference over that image, and verification must catch a flip.
+    const std::vector<uint8_t> payload = randomBytes(37, 13);
+    net::PacketHeader h;
+    h.streamId = 3;
+    h.frameId = 9;
+    h.sequence = 1;
+    h.tileCount = 5;
+    std::vector<uint8_t> pkt =
+        net::buildPacket(h, payload.data(), payload.size());
+    ASSERT_EQ(pkt.size(), net::kPacketHeaderBytes + payload.size());
+
+    std::vector<uint8_t> zeroed = pkt;
+    std::fill_n(zeroed.begin() + net::kPacketHeaderBytes - 4, 4, 0);
+    const uint32_t want = bitwiseCrc(zeroed.data(), zeroed.size());
+    EXPECT_EQ(net::packetCrc(pkt.data(), pkt.size()), want);
+    EXPECT_TRUE(net::verifyPacketCrc(pkt.data(), pkt.size()));
+
+    pkt.back() ^= 0x10;
+    EXPECT_FALSE(net::verifyPacketCrc(pkt.data(), pkt.size()));
 }
 
 TEST(Crc32, PngIendChunk)

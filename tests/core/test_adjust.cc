@@ -225,7 +225,7 @@ TEST(AdjustAlongAxis, EmptyTileIsNoop)
 TEST(AdjustTile, PlanarFlowMatchesPerAxisComposition)
 {
     // The planar flow (ellipsoids shared across axes, fused both-axes
-    // extrema, fused quantize + cost) must reproduce the single-axis
+    // extrema, value-range cost) must reproduce the single-axis
     // path bit for bit, metadata included.
     const TileAdjuster adjuster(model());
     Rng rng(40);

@@ -195,8 +195,8 @@ TEST(EncodeInto, ThreadAndSimdInvariance)
 TEST(EncodeInto, TileLoopStatsMatchBdPassOne)
 {
     // The tile loop hands the BD encoder its per-tile stats (the cost
-    // kernel's min/max for adjusted tiles, a scan of the quantized rows
-    // for bypassed ones); the stream must equal the standalone encode
+    // kernel's code range for adjusted tiles, a scan of the quantized
+    // rows for bypassed ones); the stream must equal the standalone encode
     // of the delivered image, whose pass 1 rescans it. Ragged edges,
     // odd tile sizes, both gaze phases, serial and pooled.
     const int w = 61;

@@ -32,6 +32,7 @@
 #include "simd/tile_kernels.hh"
 #include "simd/tile_soa.hh"
 #include "../core/adjust_reference.hh"
+#include "../support/srgb_test_util.hh"
 
 namespace pce {
 namespace {
@@ -288,43 +289,57 @@ TEST_P(SimdLevelTest, DarkAdaptationModelMatchesReferenceExactly)
 
 TEST_P(SimdLevelTest, TileCostMatchesCodePath)
 {
-    // The fused quantize+cost kernel vs. the materialized-codes path:
-    // the bit cost, and the codes and per-channel min/max it leaves for
-    // the frame pass, of both candidates.
+    // The value-range cost kernel vs. the materialized-codes path: the
+    // bit cost and the per-channel code range it leaves for the frame
+    // pass, of both candidates. The values hit every branch of the
+    // quantizer and the range reduction: NaN, +/-inf, -0.0, a denormal,
+    // code thresholds and one ulp below them, 0 and 1, out-of-gamut
+    // values, and whole-NaN channels.
     const simd::TileKernels &k = simd::tileKernels(GetParam());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> special = {
+        nan, inf, -inf, -0.0, 0.0, 1.0, std::nextafter(1.0, 0.0),
+        std::numeric_limits<double>::denorm_min(), -0.25, 1.25};
+    for (const int c : {1, 2, 11, 128, 254, 255}) {
+        const double t = testsrgb::codeThreshold(c);
+        special.push_back(t);
+        special.push_back(std::nextafter(t, 0.0));
+    }
     Rng rng(404);
     simd::TileSoA soa;
-    for (const std::size_t n : {16u, 3u, 9u, 1u, 6u}) {
-        for (int trial = 0; trial < 25; ++trial) {
+    for (const std::size_t n : {16u, 3u, 9u, 1u, 6u, 2u, 14u}) {
+        for (int trial = 0; trial < 40; ++trial) {
             soa.resize(n);
-            // Raw candidate values, including out-of-gamut values and
-            // lanes exactly at 0 and 1 the quantizer must clamp.
-            for (const int lane : {simd::kOutRedX, simd::kOutRedY,
-                                   simd::kOutRedZ, simd::kOutBlueX,
-                                   simd::kOutBlueY, simd::kOutBlueZ}) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const double edges[4] = {0.0, 1.0, -0.25, 1.25};
-                    soa.lane(lane)[i] = (i + lane + trial) % 5 == 0
-                                            ? edges[(i + trial) % 4]
-                                            : rng.uniform(-0.1, 1.1);
-                }
+            for (int lane = simd::kOutRedX; lane <= simd::kOutBlueZ;
+                 ++lane) {
+                double *v = soa.lane(lane);
+                // Tiles mostly within a few codes of each other (the
+                // common case) or across the whole range.
+                const double base = rng.uniform(-0.1, 1.1);
+                const double spread = trial % 2 ? 0.01 : 1.2;
+                for (std::size_t i = 0; i < n; ++i)
+                    v[i] = rng.uniform() < 0.2
+                               ? special[rng.uniformInt(special.size())]
+                               : base + rng.uniform(-spread, spread);
+                if ((lane + trial) % 7 == 0)
+                    std::fill(v, v + n, nan);
+                // Stale padding must not reach the range.
+                for (std::size_t i = n; i < soa.stride; ++i)
+                    v[i] = i % 2 ? nan : -7.0;
             }
             for (const int axis : {0, 2}) {
-                const bool red = axis == 0;
                 std::vector<uint8_t> codes(n * 3);
-                linearToSrgb8Planar(
-                    soa.lane(red ? simd::kOutRedX : simd::kOutBlueX),
-                    soa.lane(red ? simd::kOutRedY : simd::kOutBlueY),
-                    soa.lane(red ? simd::kOutRedZ : simd::kOutBlueZ), n,
-                    codes.data());
+                linearToSrgb8Planar(soa.candidate(axis, 0),
+                                    soa.candidate(axis, 1),
+                                    soa.candidate(axis, 2), n,
+                                    codes.data());
                 EXPECT_EQ(k.tileCost(soa, axis),
-                          bdTileBitsFromCodes(codes.data(), n));
+                          bdTileBitsFromCodes(codes.data(), n))
+                    << "n " << n << " trial " << trial << " axis "
+                    << axis;
 
                 const simd::CandidateCodes &out = soa.codesOf(axis);
-                EXPECT_EQ(std::vector<uint8_t>(out.srgb.begin(),
-                                               out.srgb.begin() + 3 * n),
-                          codes)
-                    << "n " << n << " axis " << axis;
                 for (int c = 0; c < 3; ++c) {
                     uint8_t lo = 255;
                     uint8_t hi = 0;
@@ -332,8 +347,10 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
                         lo = std::min(lo, codes[3 * i + c]);
                         hi = std::max(hi, codes[3 * i + c]);
                     }
-                    EXPECT_EQ(out.lo[c], lo) << "n " << n << " ch " << c;
-                    EXPECT_EQ(out.hi[c], hi) << "n " << n << " ch " << c;
+                    EXPECT_EQ(out.lo[c], lo)
+                        << "n " << n << " trial " << trial << " ch " << c;
+                    EXPECT_EQ(out.hi[c], hi)
+                        << "n " << n << " trial " << trial << " ch " << c;
                 }
             }
         }
