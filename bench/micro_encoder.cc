@@ -5,7 +5,8 @@
  * job), extrema computation (Compute Extrema Block), per-tile
  * adjustment (full PE), frame-level encoding, the BD codec, and CRC-32.
  * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
- * one-thread rows (the frame pass on one worker) and BM_Crc32_77KB.
+ * one-thread rows (the frame pass on one worker), BM_Hash64_Frame and
+ * BM_Crc32_77KB.
  *
  * These quantify the paper's motivation: the algorithm in software runs
  * far below display rate (2 FPS on a mobile GPU), which is why the CAU
@@ -181,6 +182,22 @@ BENCHMARK(BM_FrameEncode)
     ->Args({256, 1, 1})
     ->Args({512, 1, 1})
     ->Args({512, 4, 1});
+
+void
+BM_Hash64_Frame(benchmark::State &state)
+{
+    // One hash64 over a 256x256 linear-RGB frame (1.5 MB of doubles):
+    // the input seal hardenIntegrity takes at submit and checks again
+    // at dispatch.
+    const ImageF frame =
+        renderScene(SceneId::Skyline, {256, 256, 0, 0.0, 0});
+    const std::size_t bytes = frame.pixels().size() * sizeof(Vec3);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hash64(frame.pixels().data(), bytes));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Hash64_Frame);
 
 void
 BM_BdEncode(benchmark::State &state)

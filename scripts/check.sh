@@ -32,17 +32,41 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 echo "== Stage-harness smoke (Release) =="
-# A bounded run of the frame-pass and CRC-32 harnesses docs/PERF.md
-# cites, so they cannot rot. micro_encoder is built only when
+# A bounded run of the frame-pass, hash64 and CRC-32 harnesses
+# docs/PERF.md cites, so they cannot rot: once at the best detected SIMD
+# level and once capped at AVX2, so the 4-lane kernel instantiation
+# stays exercised on AVX-512 hosts. micro_encoder is built only when
 # google-benchmark is installed.
 if [ -x build/micro_encoder ]; then
-    ./build/micro_encoder --benchmark_filter='FrameEncode/256/1/|Crc32' \
-        --benchmark_min_time=0.01
+    for simd in auto avx2; do
+        FOVE_SIMD=$simd ./build/micro_encoder \
+            --benchmark_filter='FrameEncode/256/1/|Hash64|Crc32' \
+            --benchmark_min_time=0.01
+    done
 fi
 
 echo "== Sanitizer build (address,undefined) =="
 cmake -B build-san -S . -DFOVE_SANITIZE=address,undefined > /dev/null
 cmake --build build-san -j"$JOBS"
+
+echo "== Vector kernel objects define no weak functions (build-san, no LTO) =="
+# Each vector TU is compiled with its own -m flags. A weak (COMDAT)
+# function it emits out of line — an inline helper the compiler chose
+# not to inline — may be the copy the linker keeps for baseline callers
+# too, and would then fault on a CPU without that ISA. No test on an
+# AVX-512 host can see that, so check the objects' symbol tables.
+for obj in build-san/CMakeFiles/pce.dir/src/simd/tile_kernels_avx2.cc.o \
+           build-san/CMakeFiles/pce.dir/src/simd/tile_kernels_avx512.cc.o; do
+    [ -f "$obj" ] || continue
+    weak=$(nm -C --defined-only "$obj" | awk '$2 == "W"')
+    if [ -n "$weak" ]; then
+        echo "weak functions defined in $obj:" >&2
+        echo "$weak" >&2
+        exit 1
+    fi
+done
+
+echo "== Test suites under asan/ubsan =="
 # Every suite runs here exactly once, with halt-on-error so a
 # sanitizer report fails its suite (and the run) instead of printing
 # past a green result. That covers the decode-hardening corpus, the

@@ -208,8 +208,8 @@ std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
  *
  * One definition shared by the scalar move kernel (src/simd) and the
  * test reference flow (tests/core/adjust_reference.hh) — the
- * bit-identity contract between them is anchored here, and the AVX2
- * kernel mirrors this exact operation sequence lanewise.
+ * bit-identity contract between them is anchored here, and the vector
+ * kernels mirror this exact operation sequence lanewise.
  */
 inline double
 clampMovementToGamut(const Vec3 &origin, const Vec3 &dir, double t)

@@ -2,14 +2,16 @@
  * @file
  * Runtime SIMD dispatch: CPUID detection plus the FOVE_SIMD override.
  *
- * The AVX2 TU is compiled with -mavx2 and therefore must never execute
- * on a CPU without AVX2; this TU (compiled for the baseline target)
- * owns the decision. PCE_HAVE_AVX2_KERNELS is defined by CMake when the
- * toolchain/target could build the AVX2 TU at all.
+ * The vector TUs are compiled with -mavx2 / -mavx512f -mavx512dq and
+ * therefore must never execute on a CPU without those extensions; this
+ * TU (compiled for the baseline target) owns the decision.
+ * PCE_HAVE_AVX2_KERNELS / PCE_HAVE_AVX512_KERNELS are defined by CMake
+ * when the toolchain/target could build the respective TU at all.
  */
 
 #include "simd/tile_kernels.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "common/env.hh"
@@ -20,16 +22,35 @@ const TileKernels &scalarTileKernels();
 #ifdef PCE_HAVE_AVX2_KERNELS
 const TileKernels &avx2TileKernels();
 #endif
+#ifdef PCE_HAVE_AVX512_KERNELS
+const TileKernels &avx512TileKernels();
+#endif
 
 const char *
 simdLevelName(SimdLevel level)
 {
-    return level == SimdLevel::Avx2 ? "avx2" : "scalar";
+    switch (level) {
+    case SimdLevel::Avx512:
+        return "avx512";
+    case SimdLevel::Avx2:
+        return "avx2";
+    case SimdLevel::Scalar:
+        break;
+    }
+    return "scalar";
 }
 
 SimdLevel
 detectedSimdLevel()
 {
+    // GCC's __builtin_cpu_supports includes the OS's XCR0 state, so a
+    // kernel that does not save the wider registers reports no support.
+#ifdef PCE_HAVE_AVX512_KERNELS
+    static const bool has_avx512 = __builtin_cpu_supports("avx512f") &&
+                                   __builtin_cpu_supports("avx512dq");
+    if (has_avx512)
+        return SimdLevel::Avx512;
+#endif
 #ifdef PCE_HAVE_AVX2_KERNELS
     static const bool has_avx2 = __builtin_cpu_supports("avx2");
     if (has_avx2)
@@ -44,31 +65,36 @@ activeSimdLevel()
     const std::string v = envString("FOVE_SIMD", "auto");
     if (v == "off" || v == "scalar" || v == "0")
         return SimdLevel::Scalar;
-    // "avx2" and "auto" both resolve to the best detected level: an
-    // explicit request is clamped to what the CPU supports rather than
-    // crashing on an unsupported instruction.
+    // "avx2" caps the level at AVX2; "avx512" (the widest level) and
+    // "auto" take the best detected one. A request is clamped to what
+    // the CPU supports rather than crashing on an unsupported
+    // instruction.
+    if (v == "avx2")
+        return effectiveSimdLevel(SimdLevel::Avx2);
     return detectedSimdLevel();
 }
 
 SimdLevel
 effectiveSimdLevel(SimdLevel requested)
 {
-    if (requested == SimdLevel::Avx2 &&
-        detectedSimdLevel() == SimdLevel::Avx2)
-        return SimdLevel::Avx2;
-    return SimdLevel::Scalar;
+    return std::min(requested, detectedSimdLevel());
 }
 
 const TileKernels &
 tileKernels(SimdLevel level)
 {
-#ifdef PCE_HAVE_AVX2_KERNELS
-    if (effectiveSimdLevel(level) == SimdLevel::Avx2)
-        return avx2TileKernels();
-#else
-    (void)level;
+    switch (effectiveSimdLevel(level)) {
+#ifdef PCE_HAVE_AVX512_KERNELS
+    case SimdLevel::Avx512:
+        return avx512TileKernels();
 #endif
-    return scalarTileKernels();
+#ifdef PCE_HAVE_AVX2_KERNELS
+    case SimdLevel::Avx2:
+        return avx2TileKernels();
+#endif
+    default:
+        return scalarTileKernels();
+    }
 }
 
 } // namespace pce::simd

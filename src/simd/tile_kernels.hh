@@ -10,27 +10,30 @@
  *  4. BD bit cost of a candidate from each channel's value range —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
- * Two implementations exist behind one function table: a portable
+ * Three implementations exist behind one function table: a portable
  * scalar build (always present; it *is* the reference datapath, calling
- * the model/quadric code of src/perception and src/core per pixel) and
- * an AVX2 build processing 4 pixels per instruction, compiled into its
- * own TU with -mavx2 and selected at runtime by CPUID. Stages 1 and 2
- * also have undispatched forms for any DiscriminationModel / ExtremaFn
- * (ellipsoidsFromModel, extremaFromBackend): the scalar kernels' loop
- * bodies with the model or backend as a parameter.
+ * the model/quadric code of src/perception and src/core per pixel), and
+ * one vector kernel source (tile_kernels_vec.hh, a template over a
+ * vector-traits type) instantiated at 4 lanes (AVX2) and 8 lanes
+ * (AVX-512), each in its own TU compiled with its ISA flags and selected
+ * at runtime by CPUID. Stages 1 and 2 also have undispatched forms for
+ * any DiscriminationModel / ExtremaFn (ellipsoidsFromModel,
+ * extremaFromBackend): the scalar kernels' loop bodies with the model or
+ * backend as a parameter.
  *
  * Bit-identity contract: every level produces bit-identical doubles for
- * every input. The AVX2 kernels replicate the scalar code's exact
- * operation sequence (same association, no FMA contraction — the AVX2
- * TU is built with -ffp-contract=off, and vector mul/add/div/sqrt are
+ * every input. The vector kernels replicate the scalar code's exact
+ * operation sequence (same association, no FMA contraction — the vector
+ * TUs are built with -ffp-contract=off, and vector mul/add/div/sqrt are
  * IEEE-exact per element), and min/max/clamp are implemented as
  * compare+blend with the precise semantics of the std:: forms they
- * mirror. tests/simd sweeps every available level against the scalar
- * reference and asserts equality, not tolerance.
+ * mirror. tests/simd sweeps every level the host can run against the
+ * scalar reference and asserts equality, not tolerance.
  *
  * Dispatch override: set FOVE_SIMD=off (or =scalar) to force the
- * portable kernels, FOVE_SIMD=avx2 to request AVX2 (clamped to what the
- * CPU supports), FOVE_SIMD=auto / unset for CPUID detection.
+ * portable kernels, FOVE_SIMD=avx2 to cap the level at AVX2,
+ * FOVE_SIMD=avx512 / auto / unset for the best level CPUID detects. A
+ * requested level is clamped to what the CPU supports.
  */
 
 #ifndef PCE_SIMD_TILE_KERNELS_HH
@@ -50,14 +53,15 @@ enum class SimdLevel
 {
     Scalar,  ///< portable reference kernels
     Avx2,    ///< 4-wide AVX2 kernels
+    Avx512,  ///< 8-wide AVX-512 (F + DQ) kernels
 };
 
-/** Human-readable level name ("scalar" / "avx2"). */
+/** Human-readable level name ("scalar" / "avx2" / "avx512"). */
 const char *simdLevelName(SimdLevel level);
 
 /**
- * Highest level this CPU supports (CPUID; Scalar when the AVX2 TU was
- * not built for this target).
+ * Highest level this CPU supports (CPUID; a level whose TU was not
+ * built for this target is never reported).
  */
 SimdLevel detectedSimdLevel();
 
@@ -71,9 +75,9 @@ SimdLevel activeSimdLevel();
 
 /**
  * The level tileKernels(requested) actually resolves to: a request for
- * a level the CPU/build cannot run is clamped to Scalar. Callers that
- * report or record their dispatch level must use this, never the raw
- * request.
+ * a level the CPU/build cannot run is clamped to the detected level
+ * (the smaller of the two). Callers that report or record their
+ * dispatch level must use this, never the raw request.
  */
 SimdLevel effectiveSimdLevel(SimdLevel requested);
 
@@ -143,7 +147,7 @@ struct TileKernels
  * model.ellipsoidFor(pixel.clamped(0, 1), ecc) into kCx..kAz. The
  * scalar ellipsoids kernel is this loop over the analytic model. Writes
  * the n valid slots only: padding slots keep stale values, which the
- * AVX2 kernels compute on but mask out of every result.
+ * vector kernels compute on but mask out of every result.
  */
 void ellipsoidsFromModel(TileSoA &soa, const DiscriminationModel &model);
 

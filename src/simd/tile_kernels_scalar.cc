@@ -11,8 +11,8 @@
  * algorithm, and tests/core and tests/simd pin every kernel level to it
  * bit for bit.
  *
- * The AVX2 TU (tile_kernels_avx2.cc) mirrors the exact operation
- * sequence of these kernels four pixels at a time.
+ * The vector kernels (tile_kernels_vec.hh, at 4 and 8 lanes) mirror
+ * the exact operation sequence of these kernels a block at a time.
  */
 
 #include "simd/tile_kernels.hh"

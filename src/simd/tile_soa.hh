@@ -3,22 +3,22 @@
  * Planar (structure-of-arrays) tile storage for the SIMD kernel layer.
  *
  * The per-pixel records of the tile flow — Vec3 pixels, Ellipsoid
- * centers/axes, ExtremaPair endpoints — are AoS by nature. A 4-wide
- * AVX2 lane wants one contiguous array per *component* instead, so the
- * kernels can load four pixels' worth of one coordinate with a single
- * unaligned vector load and never shuffle. The frame pipeline gathers
- * every tile straight into these lanes.
+ * centers/axes, ExtremaPair endpoints — are AoS by nature. A vector
+ * lane wants one contiguous array per *component* instead, so the
+ * kernels can load four (AVX2) or eight (AVX-512) pixels' worth of one
+ * coordinate with a single unaligned vector load and never shuffle. The
+ * frame pipeline gathers every tile straight into these lanes.
  *
  * TileSoA is one reusable arena holding every planar lane of the tile
  * datapath. All lanes share a common stride (the pixel count rounded up
- * to the vector width), so kernels may process ceil(n / 4) full vectors
- * per lane without tail code: resize() zero-fills the padding of the
- * *input* lanes, which keeps the padded math of the dispatched kernels
- * benign, and the padded slots of output lanes are simply never read
- * back. (The per-pixel stage-1/2 loops for non-analytic models and
- * extrema overrides write the valid slots only; whatever the padding
- * then holds, every observable kernel result is masked to the valid
- * lanes.)
+ * to the widest vector width), so a kernel of any width may process
+ * ceil(n / width) full vectors per lane without tail code: resize()
+ * zero-fills the padding of the *input* lanes, which keeps the padded
+ * math of the dispatched kernels benign, and the padded slots of output
+ * lanes are simply never read back. (The per-pixel stage-1/2 loops for
+ * non-analytic models and extrema overrides write the valid slots only;
+ * whatever the padding then holds, every observable kernel result is
+ * masked to the valid lanes.)
  */
 
 #ifndef PCE_SIMD_TILE_SOA_HH
@@ -30,8 +30,11 @@
 
 namespace pce::simd {
 
-/** Vector width (doubles) the lane stride is padded to. */
-inline constexpr std::size_t kLaneWidth = 4;
+/**
+ * Vector width (doubles) the lane stride is padded to: the widest
+ * dispatch level's (AVX-512). Each level steps by its own width.
+ */
+inline constexpr std::size_t kLaneWidth = 8;
 
 /** Planar lanes of the per-tile datapath. */
 enum Lane : int

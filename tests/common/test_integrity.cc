@@ -3,7 +3,8 @@
  * Known-answer tests for CRC-32 and Adler-32, a sweep of CRC-32 against
  * its bit-at-a-time definition (lengths, alignments, incremental
  * splits, a wire packet), plus detection-property tests for the fast
- * hash64 used by the integrity seals.
+ * hash64 used by the integrity seals and a sweep of hash64 against its
+ * per-word definition (whatever word loop this host dispatches to).
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +202,65 @@ TEST(Hash64, PositionSensitive)
     const uint64_t before = hash64(words.data(), words.size() * 8);
     std::swap(words[0], words[3]);
     EXPECT_NE(hash64(words.data(), words.size() * 8), before);
+}
+
+/**
+ * hash64 by its definition, one word at a time: the seed mix of the
+ * length, then the XOR of every little-endian 8-byte word (the last one
+ * zero-padded) plus its position salt, each through the SplitMix64
+ * finalizer.
+ */
+uint64_t
+referenceHash64(const uint8_t *data, std::size_t n)
+{
+    const auto mix = [](uint64_t x) {
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ull;
+        x ^= x >> 27;
+        x *= 0x94d049bb133111ebull;
+        x ^= x >> 31;
+        return x;
+    };
+    const uint64_t salt = 0x9e3779b97f4a7c15ull;
+    uint64_t acc = mix(salt ^ n);
+    for (std::size_t k = 0; 8 * k < n; ++k) {
+        uint64_t word = 0;
+        for (std::size_t b = 0; b < 8 && 8 * k + b < n; ++b)
+            word |= static_cast<uint64_t>(data[8 * k + b]) << (8 * b);
+        acc ^= mix(word + salt * (k + 1));
+    }
+    return acc;
+}
+
+TEST(Hash64, MatchesPerWordReferenceAtEveryLengthAndOffset)
+{
+    // Every length through two 64-byte blocks plus a tail, from every
+    // start alignment: the 8-word loop, the word loop and the byte tail
+    // all run, alone and together.
+    const std::vector<uint8_t> buf = randomBytes(130 + 8, 14);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t n = 0; n <= 130; ++n)
+            ASSERT_EQ(hash64(buf.data() + off, n),
+                      referenceHash64(buf.data() + off, n))
+                << "offset " << off << " length " << n;
+
+    // One 256x256 linear-RGB frame's worth of doubles (1.5 MB), the
+    // size the service's input seals hash.
+    const std::vector<uint8_t> frame = randomBytes(256 * 256 * 3 * 8, 15);
+    EXPECT_EQ(hash64(frame.data(), frame.size()),
+              referenceHash64(frame.data(), frame.size()));
+}
+
+TEST(Hash64, GoldenValues)
+{
+    // Pinned values: a different word loop must not change one bit of
+    // what the seals compare (queue slots, gaze maps, frames).
+    const std::vector<uint8_t> a = randomBytes(64, 21);
+    const std::vector<uint8_t> b = randomBytes(1000, 22);
+    const std::vector<uint8_t> c = randomBytes(1572869, 23);
+    EXPECT_EQ(hash64(a.data(), a.size()), 0x4f1488a67ddcca3aull);
+    EXPECT_EQ(hash64(b.data(), b.size()), 0xf417f65f72fb6403ull);
+    EXPECT_EQ(hash64(c.data(), c.size()), 0x5f90bd7ccee35ff5ull);
 }
 
 TEST(Hash64, DoubleArraysHashByRepresentation)

@@ -8,8 +8,8 @@
  * datapath (model/quadric code) double for double, and the full tile
  * flow must reproduce the Vec3 reference flow
  * (tests/core/adjust_reference.hh) for every model and extrema
- * backend. Scalar is always available; AVX2 runs whenever the host CPU
- * has it.
+ * backend. Scalar is always available; every vector level up to the
+ * best one the host CPU has (AVX2, AVX-512) runs too.
  */
 
 #include <gtest/gtest.h>
@@ -44,13 +44,16 @@ model()
     return m;
 }
 
-/** Every dispatch level available on this host. */
+/** Every dispatch level this host can run: all up to the detected one. */
 std::vector<simd::SimdLevel>
 availableLevels()
 {
-    std::vector<simd::SimdLevel> levels{simd::SimdLevel::Scalar};
-    if (simd::detectedSimdLevel() == simd::SimdLevel::Avx2)
-        levels.push_back(simd::SimdLevel::Avx2);
+    std::vector<simd::SimdLevel> levels;
+    for (const simd::SimdLevel level :
+         {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2,
+          simd::SimdLevel::Avx512})
+        if (level <= simd::detectedSimdLevel())
+            levels.push_back(level);
     return levels;
 }
 
@@ -146,7 +149,9 @@ expectMatchesReference(const TileAdjuster &adjuster, const ExtremaFn &fn,
 /**
  * Sweep ragged tile sizes, mid-gamut, gamut-edge and out-of-gamut
  * tiles, and random spreads/eccentricities through
- * expectMatchesReference.
+ * expectMatchesReference. The sizes cover every 8-lane tail (n mod 8 =
+ * 0..7) and n = 9, whose 16-double stride leaves a 4-lane block wholly
+ * in padding.
  */
 void
 sweepAgainstReference(const TileAdjuster &adjuster, const ExtremaFn &fn,
@@ -154,7 +159,8 @@ sweepAgainstReference(const TileAdjuster &adjuster, const ExtremaFn &fn,
 {
     Rng rng(seed);
     simd::TileSoA soa;  // reused across sizes: no state may leak
-    for (const std::size_t n : {16u, 4u, 1u, 13u, 64u}) {
+    for (const std::size_t n :
+         {16u, 4u, 1u, 13u, 64u, 2u, 3u, 6u, 7u, 9u}) {
         for (int trial = 0; trial < trials; ++trial) {
             auto tile = randomTile(rng, n, rng.uniform(0.0, 0.3),
                                    trial % 2 == 0);
@@ -308,7 +314,7 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
     }
     Rng rng(404);
     simd::TileSoA soa;
-    for (const std::size_t n : {16u, 3u, 9u, 1u, 6u, 2u, 14u}) {
+    for (const std::size_t n : {16u, 3u, 9u, 1u, 6u, 2u, 14u, 4u, 5u, 7u}) {
         for (int trial = 0; trial < 40; ++trial) {
             soa.resize(n);
             for (int lane = simd::kOutRedX; lane <= simd::kOutBlueZ;
@@ -413,10 +419,16 @@ TEST(SimdDispatch, ScalarAliasesAreAccepted)
         ASSERT_EQ(setenv("FOVE_SIMD", v, 1), 0);
         EXPECT_EQ(simd::activeSimdLevel(), simd::SimdLevel::Scalar);
     }
+    // "avx2" caps the level at AVX2 and "avx512" names the widest; both
+    // are clamped to what the CPU supports.
     ASSERT_EQ(setenv("FOVE_SIMD", "avx2", 1), 0);
-    // Explicit requests are clamped to what the CPU supports.
+    EXPECT_EQ(simd::activeSimdLevel(),
+              std::min(simd::SimdLevel::Avx2, simd::detectedSimdLevel()));
+    ASSERT_EQ(setenv("FOVE_SIMD", "avx512", 1), 0);
     EXPECT_EQ(simd::activeSimdLevel(), simd::detectedSimdLevel());
     ASSERT_EQ(unsetenv("FOVE_SIMD"), 0);
+    EXPECT_EQ(simd::activeSimdLevel(), simd::detectedSimdLevel());
+    EXPECT_STREQ(simd::simdLevelName(simd::SimdLevel::Avx512), "avx512");
 }
 
 } // namespace
