@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "bd/bd_codec.hh"
+#include "common/integrity.hh"
 #include "simd/tile_kernels.hh"
 
 #ifdef PCE_HAVE_GIT_REV_HEADER
@@ -109,6 +111,9 @@ schemaTable()
          .gate = "date"},
         // The PR 1 record predates the provenance fields.
         {.fields = {{"threads"}}, .gate = "date", .ifAbsent = true},
+        // The bit paths, since the BD tile pass and CRC-32 dispatch.
+        {.fields = {{"bd_bit_path", kStr}, {"crc_path", kStr}},
+         .gate = "bd_bit_path"},
     };
     const auto row = [](const char *bench, std::vector<GroupSpec> own) {
         RecordSchema s{bench, shared};
@@ -371,6 +376,8 @@ class Record
         str("date", isoNowUtc());
         str("git_rev", PCE_GIT_REV);
         str("simd_level", simd::simdLevelName(simd::activeSimdLevel()));
+        str("bd_bit_path", bdBitPathName(activeBdBitPath()));
+        str("crc_path", crcPathName(activeCrcPath()));
         num("hw_threads", std::thread::hardware_concurrency());
         num("mt_threads", mt_threads);
         num("mt_pool_workers", mt_threads - 1);

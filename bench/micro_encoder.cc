@@ -5,8 +5,9 @@
  * job), extrema computation (Compute Extrema Block), per-tile
  * adjustment (full PE), frame-level encoding, the BD codec, and CRC-32.
  * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
- * one-thread rows (the frame pass on one worker), BM_Hash64_Frame and
- * BM_Crc32_77KB.
+ * one-thread rows (the frame pass on one worker), BM_Hash64_Frame,
+ * BM_Crc32_77KB, BM_BdEmit/256 and the BD decode split into
+ * BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256.
  *
  * These quantify the paper's motivation: the algorithm in software runs
  * far below display rate (2 FPS on a mobile GPU), which is why the CAU
@@ -233,6 +234,83 @@ BM_BdDecode(benchmark::State &state)
                             static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_BdDecode)->Arg(256)->Arg(512);
+
+/**
+ * The frame a service stream delivers: a rendered Skyline frame through
+ * the perceptual encoder, as its adjusted sRGB image and BD stream.
+ */
+EncodedFrame
+adjustedFrame(int n)
+{
+    const ImageF frame = renderScene(SceneId::Skyline, {n, n, 0, 0.0, 0});
+    const EccentricityMap ecc(pce::bench::benchDisplay(n, n));
+    return PerceptualEncoder(model(), PipelineParams{}).encodeFrame(frame,
+                                                                    ecc);
+}
+
+void
+BM_BdDecodeWalk(benchmark::State &state)
+{
+    // Pass 1 of decodeInto on an adjusted frame's stream: the serial
+    // validate walk that builds the per-tile bit offsets.
+    const int n = static_cast<int>(state.range(0));
+    const std::vector<uint8_t> stream = adjustedFrame(n).bdStream;
+    const std::vector<TileRect> tiles = tileGrid(n, n, 4);
+    std::vector<std::size_t> offsets(tiles.size() + 1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(BdCodec::walkTileRange(
+            stream.data(), stream.size(), tiles, 0, tiles.size(), 0,
+            offsets.data()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_BdDecodeWalk)->Arg(256);
+
+void
+BM_BdDecodeTiles(benchmark::State &state)
+{
+    // Pass 2 of decodeInto on the same stream, serial: the tile pass
+    // over every tile from the walk's first offset.
+    const int n = static_cast<int>(state.range(0));
+    const std::vector<uint8_t> stream = adjustedFrame(n).bdStream;
+    const std::vector<TileRect> tiles = tileGrid(n, n, 4);
+    ImageU8 out(n, n);
+    for (auto _ : state) {
+        BdCodec::decodeTileRangeInto(stream.data(), stream.size(), tiles,
+                                     0, tiles.size(), 0, out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_BdDecodeTiles)->Arg(256);
+
+void
+BM_BdEmit(benchmark::State &state)
+{
+    // The BD passes a service frame runs after the tile loop:
+    // encodeFromStats (prefix and emit) on an adjusted frame, serial,
+    // from the per-tile stats that loop hands over.
+    const int n = static_cast<int>(state.range(0));
+    const ImageU8 img = adjustedFrame(n).adjustedSrgb;
+    const BdCodec codec(4);
+    BdEncodeScratch scratch;
+    const std::vector<TileRect> &tiles =
+        codec.prepareStats(scratch, img.width(), img.height());
+    for (std::size_t t = 0; t < tiles.size(); ++t)
+        bdTileStats(img, tiles[t], &scratch.base[3 * t],
+                    &scratch.width[3 * t]);
+    std::vector<uint8_t> out;
+    for (auto _ : state) {
+        codec.encodeFromStats(img, nullptr, out, scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_BdEmit)->Arg(256);
 
 void
 BM_Crc32_77KB(benchmark::State &state)

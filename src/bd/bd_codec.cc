@@ -1,13 +1,23 @@
 #include "bd/bd_codec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/bitstream.hh"
+#include "common/env.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define PCE_BD_BMI2 1
+#endif
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace pce {
 
@@ -119,7 +129,8 @@ bdTileBitsFromCodes(const uint8_t *codes, std::size_t n)
     return bits;
 }
 
-BdCodec::BdCodec(int tile_size) : tileSize_(tile_size)
+BdCodec::BdCodec(int tile_size, BdBitPath bit_path)
+    : tileSize_(tile_size), bitPath_(effectiveBdBitPath(bit_path))
 {
     if (tile_size < 1 || tile_size > 255)
         throw std::invalid_argument("BdCodec: tile size out of range");
@@ -157,12 +168,157 @@ BdCodec::encode(const ImageU8 &img, BdFrameStats *stats_out) const
 
 namespace {
 
+inline uint64_t
+byteSwap(uint64_t v)
+{
+    return __builtin_bswap64(v);
+}
+
+inline uint32_t
+byteSwap(uint32_t v)
+{
+    return __builtin_bswap32(v);
+}
+
+/**
+ * Unaligned 64- and 32-bit loads and stores in a fixed byte order, on
+ * any host: big-endian for the MSB-first stream, little-endian for
+ * pixel rows (byte i of a word is pixel i).
+ */
+template <typename T>
+inline T
+load(const uint8_t *p, std::endian order)
+{
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return order == std::endian::native ? v : byteSwap(v);
+}
+
+template <typename T>
+inline void
+store(uint8_t *p, T v, std::endian order)
+{
+    v = order == std::endian::native ? v : byteSwap(v);
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** One byte per lane: @p b in each of the eight bytes. */
+inline uint64_t
+splat8(unsigned b)
+{
+    return 0x0101010101010101ull * b;
+}
+
+/** Per-byte a + b, each byte wrapping mod 256 like a uint8_t cast. */
+inline uint64_t
+addBytes(uint64_t a, uint64_t b)
+{
+    constexpr uint64_t kHigh = 0x8080808080808080ull;
+    return ((a & ~kHigh) + (b & ~kHigh)) ^ ((a ^ b) & kHigh);
+}
+
+/**
+ * The one dispatched step of the tile pass, between eight w-bit fields
+ * of one word (field k at bits [k w, k w + w)) and the low w bits of
+ * eight bytes (field k in byte k): BMI2 pdep / pext with a mask of the
+ * low w bits of each byte, or this shift ladder, which computes the
+ * same words in three halving steps (8 fields to two 4-field halves in
+ * 32-bit lanes, to pairs in 16-bit lanes, to bytes). The stream is MSB
+ * first, so a group's first field is the top one; the callers
+ * byte-swap to put it in byte 0.
+ */
+struct PortableFields
+{
+    /** The low @p bits bits of each lane whose lowest bit is set in
+     *  @p lane_ones. */
+    static uint64_t lanes(unsigned bits, uint64_t lane_ones)
+    {
+        return ((uint64_t(1) << bits) - 1) * lane_ones;
+    }
+
+    static uint64_t deposit(uint64_t v, unsigned w)
+    {
+        const uint64_t m32 = lanes(2 * w, 0x0000000100000001ull);
+        const uint64_t m16 = lanes(w, 0x0001000100010001ull);
+        v = (v & ((uint64_t(1) << 4 * w) - 1)) | (v >> 4 * w) << 32;
+        v = (v & m32) | (v >> 2 * w & m32) << 16;
+        return (v & m16) | (v >> w & m16) << 8;
+    }
+
+    static uint64_t extract(uint64_t x, unsigned w)
+    {
+        const uint64_t m32 = lanes(2 * w, 0x0000000100000001ull);
+        const uint64_t m16 = lanes(w, 0x0001000100010001ull);
+        x &= lanes(w, 0x0101010101010101ull);
+        x = (x & m16) | (x >> 8 & m16) << w;
+        x = (x & m32) | (x >> 16 & m32) << 2 * w;
+        return (x & 0xffffffffu) | (x >> 32) << 4 * w;
+    }
+};
+
+#ifdef PCE_BD_BMI2
+struct Bmi2Fields
+{
+    __attribute__((target("bmi2"))) static uint64_t
+    deposit(uint64_t v, unsigned w)
+    {
+        return _pdep_u64(v, splat8((1u << w) - 1));
+    }
+
+    __attribute__((target("bmi2"))) static uint64_t
+    extract(uint64_t x, unsigned w)
+    {
+        return _pext_u64(x, splat8((1u << w) - 1));
+    }
+};
+
+/** CPUID, once: BMI2, on a core where pdep / pext are not microcoded. */
+bool
+hasFastBmi2()
+{
+    // AMD Zen 1 and 2 run pdep / pext in microcode, at a cost that
+    // grows with the mask's set bits: far slower than the shift ladder.
+    static const bool ok = __builtin_cpu_supports("bmi2") &&
+                           !__builtin_cpu_is("znver1") &&
+                           !__builtin_cpu_is("znver2");
+    return ok;
+}
+#endif
+
+/**
+ * Eight pixels' bytes of one channel from a group of @p k (1..8)
+ * w-bit deltas, @p v holding them right-aligned, the first at the top:
+ * byte i = base + delta i (mod 256) for i < k; bytes from k up are
+ * base.
+ */
+template <class F>
+inline uint64_t
+unpackGroup(uint64_t v, unsigned k, unsigned w, uint64_t base8)
+{
+    const uint64_t fields = F::deposit(v << ((8 - k) * w), w);
+    return addBytes(byteSwap(fields), base8);
+}
+
+/**
+ * The inverse: the first @p k bytes of @p bytes minus @p base8 (each
+ * at least its base, so none borrows), as k w-bit deltas right-aligned,
+ * the first at the top. Bytes from k up may hold anything: a borrow
+ * there only runs upward, and their fields are shifted out.
+ */
+template <class F>
+inline uint64_t
+packGroup(uint64_t bytes, unsigned k, unsigned w, uint64_t base8)
+{
+    return F::extract(byteSwap(bytes - base8), w) >>
+           ((8 - k) * w);
+}
+
 /**
  * MSB-first field emitter writing straight into a caller-sized buffer.
- * Fields collect in a 64-bit accumulator and leave it 32 bits at a
- * time as one big-endian store, so a store only ever holds bits this
- * emitter was given: it never touches a byte past the last complete
- * byte of the emitter's span.
+ * Fields collect in a 64-bit accumulator and leave it 64 bits at a
+ * time as one big-endian store, so a store to the output only ever
+ * holds bits this emitter was given: it never touches a byte past the
+ * last complete byte of the emitter's span.
  */
 class WordEmitter
 {
@@ -176,20 +332,20 @@ class WordEmitter
         : p_(out + bit_pos / 8), n_(static_cast<unsigned>(bit_pos % 8))
     {}
 
-    /** Append @p value (< 2^width, width 0..32) MSB first. */
-    void put(unsigned value, unsigned width)
+    /** Append @p value (< 2^width, width 0..64) MSB first. */
+    void put(uint64_t value, unsigned width)
     {
-        acc_ = (acc_ << width) | value;
-        n_ += width;
-        if (n_ >= 32) {
-            n_ -= 32;
-            const auto v = static_cast<uint32_t>(acc_ >> n_);
-            p_[0] = static_cast<uint8_t>(v >> 24);
-            p_[1] = static_cast<uint8_t>(v >> 16);
-            p_[2] = static_cast<uint8_t>(v >> 8);
-            p_[3] = static_cast<uint8_t>(v);
-            p_ += 4;
+        const unsigned room = 64 - n_;  // 1..64
+        if (width < room) {
+            acc_ |= value << ((room - width) & 63);
+            n_ += width;
+            return;
         }
+        const unsigned over = width - room;  // bits for the next word
+        store<uint64_t>(p_, acc_ | value >> over, std::endian::big);
+        p_ += 8;
+        n_ = over;
+        acc_ = value << (63 - over) << 1;
     }
 
     /**
@@ -199,74 +355,321 @@ class WordEmitter
      */
     uint8_t finish()
     {
-        for (; n_ >= 8; n_ -= 8)
-            *p_++ = static_cast<uint8_t>(acc_ >> (n_ - 8));
-        return n_ == 0 ? 0 : static_cast<uint8_t>(acc_ << (8 - n_));
+        for (; n_ >= 8; n_ -= 8, acc_ <<= 8)
+            *p_++ = static_cast<uint8_t>(acc_ >> 56);
+        return n_ == 0 ? 0 : static_cast<uint8_t>(acc_ >> 56);
     }
 
   private:
     uint8_t *p_;
-    uint64_t acc_ = 0;
-    unsigned n_;  ///< valid low bits of acc_ not yet stored
+    uint64_t acc_ = 0;  ///< pending bits, MSB first
+    unsigned n_;        ///< pending bits in acc_, 0..63
 };
 
 /**
- * MSB-first field reader through a 64-bit window. A refill loads the
- * big-endian word at the byte holding the next unread bit; within the
- * buffer's last 8 bytes it loads only the bytes that exist and reads
- * zeros past them, so it never touches a byte at or past the buffer's
- * end. A window may hold bits past the caller's span; they are loaded
- * but never returned.
+ * Random-access MSB-first reader of fields of up to 64 bits. A read
+ * loads the 9 bytes from the byte holding its first bit. get() checks
+ * the buffer's end: within its last 9 bytes it copies the bytes that
+ * exist into a zeroed block first, so no load reaches a byte at or past
+ * the end. window() loads straight from the buffer, for callers that
+ * checked inBulk() first. Bits past a field are loaded but shifted out,
+ * never returned.
  */
-class WindowReader
+class BitSource
 {
   public:
-    WindowReader(const uint8_t *data, std::size_t size_bytes,
-                 std::uint64_t bit_pos)
-        : data_(data), size_(size_bytes), pos_(bit_pos)
+    BitSource(const uint8_t *data, std::size_t size_bytes)
+        : data_(data), size_(size_bytes)
     {}
 
-    /** Read a field of 1..57 bits (a refill leaves at least 57). */
-    unsigned get(unsigned width)
+    /** Whether window() may read from every bit up to @p last_pos. */
+    bool inBulk(std::uint64_t last_pos) const
     {
-        if (avail_ < width)
-            refill();
-        const auto v = static_cast<unsigned>(win_ >> (64 - width));
-        win_ <<= width;
-        avail_ -= width;
-        return v;
+        return last_pos / 8 + 9 <= size_;
+    }
+
+    /** The 64 stream bits from bit @p pos; inBulk(pos) must hold. */
+    uint64_t window(std::uint64_t pos) const
+    {
+        return windowAt(data_ + pos / 8, static_cast<unsigned>(pos % 8));
+    }
+
+    /**
+     * The 57 or more stream bits from bit @p pos at the top, from one
+     * 8-byte load (bits past them are zeros); inBulk(pos) must hold.
+     */
+    uint64_t window57(std::uint64_t pos) const
+    {
+        return load<uint64_t>(data_ + pos / 8, std::endian::big)
+               << (pos % 8);
+    }
+
+    /** The @p width (0..64) stream bits from bit @p pos. */
+    uint64_t get(std::uint64_t pos, unsigned width) const
+    {
+        const std::uint64_t byte = pos / 8;
+        uint8_t block[9] = {};
+        const uint8_t *p = block;
+        if (byte + 9 <= size_)
+            p = data_ + byte;
+        else if (byte < size_)
+            std::memcpy(block, data_ + byte, size_ - byte);
+        const uint64_t win = windowAt(p, static_cast<unsigned>(pos % 8));
+        return (win >> ((64 - width) & 63)) & -uint64_t(width != 0);
     }
 
   private:
-    void refill()
+    static uint64_t windowAt(const uint8_t *p, unsigned skip)
     {
-        pos_ += loaded_ - avail_;
-        const std::uint64_t byte = pos_ / 8;
-        uint64_t w = 0;
-        if (byte + 8 <= size_) {
-            // Spelled out so the compiler folds it into one load + bswap.
-            const uint8_t *p = data_ + byte;
-            w = uint64_t(p[0]) << 56 | uint64_t(p[1]) << 48 |
-                uint64_t(p[2]) << 40 | uint64_t(p[3]) << 32 |
-                uint64_t(p[4]) << 24 | uint64_t(p[5]) << 16 |
-                uint64_t(p[6]) << 8 | uint64_t(p[7]);
-        } else {
-            for (std::uint64_t i = byte; i < size_; ++i)
-                w |= static_cast<uint64_t>(data_[i])
-                     << (56 - 8 * (i - byte));
-        }
-        const unsigned skip = static_cast<unsigned>(pos_ % 8);
-        win_ = w << skip;
-        avail_ = loaded_ = 64 - skip;
+        return load<uint64_t>(p, std::endian::big) << skip |
+               uint64_t(p[8]) >> (8 - skip);
     }
 
     const uint8_t *data_;
     std::size_t size_;
-    std::uint64_t pos_;    ///< stream bit of the window's first bit
-    uint64_t win_ = 0;     ///< unread bits, MSB first
-    unsigned avail_ = 0;   ///< unread bits left in win_
-    unsigned loaded_ = 0;  ///< bits win_ held after the last refill
 };
+
+[[noreturn]] __attribute__((noinline)) void
+throwWideField()
+{
+    throw std::runtime_error(
+        "BdCodec::decodeTileRangeInto: delta width field exceeds 8 bits "
+        "(range not validated by walkTileRange)");
+}
+
+/** A tile-channel's 12-bit record head: the delta width, the base. */
+struct ChannelHead
+{
+    unsigned width;
+    unsigned base;
+};
+
+inline ChannelHead
+readHead(const BitSource &src, std::uint64_t &pos)
+{
+    const auto head = static_cast<unsigned>(
+        src.get(pos, kWidthFieldBits + kBaseBits));
+    pos += kWidthFieldBits + kBaseBits;
+    const ChannelHead h{head >> kBaseBits, head & 0xffu};
+    if (h.width > 8)
+        throwWideField();
+    return h;
+}
+
+/** The longest record of a 4x4 tile: three 8-bit-wide channels. */
+constexpr unsigned kTile4MaxBits =
+    3 * (kWidthFieldBits + kBaseBits + 16 * 8);
+
+#ifdef __SSE2__
+/**
+ * Decode one full 4x4 tile at stream bit @p pos into the rows from
+ * @p row0 (@p stride bytes apart); returns the bit after it. The
+ * caller checked src.inBulk(pos + kTile4MaxBits). Each channel's 16
+ * deltas are two 8-field groups (a flat channel deposits two empty
+ * ones), one paddb adds its base, and each row's three channels
+ * interleave into 12 bytes.
+ */
+template <class F>
+std::uint64_t
+decodeTile4(const BitSource &src, std::uint64_t pos, uint8_t *row0,
+            std::size_t stride)
+{
+    __m128i ch[3];  // channel c's pixels 0..15, row-major
+#pragma GCC unroll 3
+    for (int c = 0; c < 3; ++c) {
+        const auto head = static_cast<unsigned>(src.window57(pos) >> 52);
+        const unsigned w = head >> kBaseBits;
+        if (w > 8)
+            throwWideField();
+        pos += kWidthFieldBits + kBaseBits;
+        // At w = 0 the window's bits are arbitrary, and the empty
+        // deposit mask drops them.
+        const unsigned bits = 8 * w;
+        const unsigned drop = (64 - bits) & 63;
+        const uint64_t rows01 = F::deposit(src.window(pos) >> drop, w);
+        const uint64_t rows23 =
+            F::deposit(src.window(pos + bits) >> drop, w);
+        pos += 2 * bits;
+        const auto base8 = static_cast<long long>(splat8(head & 0xffu));
+        ch[c] = _mm_add_epi8(
+            _mm_set_epi64x(static_cast<long long>(byteSwap(rows23)),
+                           static_cast<long long>(byteSwap(rows01))),
+            _mm_set1_epi64x(base8));
+    }
+    // Pixels as RGBX words, one row of four per register.
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i rg01 = _mm_unpacklo_epi8(ch[0], ch[1]);
+    const __m128i rg23 = _mm_unpackhi_epi8(ch[0], ch[1]);
+    const __m128i bx01 = _mm_unpacklo_epi8(ch[2], zero);
+    const __m128i bx23 = _mm_unpackhi_epi8(ch[2], zero);
+    const __m128i rgbx[4] = {
+        _mm_unpacklo_epi16(rg01, bx01), _mm_unpackhi_epi16(rg01, bx01),
+        _mm_unpacklo_epi16(rg23, bx23), _mm_unpackhi_epi16(rg23, bx23)};
+    const __m128i low24 = _mm_set1_epi64x(0xffffff);
+#pragma GCC unroll 4
+    for (int y = 0; y < 4; ++y) {
+        // Drop each X byte: a 64-bit lane's two pixels become its low
+        // 6 bytes, then the high lane's 6 follow the low lane's.
+        const __m128i p = rgbx[y];
+        const __m128i q = _mm_or_si128(
+            _mm_and_si128(p, low24),
+            _mm_andnot_si128(low24, _mm_srli_epi64(p, 8)));
+        const auto lo = static_cast<uint64_t>(_mm_cvtsi128_si64(q));
+        const auto hi = static_cast<uint64_t>(
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(q, q)));
+        uint8_t *row = row0 + y * stride;
+        store<uint64_t>(row, lo | hi << 48, std::endian::little);
+        store<uint32_t>(row + 8, static_cast<uint32_t>(hi >> 16),
+                        std::endian::little);
+    }
+    return pos;
+}
+#endif
+
+/** decodeTile4 for a tile of any shape: one byte store per sample. */
+template <class F>
+std::uint64_t
+decodeTileAny(const BitSource &src, std::uint64_t pos, ImageU8 &out,
+              const TileRect &rect)
+{
+    const std::size_t stride = static_cast<std::size_t>(out.width()) * 3;
+    const std::size_t n = static_cast<std::size_t>(rect.pixelCount());
+    uint8_t *const data = out.data().data();
+    for (int c = 0; c < 3; ++c) {
+        const ChannelHead h = readHead(src, pos);
+        const uint64_t base8 = splat8(h.base);
+        std::size_t row = out.pixel(rect.x0, rect.y0) - data + c;
+        int x = 0;
+        for (std::size_t i = 0; i < n; i += 8) {
+            const auto k =
+                static_cast<unsigned>(std::min<std::size_t>(8, n - i));
+            uint64_t bytes = unpackGroup<F>(src.get(pos, k * h.width), k,
+                                            h.width, base8);
+            pos += k * h.width;
+            for (unsigned j = 0; j < k; ++j, bytes >>= 8) {
+                data[row + 3 * x] = static_cast<uint8_t>(bytes);
+                if (++x == rect.w) {
+                    x = 0;
+                    row += stride;
+                }
+            }
+        }
+    }
+    return pos;
+}
+
+/** The tile pass of BdCodec::decodeTileRangeInto on one bit path. */
+template <class F>
+void
+decodeTiles(const uint8_t *data, std::size_t size_bytes,
+            const std::vector<TileRect> &tiles, std::size_t begin,
+            std::size_t end, std::uint64_t pos, ImageU8 &out)
+{
+    const BitSource src(data, size_bytes);
+    [[maybe_unused]] const std::size_t stride =
+        static_cast<std::size_t>(out.width()) * 3;
+    for (std::size_t t = begin; t < end; ++t) {
+        const TileRect &rect = tiles[t];
+#ifdef __SSE2__
+        if (rect.w == 4 && rect.h == 4 &&
+            src.inBulk(pos + kTile4MaxBits)) {
+            pos = decodeTile4<F>(src, pos, out.pixel(rect.x0, rect.y0),
+                                 stride);
+            continue;
+        }
+#endif
+        pos = decodeTileAny<F>(src, pos, out, rect);
+    }
+}
+
+#ifdef __SSE2__
+/**
+ * Emit one full 4x4 tile of @p img whose top-left pixel is at @p row0
+ * (rows @p stride bytes apart), with per-channel bases and widths:
+ * each row's 12 bytes spread into RGBX words, the channels split out
+ * as 16 bytes each, and each channel packed as two 8-field groups (a
+ * flat channel packs two empty ones).
+ */
+template <class F>
+void
+emitTile4(WordEmitter &e, const uint8_t *row0, std::size_t stride,
+          const uint8_t *base, const uint8_t *width)
+{
+    const __m128i low24 = _mm_set1_epi64x(0xffffff);
+    __m128i rgbx[4];  // each row's pixels as 32-bit words
+#pragma GCC unroll 4
+    for (int y = 0; y < 4; ++y) {
+        // Row bytes 0..7 and 6..13 in the two 64-bit lanes (bytes 12
+        // and 13 are zeros), then each lane's two pixels to 32 bits
+        // each. Their top bytes hold leftovers, which the channel
+        // masks below drop.
+        const uint8_t *row = row0 + y * stride;
+        const __m128i r = _mm_unpacklo_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(row)),
+            _mm_cvtsi32_si128(static_cast<int>(
+                load<uint32_t>(row + 8, std::endian::native))));
+        const __m128i pairs =
+            _mm_unpacklo_epi64(r, _mm_srli_si128(r, 6));
+        rgbx[y] = _mm_or_si128(
+            _mm_and_si128(pairs, low24),
+            _mm_andnot_si128(low24, _mm_slli_epi64(pairs, 8)));
+    }
+    const __m128i ff = _mm_set1_epi32(0xff);
+    const auto channel = [&](int shift) {
+        const auto take = [&](int y) {
+            return _mm_and_si128(_mm_srli_epi32(rgbx[y], shift), ff);
+        };
+        return _mm_packus_epi16(_mm_packs_epi32(take(0), take(1)),
+                                _mm_packs_epi32(take(2), take(3)));
+    };
+    const __m128i ch[3] = {channel(0), channel(8), channel(16)};
+#pragma GCC unroll 3
+    for (int c = 0; c < 3; ++c) {
+        const unsigned w = width[c];
+        e.put(w << kBaseBits | base[c], kWidthFieldBits + kBaseBits);
+        const uint64_t base8 = splat8(base[c]);
+        const auto rows01 =
+            static_cast<uint64_t>(_mm_cvtsi128_si64(ch[c]));
+        const auto rows23 = static_cast<uint64_t>(
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(ch[c], ch[c])));
+        e.put(packGroup<F>(rows01, 8, w, base8), 8 * w);
+        e.put(packGroup<F>(rows23, 8, w, base8), 8 * w);
+    }
+}
+#endif
+
+/** emitTile4 for a tile of any shape: one byte load per sample. */
+template <class F>
+void
+emitTileAny(WordEmitter &e, const ImageU8 &img, const TileRect &rect,
+            const uint8_t *base, const uint8_t *width)
+{
+    const std::size_t stride = static_cast<std::size_t>(img.width()) * 3;
+    const std::size_t n = static_cast<std::size_t>(rect.pixelCount());
+    const uint8_t *const data = img.data().data();
+    for (int c = 0; c < 3; ++c) {
+        const unsigned w = width[c];
+        e.put(w << kBaseBits | base[c], kWidthFieldBits + kBaseBits);
+        if (w == 0)
+            continue;
+        const uint64_t base8 = splat8(base[c]);
+        std::size_t row = img.pixel(rect.x0, rect.y0) - data + c;
+        int x = 0;
+        for (std::size_t i = 0; i < n; i += 8) {
+            const auto k =
+                static_cast<unsigned>(std::min<std::size_t>(8, n - i));
+            uint64_t bytes = 0;
+            for (unsigned j = 0; j < k; ++j) {
+                bytes |= uint64_t(data[row + 3 * x]) << (8 * j);
+                if (++x == rect.w) {
+                    x = 0;
+                    row += stride;
+                }
+            }
+            e.put(packGroup<F>(bytes, k, w, base8), k * w);
+        }
+    }
+}
 
 /**
  * Emit tiles [begin, end) from the precomputed per-tile-channel
@@ -276,33 +679,77 @@ class WindowReader
  * bit. Returns the range's final partial byte (see
  * WordEmitter::finish), which the caller merges.
  */
+template <class F>
 uint8_t
-emitTileRange(const ImageU8 &img, const std::vector<TileRect> &tiles,
-              const std::vector<uint8_t> &base,
-              const std::vector<uint8_t> &width, std::size_t begin,
-              std::size_t end, std::size_t bit_pos, uint8_t *out)
+emitTiles(const ImageU8 &img, const std::vector<TileRect> &tiles,
+          const uint8_t *base, const uint8_t *width, std::size_t begin,
+          std::size_t end, std::size_t bit_pos, uint8_t *out)
 {
     WordEmitter e(out, bit_pos);
+    [[maybe_unused]] const std::size_t stride =
+        static_cast<std::size_t>(img.width()) * 3;
     for (std::size_t t = begin; t < end; ++t) {
         const TileRect &rect = tiles[t];
-        for (int c = 0; c < 3; ++c) {
-            const unsigned lo = base[3 * t + c];
-            const unsigned w = width[3 * t + c];
-            e.put(w, kWidthFieldBits);
-            e.put(lo, kBaseBits);
-            if (w == 0)
-                continue;
-            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                const uint8_t *row = img.pixel(rect.x0, y) + c;
-                for (int x = 0; x < rect.w; ++x)
-                    e.put(row[3 * x] - lo, w);
-            }
+#ifdef __SSE2__
+        if (rect.w == 4 && rect.h == 4) {
+            emitTile4<F>(e, img.pixel(rect.x0, rect.y0), stride,
+                         base + 3 * t, width + 3 * t);
+            continue;
         }
+#endif
+        emitTileAny<F>(e, img, rect, base + 3 * t, width + 3 * t);
     }
     return e.finish();
 }
 
+#ifdef PCE_BD_BMI2
+// The BMI2 instantiations: flatten inlines the whole pass, so pdep /
+// pext run inline in a function compiled for BMI2.
+__attribute__((target("bmi2"), flatten)) void
+decodeTilesBmi2(const uint8_t *data, std::size_t size_bytes,
+                const std::vector<TileRect> &tiles, std::size_t begin,
+                std::size_t end, std::uint64_t pos, ImageU8 &out)
+{
+    decodeTiles<Bmi2Fields>(data, size_bytes, tiles, begin, end, pos, out);
+}
+
+__attribute__((target("bmi2"), flatten)) uint8_t
+emitTilesBmi2(const ImageU8 &img, const std::vector<TileRect> &tiles,
+              const uint8_t *base, const uint8_t *width, std::size_t begin,
+              std::size_t end, std::size_t bit_pos, uint8_t *out)
+{
+    return emitTiles<Bmi2Fields>(img, tiles, base, width, begin, end,
+                                 bit_pos, out);
+}
+#endif
+
 } // namespace
+
+const char *
+bdBitPathName(BdBitPath path)
+{
+    return path == BdBitPath::Bmi2 ? "bmi2" : "portable";
+}
+
+BdBitPath
+effectiveBdBitPath(BdBitPath requested)
+{
+#ifdef PCE_BD_BMI2
+    if (requested == BdBitPath::Bmi2 && hasFastBmi2())
+        return BdBitPath::Bmi2;
+#endif
+    (void)requested;
+    return BdBitPath::Portable;
+}
+
+BdBitPath
+activeBdBitPath()
+{
+    static const BdBitPath path = envSimdOff()
+                                      ? BdBitPath::Portable
+                                      : effectiveBdBitPath(BdBitPath::Bmi2);
+    return path;
+}
 
 void
 bdTileStats(const ImageU8 &img, const TileRect &rect, uint8_t base[3],
@@ -420,9 +867,19 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
     auto emitChunks = [&](std::size_t begin, std::size_t end, int) {
         for (std::size_t k = begin; k < end; ++k) {
             const std::size_t t0 = chunkTile(k);
-            s.seams[k] = emitTileRange(
-                img, tiles, s.base, s.width, t0, chunkTile(k + 1),
-                kBdStreamHeaderBits + s.bitOffsets[t0], out.data());
+            const std::size_t t1 = chunkTile(k + 1);
+            const std::size_t bit = kBdStreamHeaderBits + s.bitOffsets[t0];
+#ifdef PCE_BD_BMI2
+            if (bitPath_ == BdBitPath::Bmi2) {
+                s.seams[k] = emitTilesBmi2(img, tiles, s.base.data(),
+                                           s.width.data(), t0, t1, bit,
+                                           out.data());
+                continue;
+            }
+#endif
+            s.seams[k] = emitTiles<PortableFields>(
+                img, tiles, s.base.data(), s.width.data(), t0, t1, bit,
+                out.data());
         }
     };
     if (parallel)
@@ -507,40 +964,24 @@ BdCodec::decodeTileRangeInto(const std::uint8_t *data,
                              std::size_t tile_begin,
                              std::size_t tile_end,
                              std::uint64_t payload_bit_begin,
-                             ImageU8 &out)
+                             ImageU8 &out, BdBitPath bit_path)
 {
-    WindowReader br(data, size_bytes,
-                    kBdStreamHeaderBits + payload_bit_begin);
-    for (std::size_t t = tile_begin; t < tile_end; ++t) {
-        const TileRect &rect = tiles[t];
-        for (int c = 0; c < 3; ++c) {
-            const unsigned width = br.get(kWidthFieldBits);
-            const unsigned base = br.get(kBaseBits);
-            if (width == 0) {
-                // Flat channel (the cheap "case 2" tiles): no delta
-                // bits to read, just splat the base.
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                    uint8_t *row = out.pixel(rect.x0, y);
-                    for (int x = 0; x < rect.w; ++x)
-                        row[3 * x + c] = static_cast<uint8_t>(base);
-                }
-                continue;
-            }
-            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                uint8_t *row = out.pixel(rect.x0, y);
-                for (int x = 0; x < rect.w; ++x)
-                    row[3 * x + c] =
-                        static_cast<uint8_t>(base + br.get(width));
-            }
-        }
-    }
+    const std::uint64_t pos = kBdStreamHeaderBits + payload_bit_begin;
+#ifdef PCE_BD_BMI2
+    if (effectiveBdBitPath(bit_path) == BdBitPath::Bmi2)
+        return decodeTilesBmi2(data, size_bytes, tiles, tile_begin,
+                               tile_end, pos, out);
+#endif
+    (void)bit_path;
+    decodeTiles<PortableFields>(data, size_bytes, tiles, tile_begin,
+                                tile_end, pos, out);
 }
 
 void
 BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                     BdDecodeScratch *scratch, ThreadPool *pool,
                     int participants, std::uint64_t max_pixels,
-                    bool duplicate_validate)
+                    bool duplicate_validate, BdBitPath bit_path)
 {
     // Header checks first, before any buffer scales with the claimed
     // geometry: the tile grid and offset arrays built next are
@@ -613,7 +1054,7 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     const std::size_t size = stream.size();
     auto decodeRange = [&](std::size_t begin, std::size_t end, int) {
         decodeTileRangeInto(data, size, s.tiles, begin, end,
-                            s.bitOffsets[begin], out);
+                            s.bitOffsets[begin], out, bit_path);
     };
     const bool parallel =
         pool != nullptr && participants > 1 && n_tiles > 1;

@@ -122,6 +122,32 @@ BdStreamHeader bdReadStreamHeader(
     const std::uint8_t *data, std::size_t size_bytes,
     std::uint64_t max_pixels = kBdDefaultMaxDecodePixels);
 
+/**
+ * How the BD tile pass moves a tile-channel's w-bit delta fields to and
+ * from bytes, eight at a time. It is the one dispatched step of the
+ * decode and emit passes (src/bd/bd_codec.cc); both paths compute the
+ * same words, so the bytes are identical on either.
+ */
+enum class BdBitPath
+{
+    Portable,  ///< a shift ladder, any CPU
+    Bmi2,      ///< BMI2 pdep (decode) / pext (emit)
+};
+
+/** Path name for reports and bench records ("portable" / "bmi2"). */
+const char *bdBitPathName(BdBitPath path);
+
+/**
+ * The path BD codecs take by default, decided once per process: Bmi2
+ * when CPUID reports BMI2 on a core that does not run pdep / pext in
+ * microcode (AMD Zen 1 and 2 do), unless FOVE_SIMD=off (or scalar / 0)
+ * selects the portable path.
+ */
+BdBitPath activeBdBitPath();
+
+/** @p requested, or Portable when this CPU cannot run it fast. */
+BdBitPath effectiveBdBitPath(BdBitPath requested);
+
 /** Per-tile, per-channel bit accounting (drives Fig. 11). */
 struct BdChannelStats
 {
@@ -225,8 +251,14 @@ struct BdDecodeScratch
 class BdCodec
 {
   public:
-    /** @param tile_size Edge of the square tile (paper default 4). */
-    explicit BdCodec(int tile_size = 4);
+    /**
+     * @param tile_size Edge of the square tile (paper default 4).
+     * @param bit_path Bit path of the emit pass, clamped to what this
+     *        CPU runs fast (see BdBitPath); the bytes are the same on
+     *        either.
+     */
+    explicit BdCodec(int tile_size = 4,
+                     BdBitPath bit_path = activeBdBitPath());
 
     int tileSize() const { return tileSize_; }
 
@@ -348,6 +380,8 @@ class BdCodec
      *        every later tile's read position; duplication converts
      *        that into a detected error at ~2x walk cost (the walk is
      *        a small fraction of total decode time).
+     * @param bit_path Bit path of the tile pass (see BdBitPath);
+     *        clamped to what this CPU runs fast.
      * @throws std::runtime_error on any malformed or over-cap stream,
      *         before @p out is modified, and on duplicate-validate
      *         disagreement.
@@ -357,7 +391,8 @@ class BdCodec
         BdDecodeScratch *scratch = nullptr, ThreadPool *pool = nullptr,
         int participants = 1,
         std::uint64_t max_pixels = kBdDefaultMaxDecodePixels,
-        bool duplicate_validate = false);
+        bool duplicate_validate = false,
+        BdBitPath bit_path = activeBdBitPath());
 
     /**
      * Walk the per-tile-channel records of tiles [tile_begin, tile_end)
@@ -392,12 +427,16 @@ class BdCodec
      * @p out, seeking straight to @p payload_bit_begin — the prefix
      * seek path of decodeInto's pass 2, exposed for partial-frame
      * decode. The caller must have validated the range first (
-     * walkTileRange) and sized @p out to the frame geometry. Bytes of
-     * @p data outside the range's bit span never affect the output
-     * (the reader may load up to 8 bytes past the span, never past
-     * @p size_bytes, and discards them), so a partially reassembled
-     * frame buffer with holes decodes every *present* tile range
-     * correctly regardless of what the holes contain.
+     * walkTileRange) and sized @p out to the frame geometry; a width
+     * field above 8 bits, which the walk rejects, throws
+     * std::runtime_error here. Bytes of @p data outside the range's
+     * bit span never affect the output (a read may load up to 8 bytes
+     * past the span, never past @p size_bytes, and discards them), so a
+     * partially reassembled frame buffer with holes decodes every
+     * *present* tile range correctly regardless of what the holes
+     * contain. Full 4x4 tiles decode each channel as two 8-field
+     * groups and write each row as 12 interleaved bytes; other tiles
+     * take the same groups one byte store per sample.
      */
     static void decodeTileRangeInto(const std::uint8_t *data,
                                     std::size_t size_bytes,
@@ -405,7 +444,8 @@ class BdCodec
                                     std::size_t tile_begin,
                                     std::size_t tile_end,
                                     std::uint64_t payload_bit_begin,
-                                    ImageU8 &out);
+                                    ImageU8 &out,
+                                    BdBitPath bit_path = activeBdBitPath());
 
     /**
      * Bit accounting without materializing a stream. Exactly matches
@@ -424,6 +464,7 @@ class BdCodec
 
   private:
     int tileSize_;
+    BdBitPath bitPath_;
 };
 
 /** Number of delta bits for a [min, max] range: ceil(log2(range+1)). */

@@ -33,4 +33,11 @@ envString(const char *name, const std::string &def)
     return v && *v ? std::string(v) : def;
 }
 
+bool
+envSimdOff()
+{
+    const std::string v = envString("FOVE_SIMD", "auto");
+    return v == "off" || v == "scalar" || v == "0";
+}
+
 } // namespace pce

@@ -24,6 +24,13 @@ double envDouble(const char *name, double def);
 /** Read a string environment variable, falling back to @p def. */
 std::string envString(const char *name, const std::string &def);
 
+/**
+ * True when the FOVE_SIMD override selects the portable paths ("off",
+ * "scalar" or "0"): the scalar tile kernels, the portable BD bit path,
+ * the table CRC-32 and hash64's one-word loop. Read on every call.
+ */
+bool envSimdOff();
+
 } // namespace pce
 
 #endif // PCE_COMMON_ENV_HH

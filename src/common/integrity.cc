@@ -3,9 +3,12 @@
 #include <array>
 #include <cstring>
 
+#include "common/env.hh"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define PCE_HASH64_AVX512 1
+#define PCE_CRC32_CLMUL 1
 #endif
 
 namespace pce {
@@ -52,6 +55,77 @@ le32(const uint8_t *p)
            static_cast<uint32_t>(p[2]) << 16 |
            static_cast<uint32_t>(p[3]) << 24;
 }
+
+#ifdef PCE_CRC32_CLMUL
+/** One fold step: the 128-bit x carried @p k's distance, plus @p data. */
+__attribute__((target("pclmul"))) inline __m128i
+foldStep(__m128i x, __m128i k, __m128i data)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         data);
+}
+
+/**
+ * The CRC register after @p n bytes (n >= 64, a multiple of 16) from
+ * register @p crc, by carry-less multiply. Four 128-bit accumulators
+ * fold 64 bytes per step, then fold into one, which takes the remaining
+ * 16-byte blocks; a Barrett reduction turns the 128-bit remainder into
+ * the 32-bit register. The constants are x^k mod P for the reflected
+ * polynomial (bit-reflected, as in Intel's paper): k1/k2 carry an
+ * accumulator 512 bits, k3/k4 128 bits, k5 the last 64 bits, and mu/P'
+ * are the Barrett constants.
+ */
+__attribute__((target("pclmul"))) uint32_t
+crcFoldClmul(uint32_t crc, const uint8_t *p, std::size_t n)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i mu_p = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(-1, 0, 0, 0);
+    const auto load = [](const uint8_t *q) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(q));
+    };
+
+    __m128i x0 = _mm_xor_si128(load(p),
+                               _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x0 = foldStep(x0, k1k2, load(p));
+        x1 = foldStep(x1, k1k2, load(p + 16));
+        x2 = foldStep(x2, k1k2, load(p + 32));
+        x3 = foldStep(x3, k1k2, load(p + 48));
+    }
+    x0 = foldStep(x0, k3k4, x1);
+    x0 = foldStep(x0, k3k4, x2);
+    x0 = foldStep(x0, k3k4, x3);
+    for (; n >= 16; p += 16, n -= 16)
+        x0 = foldStep(x0, k3k4, load(p));
+
+    // 128 -> 64 bits (appending 32 zero bits), then 64 -> 32.
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(x0, k3k4, 0x10));
+    x0 = _mm_xor_si128(
+        _mm_srli_si128(x0, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+    // Barrett reduction.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), mu_p, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), mu_p, 0x00);
+    x0 = _mm_xor_si128(x0, t);
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x0, 4)));
+}
+
+/** CPUID, once: can crcFoldClmul run here? */
+bool
+hasClmul()
+{
+    static const bool ok = __builtin_cpu_supports("pclmul");
+    return ok;
+}
+#endif
 
 constexpr uint32_t kAdlerMod = 65521;
 
@@ -110,11 +184,12 @@ mixWords8(const uint8_t *bytes, std::size_t blocks)
     return h;
 }
 
-/** CPUID, once: can mixWords8 run here? */
+/** CPUID, once: can mixWords8 run here, and does FOVE_SIMD allow it? */
 bool
 hasWideHash()
 {
-    static const bool ok = __builtin_cpu_supports("avx512f") &&
+    static const bool ok = !envSimdOff() &&
+                           __builtin_cpu_supports("avx512f") &&
                            __builtin_cpu_supports("avx512dq");
     return ok;
 }
@@ -122,11 +197,44 @@ hasWideHash()
 
 } // namespace
 
+const char *
+crcPathName(CrcPath path)
+{
+    return path == CrcPath::Clmul ? "clmul" : "tables";
+}
+
+CrcPath
+effectiveCrcPath(CrcPath requested)
+{
+#ifdef PCE_CRC32_CLMUL
+    if (requested == CrcPath::Clmul && hasClmul())
+        return CrcPath::Clmul;
+#endif
+    (void)requested;
+    return CrcPath::Tables;
+}
+
+CrcPath
+activeCrcPath()
+{
+    static const CrcPath path =
+        envSimdOff() ? CrcPath::Tables : effectiveCrcPath(CrcPath::Clmul);
+    return path;
+}
+
 void
 Crc32::update(const uint8_t *data, std::size_t n)
 {
     const CrcTables &t = crcTables();
     uint32_t c = state_;
+#ifdef PCE_CRC32_CLMUL
+    if (path_ == CrcPath::Clmul && n >= 64) {
+        const std::size_t folded = n / 16 * 16;
+        c = crcFoldClmul(c, data, folded);
+        data += folded;
+        n -= folded;
+    }
+#endif
     for (; n >= 8; data += 8, n -= 8) {
         const uint32_t a = c ^ le32(data);
         const uint32_t b = le32(data + 4);
@@ -141,9 +249,9 @@ Crc32::update(const uint8_t *data, std::size_t n)
 }
 
 uint32_t
-crc32(const uint8_t *data, std::size_t n)
+crc32(const uint8_t *data, std::size_t n, CrcPath path)
 {
-    Crc32 c;
+    Crc32 c(path);
     c.update(data, n);
     return c.value();
 }

@@ -34,15 +34,42 @@
 
 namespace pce {
 
+/** How Crc32::update folds the input. Both give the same value. */
+enum class CrcPath
+{
+    Tables,  ///< slicing-by-8 tables, eight bytes per step, any CPU
+    Clmul,   ///< carry-less multiply (x86 PCLMULQDQ), 64 bytes per step
+};
+
+/** Path name for reports and bench records ("tables" / "clmul"). */
+const char *crcPathName(CrcPath path);
+
 /**
- * Incrementally updatable CRC-32 as used by PNG. update() folds eight
- * bytes per step (slicing-by-8 tables); the value is the same as the
- * byte-at-a-time form for any split of the input and any host byte
- * order.
+ * The path CRCs take by default, decided once per process: Clmul when
+ * CPUID reports PCLMULQDQ, unless FOVE_SIMD=off (or scalar / 0) selects
+ * the tables.
+ */
+CrcPath activeCrcPath();
+
+/** @p requested, or Tables when this CPU cannot run it. */
+CrcPath effectiveCrcPath(CrcPath requested);
+
+/**
+ * Incrementally updatable CRC-32 as used by PNG. On the Clmul path
+ * update() folds the 16-byte blocks of an input of 64 bytes or more by
+ * carry-less multiply (Intel, "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ"); the tail and shorter inputs go eight
+ * bytes per step through slicing-by-8 tables. The value is the same as
+ * the byte-at-a-time form for any split of the input, either path and
+ * any host byte order.
  */
 class Crc32
 {
   public:
+    explicit Crc32(CrcPath path = activeCrcPath())
+        : path_(effectiveCrcPath(path))
+    {}
+
     /** Feed @p n bytes. */
     void update(const uint8_t *data, std::size_t n);
 
@@ -50,11 +77,13 @@ class Crc32
     uint32_t value() const { return state_ ^ 0xffffffffu; }
 
   private:
+    CrcPath path_;
     uint32_t state_ = 0xffffffffu;
 };
 
 /** One-shot CRC-32 of a buffer. */
-uint32_t crc32(const uint8_t *data, std::size_t n);
+uint32_t crc32(const uint8_t *data, std::size_t n,
+               CrcPath path = activeCrcPath());
 
 /** Incrementally updatable Adler-32 as used by zlib (RFC 1950). */
 class Adler32

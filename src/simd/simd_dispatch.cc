@@ -62,9 +62,9 @@ detectedSimdLevel()
 SimdLevel
 activeSimdLevel()
 {
-    const std::string v = envString("FOVE_SIMD", "auto");
-    if (v == "off" || v == "scalar" || v == "0")
+    if (envSimdOff())
         return SimdLevel::Scalar;
+    const std::string v = envString("FOVE_SIMD", "auto");
     // "avx2" caps the level at AVX2; "avx512" (the widest level) and
     // "auto" take the best detected one. A request is clamped to what
     // the CPU supports rather than crashing on an unsupported

@@ -2,10 +2,10 @@
  * @file
  * Test-only reference Base+Delta bit I/O: the per-field BitWriter /
  * BitReader encoder and tile decoder the library used before its
- * word-level emitter and 64-bit window reader. Every field goes
- * through one putBits / getBits call, which makes this the readable
- * statement of the stream format that the fast paths in
- * src/bd/bd_codec.cc must reproduce bit for bit.
+ * word-level emitter and reader. Every field goes through one
+ * putBits / getBits call, which makes this the readable statement of
+ * the stream format that the fast paths in src/bd/bd_codec.cc must
+ * reproduce bit for bit.
  */
 
 #ifndef PCE_TESTS_BD_BD_REFERENCE_HH

@@ -4,8 +4,9 @@
  * truncations, extensions) of known-good BD streams, plus hand-crafted
  * adversarial headers. Every mutant must either decode cleanly or
  * throw std::runtime_error — never crash, hang, or scale work with a
- * lying header. scripts/check.sh runs this suite under asan/ubsan on
- * every tier-1 sanitizer pass.
+ * lying header. Every decode runs on both BD bit paths, which must
+ * agree. scripts/check.sh runs this suite under asan/ubsan on every
+ * tier-1 sanitizer pass.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,37 @@ randomImage(int w, int h, uint64_t seed)
 }
 
 /**
+ * BdCodec::decodeInto on the portable and the BMI2 bit path (the
+ * portable one again where this CPU has no fast BMI2). Both must
+ * throw std::runtime_error, or both decode the same image into @p out;
+ * a throw is rethrown.
+ */
+void
+decodeOnEveryPath(const std::vector<uint8_t> &stream, ImageU8 &out,
+                  BdDecodeScratch *scratch = nullptr,
+                  ThreadPool *pool = nullptr, int participants = 1,
+                  std::uint64_t max_pixels = kBdDefaultMaxDecodePixels)
+{
+    bool portable_threw = false;
+    try {
+        BdCodec::decodeInto(stream, out, scratch, pool, participants,
+                            max_pixels, false, BdBitPath::Portable);
+    } catch (const std::runtime_error &) {
+        portable_threw = true;
+    }
+    ImageU8 bmi2;
+    try {
+        BdCodec::decodeInto(stream, bmi2, scratch, pool, participants,
+                            max_pixels, false, BdBitPath::Bmi2);
+    } catch (const std::runtime_error &) {
+        EXPECT_TRUE(portable_threw) << "only the bmi2 path threw";
+        throw;
+    }
+    EXPECT_FALSE(portable_threw) << "only the portable path threw";
+    EXPECT_EQ(bmi2, out);
+}
+
+/**
  * Feed a mutant to decodeInto. Anything other than a clean decode or a
  * clean std::runtime_error fails the test (other exception types would
  * escape and abort it; memory errors trip the sanitizer build).
@@ -44,7 +76,7 @@ decodesCleanly(const std::vector<uint8_t> &mutant)
 {
     ImageU8 out;
     try {
-        BdCodec::decodeInto(mutant, out);
+        decodeOnEveryPath(mutant, out);
     } catch (const std::runtime_error &) {
         return false;
     }
@@ -103,7 +135,7 @@ TEST(BdDecodeHardening, EveryPayloadByteBitFlipIsGraceful)
             mutant[byte] ^= static_cast<uint8_t>(1u << bit);
             ImageU8 out;
             try {
-                BdCodec::decodeInto(mutant, out);
+                decodeOnEveryPath(mutant, out);
                 // A surviving mutant altered only delta/base payload:
                 // geometry must be untouched.
                 EXPECT_EQ(out.width(), 9);
@@ -123,7 +155,7 @@ TEST(BdDecodeHardening, EveryTruncationLengthThrows)
     for (std::size_t len = 0; len < valid.size(); ++len) {
         const std::vector<uint8_t> truncated(valid.begin(),
                                              valid.begin() + len);
-        EXPECT_THROW(BdCodec::decodeInto(truncated, out),
+        EXPECT_THROW(decodeOnEveryPath(truncated, out),
                      std::runtime_error)
             << "length " << len;
     }
@@ -138,7 +170,7 @@ TEST(BdDecodeHardening, TrailingGarbageBytesThrow)
         for (const uint8_t fill : {0x00, 0xff, 0x5a}) {
             auto mutant = valid;
             mutant.insert(mutant.end(), extra, fill);
-            EXPECT_THROW(BdCodec::decodeInto(mutant, out),
+            EXPECT_THROW(decodeOnEveryPath(mutant, out),
                          std::runtime_error)
                 << extra << " bytes of 0x" << std::hex
                 << static_cast<int>(fill);
@@ -161,7 +193,7 @@ TEST(BdDecodeHardening, NonzeroPaddingBitsThrow)
     auto mutant = valid;
     mutant.back() |= 1u;  // lowest bit is always padding here
     ImageU8 out;
-    EXPECT_THROW(BdCodec::decodeInto(mutant, out), std::runtime_error);
+    EXPECT_THROW(decodeOnEveryPath(mutant, out), std::runtime_error);
 }
 
 TEST(BdDecodeHardening, ZeroDimensionHeadersThrow)
@@ -172,7 +204,7 @@ TEST(BdDecodeHardening, ZeroDimensionHeadersThrow)
     for (const auto &[w, h, tile] : cases) {
         auto stream = craftHeader(w, h, tile);
         stream.insert(stream.end(), 64, 0);  // plausible payload bytes
-        EXPECT_THROW(BdCodec::decodeInto(stream, out),
+        EXPECT_THROW(decodeOnEveryPath(stream, out),
                      std::runtime_error)
             << w << "x" << h << " tile " << tile;
     }
@@ -195,7 +227,7 @@ TEST(BdDecodeHardening, OverflowingDimensionsRejectedBeforeAllocation)
     for (const auto &[w, h, tile] : cases) {
         auto stream = craftHeader(w, h, tile);
         stream.insert(stream.end(), 4096, 0xa5);
-        EXPECT_THROW(BdCodec::decodeInto(stream, out),
+        EXPECT_THROW(decodeOnEveryPath(stream, out),
                      std::runtime_error)
             << w << "x" << h << " tile " << tile;
     }
@@ -227,7 +259,7 @@ TEST(BdDecodeHardening, WellFormedDecompressionBombRejected)
     const std::vector<uint8_t> bomb = bw.take();
     ImageU8 out;
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_THROW(BdCodec::decodeInto(bomb, out), std::runtime_error);
+    EXPECT_THROW(decodeOnEveryPath(bomb, out), std::runtime_error);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -242,11 +274,11 @@ TEST(BdDecodeHardening, PixelCapIsCallerTunable)
     const auto stream = codec.encode(img);
     ImageU8 out;
     // Just over the frame's pixel count: rejected.
-    EXPECT_THROW(BdCodec::decodeInto(stream, out, nullptr, nullptr, 1,
+    EXPECT_THROW(decodeOnEveryPath(stream, out, nullptr, nullptr, 1,
                                      511),
                  std::runtime_error);
     // At the exact pixel count: decodes.
-    BdCodec::decodeInto(stream, out, nullptr, nullptr, 1, 512);
+    decodeOnEveryPath(stream, out, nullptr, nullptr, 1, 512);
     EXPECT_EQ(out, img);
 }
 
@@ -270,7 +302,7 @@ TEST(BdDecodeHardening, OversizedWidthFieldThrows)
     bw.putBits(0, 8);
     bw.alignToByte();
     ImageU8 out;
-    EXPECT_THROW(BdCodec::decodeInto(bw.take(), out),
+    EXPECT_THROW(decodeOnEveryPath(bw.take(), out),
                  std::runtime_error);
 }
 
@@ -284,7 +316,7 @@ TEST(BdDecodeHardening, MidTileTruncationThrowsNotZeroFills)
     ImageU8 out;
     auto cut = valid;
     cut.resize(valid.size() - 1);
-    EXPECT_THROW(BdCodec::decodeInto(cut, out), std::runtime_error);
+    EXPECT_THROW(decodeOnEveryPath(cut, out), std::runtime_error);
 }
 
 TEST(BdDecodeHardening, RandomStreamsAreGraceful)
@@ -323,13 +355,13 @@ TEST(BdDecodeHardening, MutantsAreGracefulUnderParallelDecode)
         mutant[pos] ^= static_cast<uint8_t>(1u << rng.uniformInt(8));
         bool serial_ok = true;
         try {
-            BdCodec::decodeInto(mutant, serial_out);
+            decodeOnEveryPath(mutant, serial_out);
         } catch (const std::runtime_error &) {
             serial_ok = false;
         }
         bool parallel_ok = true;
         try {
-            BdCodec::decodeInto(mutant, parallel_out, &scratch, &pool,
+            decodeOnEveryPath(mutant, parallel_out, &scratch, &pool,
                                 4);
         } catch (const std::runtime_error &) {
             parallel_ok = false;

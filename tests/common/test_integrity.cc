@@ -1,10 +1,11 @@
 /**
  * @file
- * Known-answer tests for CRC-32 and Adler-32, a sweep of CRC-32 against
- * its bit-at-a-time definition (lengths, alignments, incremental
- * splits, a wire packet), plus detection-property tests for the fast
- * hash64 used by the integrity seals and a sweep of hash64 against its
- * per-word definition (whatever word loop this host dispatches to).
+ * Known-answer tests for CRC-32 and Adler-32, a sweep of CRC-32 on
+ * both update paths against its bit-at-a-time definition (lengths,
+ * alignments, large buffers, incremental splits, a wire packet), plus
+ * detection-property tests for the fast hash64 used by the integrity
+ * seals and a sweep of hash64 against its per-word definition
+ * (whatever word loop this host dispatches to).
  */
 
 #include <gtest/gtest.h>
@@ -76,30 +77,81 @@ randomBytes(std::size_t n, uint64_t seed)
     return v;
 }
 
+/** Both Crc32 paths; one this CPU cannot run falls back to the tables. */
+constexpr CrcPath kCrcPaths[] = {CrcPath::Tables, CrcPath::Clmul};
+
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset)
 {
-    // Every short length at every start alignment: the eight-byte fold
-    // and the byte tail both run, from any address.
-    const std::vector<uint8_t> buf = randomBytes(64 + 8, 11);
-    for (std::size_t off = 0; off < 8; ++off)
-        for (std::size_t n = 0; n <= 64; ++n)
-            ASSERT_EQ(crc32(buf.data() + off, n),
-                      bitwiseCrc(buf.data() + off, n))
-                << "offset " << off << " length " << n;
+    // Every length through five 64-byte blocks at every start offset
+    // within 16 bytes: the carry-less fold (64 bytes and up), its
+    // 16-byte steps, the eight-byte table fold and the byte tail all
+    // run, alone and together, from any address.
+    const std::vector<uint8_t> buf = randomBytes(320 + 16, 11);
+    for (const CrcPath path : kCrcPaths)
+        for (std::size_t off = 0; off < 16; ++off)
+            for (std::size_t n = 0; n <= 320; ++n)
+                ASSERT_EQ(crc32(buf.data() + off, n, path),
+                          bitwiseCrc(buf.data() + off, n))
+                    << crcPathName(path) << " offset " << off
+                    << " length " << n;
+
+    // A 256x256 frame's BD stream (~77 KB) and a 1.5 MB buffer, each
+    // from an odd address.
+    for (const std::size_t n : {std::size_t{77 * 1024 + 5},
+                                std::size_t{256 * 256 * 24 + 3}}) {
+        const std::vector<uint8_t> big = randomBytes(n + 1, n);
+        const uint32_t want = bitwiseCrc(big.data() + 1, n);
+        for (const CrcPath path : kCrcPaths)
+            EXPECT_EQ(crc32(big.data() + 1, n, path), want)
+                << crcPathName(path) << " length " << n;
+    }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot)
 {
-    // Two updates split at every offset of a 1 KB buffer.
+    // Two updates split at every offset of a 1 KB buffer, so cuts fall
+    // inside, between and outside the folded blocks of either part.
     const std::vector<uint8_t> buf = randomBytes(1024, 12);
     const uint32_t want = bitwiseCrc(buf.data(), buf.size());
-    ASSERT_EQ(crc32(buf.data(), buf.size()), want);
-    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
-        Crc32 inc;
-        inc.update(buf.data(), cut);
-        inc.update(buf.data() + cut, buf.size() - cut);
-        ASSERT_EQ(inc.value(), want) << "split at " << cut;
+    for (const CrcPath path : kCrcPaths) {
+        ASSERT_EQ(crc32(buf.data(), buf.size(), path), want);
+        for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+            Crc32 inc(path);
+            inc.update(buf.data(), cut);
+            inc.update(buf.data() + cut, buf.size() - cut);
+            ASSERT_EQ(inc.value(), want)
+                << crcPathName(path) << " split at " << cut;
+        }
     }
+}
+
+TEST(Crc32, ManyUnevenUpdatesMatchOneShot)
+{
+    // A 77 KB stream fed in pieces of 1..300 bytes: most pieces fold
+    // some blocks and leave a table tail, and the next piece starts
+    // mid-block.
+    const std::vector<uint8_t> buf = randomBytes(77 * 1024, 16);
+    const uint32_t want = bitwiseCrc(buf.data(), buf.size());
+    for (const CrcPath path : kCrcPaths) {
+        Rng rng(17);
+        Crc32 inc(path);
+        for (std::size_t pos = 0; pos < buf.size();) {
+            const std::size_t len = std::min<std::size_t>(
+                1 + rng.uniformInt(300), buf.size() - pos);
+            inc.update(buf.data() + pos, len);
+            pos += len;
+        }
+        EXPECT_EQ(inc.value(), want) << crcPathName(path);
+    }
+}
+
+TEST(Crc32, PathsAreResolvedAgainstTheCpu)
+{
+    EXPECT_EQ(effectiveCrcPath(CrcPath::Tables), CrcPath::Tables);
+    const CrcPath active = activeCrcPath();
+    EXPECT_EQ(effectiveCrcPath(active), active);
+    EXPECT_STREQ(crcPathName(CrcPath::Tables), "tables");
+    EXPECT_STREQ(crcPathName(CrcPath::Clmul), "clmul");
 }
 
 TEST(Crc32, PacketCrcOnOddPayload)
