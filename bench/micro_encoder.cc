@@ -5,9 +5,10 @@
  * job), extrema computation (Compute Extrema Block), per-tile
  * adjustment (full PE), frame-level encoding, the BD codec, and CRC-32.
  * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
- * one-thread rows (the frame pass on one worker), BM_Hash64_Frame,
- * BM_Crc32_77KB, BM_BdEmit/256 and the BD decode split into
- * BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256.
+ * one-thread rows (the frame pass on one worker), BM_TileAdjustScratch/16
+ * (one tile through the kernel table), BM_Hash64_Frame, BM_Crc32_77KB,
+ * BM_BdEmit and BM_BdDecode at 128 and 256 (1 and 4 participants), and
+ * the BD decode split into BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256.
  *
  * These quantify the paper's motivation: the algorithm in software runs
  * far below display rate (2 FPS on a mobile GPU), which is why the CAU
@@ -20,6 +21,7 @@
 #include "bench_common.hh"
 #include "common/integrity.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
 #include "perception/rbf.hh"
@@ -219,21 +221,24 @@ BM_BdDecode(benchmark::State &state)
 {
     // Steady-state hardened decode: caller-owned image + scratch
     // reused across iterations (the allocating BdCodec::decode wrapper
-    // adds one ImageU8 build per call on top of this).
+    // adds one ImageU8 build per call on top of this). Args: side,
+    // participants (a pool of participants - 1 workers).
     const int n = static_cast<int>(state.range(0));
+    const int participants = static_cast<int>(state.range(1));
     const BdCodec codec(4);
     const auto stream = codec.encode(
         toSrgb8(renderScene(SceneId::Thai, {n, n, 0, 0.0, 0})));
+    ThreadPool pool(participants - 1);
     ImageU8 out;
     BdDecodeScratch scratch;
     for (auto _ : state) {
-        BdCodec::decodeInto(stream, out, &scratch);
+        BdCodec::decodeInto(stream, out, &scratch, &pool, participants);
         benchmark::DoNotOptimize(out.data().data());
     }
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(stream.size()));
 }
-BENCHMARK(BM_BdDecode)->Arg(256)->Arg(512);
+BENCHMARK(BM_BdDecode)->ArgsProduct({{128, 256, 512}, {1, 4}});
 
 /**
  * The frame a service stream delivers: a rendered Skyline frame through
@@ -290,9 +295,11 @@ void
 BM_BdEmit(benchmark::State &state)
 {
     // The BD passes a service frame runs after the tile loop:
-    // encodeFromStats (prefix and emit) on an adjusted frame, serial,
-    // from the per-tile stats that loop hands over.
+    // encodeFromStats (prefix and emit) on an adjusted frame, from the
+    // per-tile stats that loop hands over. Args: side, participants.
     const int n = static_cast<int>(state.range(0));
+    const int participants = static_cast<int>(state.range(1));
+    ThreadPool pool(participants - 1);
     const ImageU8 img = adjustedFrame(n).adjustedSrgb;
     const BdCodec codec(4);
     BdEncodeScratch scratch;
@@ -303,14 +310,15 @@ BM_BdEmit(benchmark::State &state)
                     &scratch.width[3 * t]);
     std::vector<uint8_t> out;
     for (auto _ : state) {
-        codec.encodeFromStats(img, nullptr, out, scratch);
+        codec.encodeFromStats(img, nullptr, out, scratch, &pool,
+                              participants);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(out.size()));
 }
-BENCHMARK(BM_BdEmit)->Arg(256);
+BENCHMARK(BM_BdEmit)->ArgsProduct({{128, 256}, {1, 4}});
 
 void
 BM_Crc32_77KB(benchmark::State &state)

@@ -109,6 +109,17 @@ bdDeltaWidth(uint8_t min_value, uint8_t max_value)
     return w;
 }
 
+int
+bdPassParticipants(const ThreadPool *pool, int participants,
+                   std::size_t n_tiles)
+{
+    if (pool == nullptr)
+        return 1;
+    const std::size_t cap = n_tiles / kBdMinTilesPerParticipant;
+    return static_cast<int>(std::clamp<std::size_t>(
+        cap, 1, static_cast<std::size_t>(std::max(participants, 1))));
+}
+
 std::size_t
 bdTileBitsFromCodes(const uint8_t *codes, std::size_t n)
 {
@@ -134,28 +145,6 @@ BdCodec::BdCodec(int tile_size, BdBitPath bit_path)
 {
     if (tile_size < 1 || tile_size > 255)
         throw std::invalid_argument("BdCodec: tile size out of range");
-}
-
-BdChannelStats
-BdCodec::analyzeTileChannel(const ImageU8 &img, const TileRect &rect,
-                            int channel)
-{
-    uint8_t lo = 255;
-    uint8_t hi = 0;
-    for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-        for (int x = rect.x0; x < rect.x0 + rect.w; ++x) {
-            const uint8_t v = img.channel(x, y, channel);
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-    }
-    BdChannelStats s;
-    s.deltaWidth = bdDeltaWidth(lo, hi);
-    s.metaBits = kWidthFieldBits;
-    s.baseBits = kBaseBits;
-    s.deltaBits =
-        static_cast<std::size_t>(rect.pixelCount()) * s.deltaWidth;
-    return s;
 }
 
 std::vector<uint8_t>
@@ -806,9 +795,9 @@ BdCodec::encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
         // Pass spans record on the dispatching thread only — worker
         // time inside parallelFor is inside the span's wall time.
         obs::TraceSpan span("bd/stats");
-        if (pool != nullptr && participants > 1 && tiles.size() > 1)
-            pool->parallelFor(tiles.size(), 16, participants,
-                              statsRange);
+        const int p = bdPassParticipants(pool, participants, tiles.size());
+        if (p > 1)
+            pool->parallelFor(tiles.size(), 16, p, statsRange);
         else
             statsRange(0, tiles.size(), 0);
     }
@@ -822,8 +811,7 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
 {
     const std::vector<TileRect> &tiles = s.tiles;
     const std::size_t n_tiles = tiles.size();
-    const bool parallel = pool != nullptr && participants > 1 &&
-                          n_tiles > 1;
+    const int p = bdPassParticipants(pool, participants, n_tiles);
 
     // Pass 2 (serial): exact per-tile bit offsets by prefix sum.
     BdFrameStats stats;
@@ -859,9 +847,9 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
     out.resize((total_bits + 7) / 8);
     bdWriteStreamHeader(out.data(), img.width(), img.height(), tileSize_);
     const std::size_t n_chunks =
-        parallel ? std::min<std::size_t>(
-                       n_tiles, static_cast<std::size_t>(participants) * 4)
-                 : 1;
+        p > 1 ? std::min<std::size_t>(n_tiles,
+                                      static_cast<std::size_t>(p) * 4)
+              : 1;
     s.seams.resize(n_chunks);
     auto chunkTile = [&](std::size_t k) { return n_tiles * k / n_chunks; };
     auto emitChunks = [&](std::size_t begin, std::size_t end, int) {
@@ -882,8 +870,8 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
                 out.data());
         }
     };
-    if (parallel)
-        pool->parallelFor(n_chunks, 1, participants, emitChunks);
+    if (p > 1)
+        pool->parallelFor(n_chunks, 1, p, emitChunks);
     else
         emitChunks(0, n_chunks, 0);
     // A chunk ending mid-byte shares that byte with the next chunk,
@@ -1056,10 +1044,9 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
         decodeTileRangeInto(data, size, s.tiles, begin, end,
                             s.bitOffsets[begin], out, bit_path);
     };
-    const bool parallel =
-        pool != nullptr && participants > 1 && n_tiles > 1;
-    if (parallel)
-        pool->parallelFor(n_tiles, 16, participants, decodeRange);
+    const int p = bdPassParticipants(pool, participants, n_tiles);
+    if (p > 1)
+        pool->parallelFor(n_tiles, 16, p, decodeRange);
     else
         decodeRange(0, n_tiles, 0);
 }
@@ -1072,12 +1059,14 @@ BdCodec::analyze(const ImageU8 &img) const
     stats.headerBits = kMagicBits + 2 * kDimBits + kTileBits;
     for (const TileRect &rect :
          tileGrid(img.width(), img.height(), tileSize_)) {
-        for (int c = 0; c < 3; ++c) {
-            const BdChannelStats s = analyzeTileChannel(img, rect, c);
-            stats.baseBits += s.baseBits;
-            stats.metaBits += s.metaBits;
-            stats.deltaBits += s.deltaBits;
-        }
+        uint8_t base[3];
+        uint8_t width[3];
+        bdTileStats(img, rect, base, width);
+        for (int c = 0; c < 3; ++c)
+            stats.deltaBits +=
+                static_cast<std::size_t>(rect.pixelCount()) * width[c];
+        stats.baseBits += 3 * kBaseBits;
+        stats.metaBits += 3 * kWidthFieldBits;
     }
     return stats;
 }

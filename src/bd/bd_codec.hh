@@ -68,9 +68,9 @@ inline constexpr std::uint64_t kBdDefaultMaxDecodePixels =
 /**
  * Field widths of the per-tile-channel BD record
  * ([width][base][deltas...]), shared by the encoder/decoder, the
- * analyze paths, and the SIMD cost kernels (src/simd) so the
- * axis-selection cost model can never silently diverge from the
- * emitted stream.
+ * analyze paths, and the tile adjuster's candidate cost
+ * (bdTileBitsFromRange) so the axis-selection cost model can never
+ * silently diverge from the emitted stream.
  */
 inline constexpr unsigned kBdWidthFieldBits = 4;
 inline constexpr unsigned kBdBaseBits = 8;
@@ -147,18 +147,6 @@ BdBitPath activeBdBitPath();
 
 /** @p requested, or Portable when this CPU cannot run it fast. */
 BdBitPath effectiveBdBitPath(BdBitPath requested);
-
-/** Per-tile, per-channel bit accounting (drives Fig. 11). */
-struct BdChannelStats
-{
-    unsigned deltaWidth = 0;  ///< bits per delta (w)
-    std::size_t baseBits = 0;
-    std::size_t metaBits = 0;
-    std::size_t deltaBits = 0;
-
-    std::size_t totalBits() const
-    { return baseBits + metaBits + deltaBits; }
-};
 
 /** Aggregated accounting for a whole frame. */
 struct BdFrameStats
@@ -453,19 +441,28 @@ class BdCodec
      */
     BdFrameStats analyze(const ImageU8 &img) const;
 
-    /**
-     * Per-channel stats of a single tile of @p img.
-     * @param rect Tile rectangle, clamped to the image by the caller.
-     * @param channel 0=R, 1=G, 2=B.
-     */
-    static BdChannelStats analyzeTileChannel(const ImageU8 &img,
-                                             const TileRect &rect,
-                                             int channel);
-
   private:
     int tileSize_;
     BdBitPath bitPath_;
 };
+
+/**
+ * Fewest tiles a participant of a BD tile pass (decode, stats, emit)
+ * is given. Below it the pool hand-off eats what sharing the tiles
+ * saves: at 128x128 (1024 tiles of 4x4) four participants decode no
+ * faster than one in isolation, and slower inside the service
+ * (docs/PERF.md, "BD prefix and emit").
+ */
+inline constexpr std::size_t kBdMinTilesPerParticipant = 1024;
+
+/**
+ * Participants a BD tile pass over @p n_tiles tiles runs on:
+ * @p participants capped so each gets at least
+ * kBdMinTilesPerParticipant tiles, and 1 without a @p pool. A result
+ * of 1 means the pass runs inline, with no pool dispatch.
+ */
+int bdPassParticipants(const ThreadPool *pool, int participants,
+                       std::size_t n_tiles);
 
 /** Number of delta bits for a [min, max] range: ceil(log2(range+1)). */
 unsigned bdDeltaWidth(uint8_t min_value, uint8_t max_value);

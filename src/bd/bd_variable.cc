@@ -318,10 +318,9 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
             }
         }
     };
-    const bool parallel =
-        pool != nullptr && participants > 1 && n_tiles > 1;
-    if (parallel)
-        pool->parallelFor(n_tiles, 16, participants, decodeRange);
+    const int p = bdPassParticipants(pool, participants, n_tiles);
+    if (p > 1)
+        pool->parallelFor(n_tiles, 16, p, decodeRange);
     else
         decodeRange(0, n_tiles, 0);
 }

@@ -39,8 +39,8 @@ double linearToSrgbContinuous(double x);
  * Values outside [0,1] are clamped first, NaN maps to 0. Table-driven;
  * bit-exact with linearToSrgb8Reference(). A non-decreasing step
  * function of x (tests/color pins every step), so the code range of a
- * set of values is the codes of its value range: the tile cost kernels
- * of src/simd rely on this.
+ * set of values is the codes of its value range: the tile adjuster's
+ * candidate cost (bdTileBitsFromRange) relies on this.
  */
 uint8_t linearToSrgb8(double x);
 
@@ -75,8 +75,8 @@ void linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes);
  * x/y/z arrays (the TileSoA lane layout of src/simd) and leave as the
  * same interleaved 3-byte codes. Bit-identical to the Vec3 overload on
  * the same values. The frame pass quantizes each tile's chosen
- * candidate through it, and it is the cost kernels' reference oracle
- * (tests/simd).
+ * candidate through it, and it is the candidate cost's reference
+ * oracle (tests/simd).
  */
 void linearToSrgb8Planar(const double *x, const double *y,
                          const double *z, std::size_t n, uint8_t *codes);

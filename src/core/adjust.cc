@@ -46,6 +46,21 @@ candidateOf(const simd::TileSoA &soa, int axis)
 } // namespace
 
 std::size_t
+bdTileBitsFromRange(const simd::CandidateRange &range, std::size_t n,
+                    simd::CandidateCodes &codes)
+{
+    std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
+    if (n == 0)
+        return bits;
+    for (int ch = 0; ch < 3; ++ch) {
+        codes.lo[ch] = range.nan[ch] ? 0 : linearToSrgb8(range.lo[ch]);
+        codes.hi[ch] = linearToSrgb8(range.hi[ch]);
+        bits += n * bdDeltaWidth(codes.lo[ch], codes.hi[ch]);
+    }
+    return bits;
+}
+
+std::size_t
 bdTileBits(const std::vector<Vec3> &pixels_linear)
 {
     std::vector<uint8_t> codes(pixels_linear.size() * 3);
@@ -109,9 +124,9 @@ TileAdjuster::moveAxis(simd::TileSoA &soa, int axis) const
 
     // Step 3: move colors along the extrema vectors — collapse onto the
     // average plane (Fig. 6b) or clamp into [LH, HL] (Fig. 6a).
-    out.gamutClampedPixels = kernels_->moveAxis(
-        soa, axis, out.adjustCase == AdjustCase::C2, 0.5 * (hl + lh),
-        lh, hl);
+    out.range = kernels_->moveAxis(soa, axis,
+                                   out.adjustCase == AdjustCase::C2,
+                                   0.5 * (hl + lh), lh, hl);
     return out;
 }
 
@@ -125,14 +140,14 @@ TileAdjuster::adjustTile(simd::TileSoA &soa) const
     TileOutcome out;
     out.caseRed = red.adjustCase;
     out.caseBlue = blue.adjustCase;
-    out.bitsRed = kernels_->tileCost(soa, 0);
-    out.bitsBlue = kernels_->tileCost(soa, 2);
+    out.bitsRed = bdTileBitsFromRange(red.range, soa.n, soa.codesOf(0));
+    out.bitsBlue = bdTileBitsFromRange(blue.range, soa.n, soa.codesOf(2));
 
     const bool pick_red = out.bitsRed < out.bitsBlue;
     const AxisOutcome &chosen = pick_red ? red : blue;
     out.chosenAxis = pick_red ? 0 : 2;
     out.chosenCase = chosen.adjustCase;
-    out.gamutClampedPixels = chosen.gamutClampedPixels;
+    out.gamutClampedPixels = chosen.range.gamutClamped;
     return out;
 }
 
@@ -157,7 +172,7 @@ TileAdjuster::adjustAlongAxis(const std::vector<Vec3> &pixels,
     out.adjustCase = o.adjustCase;
     out.hlPlane = o.hlPlane;
     out.lhPlane = o.lhPlane;
-    out.gamutClampedPixels = o.gamutClampedPixels;
+    out.gamutClampedPixels = o.range.gamutClamped;
     return out;
 }
 

@@ -32,12 +32,13 @@
  * axes) are the only per-configuration choice — the dispatched
  * kernels for the analytic model and the default Eq. 11-13 datapath,
  * per-pixel loops over DiscriminationModel::ellipsoidFor / the
- * ExtremaFn override otherwise — and stages 3 (move) and 4 (BD cost)
- * always run through the dispatched kernel table. The frame pipeline
- * gathers each tile straight into a reused TileSoA, so a worker
- * thread encodes a whole frame without allocating; the std::vector
- * overloads below wrap the same flow for tests, benches, and
- * exploratory code.
+ * ExtremaFn override otherwise — and stage 3 (move, reducing each
+ * candidate to its value range) always runs through the dispatched
+ * kernel table; bdTileBitsFromRange costs each candidate from that
+ * range. The frame pipeline gathers each tile straight into a reused
+ * TileSoA, so a worker thread encodes a whole frame without
+ * allocating; the std::vector overloads below wrap the same flow for
+ * tests, benches, and exploratory code.
  */
 
 #ifndef PCE_CORE_ADJUST_HH
@@ -112,8 +113,8 @@ class TileAdjuster
      *              datapath (extremaBothAxes).
      * @param level SIMD dispatch level of the kernel table; defaults to
      *              CPUID detection with the FOVE_SIMD env override (see
-     *              src/simd/tile_kernels.hh). Stages 3 and 4 always run
-     *              at this level. Stage 1 does too when @p model is
+     *              src/simd/tile_kernels.hh). Stage 3 always runs at
+     *              this level. Stage 1 does too when @p model is
      *              exactly the analytic model, and stage 2 when no
      *              @p extrema override is set; otherwise those stages
      *              loop per pixel over the model / override. Every
@@ -171,7 +172,7 @@ class TileAdjuster
         AdjustCase adjustCase = AdjustCase::C2;
         double hlPlane = 0.0;
         double lhPlane = 0.0;
-        int gamutClampedPixels = 0;
+        simd::CandidateRange range;  ///< value range, gamut-clamp count
     };
 
     /** Stages 1-2 of Fig. 7: ellipsoids, then extrema for both axes. */
@@ -197,9 +198,22 @@ class TileAdjuster
  * BD bit cost of a tile of linear-RGB pixels after sRGB quantization:
  * per channel, meta(4) + base(8) + N * ceil(log2(range+1)) bits.
  * Convenience wrapper over bdTileBitsFromCodes (src/bd); the tile
- * flow's value-range cost kernel (TileKernels::tileCost) reproduces it.
+ * flow's bdTileBitsFromRange reproduces it from a value range.
  */
 std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
+
+/**
+ * BD bit cost of an @p n-pixel candidate from its stage-3 value range,
+ * leaving its per-channel code range in @p codes (untouched when @p n
+ * is 0). linearToSrgb8 is a non-decreasing step function (NaN maps to
+ * 0; tests/color proves the table monotone), so a channel's min / max
+ * code is the code of its min / max value: lo is 0 when any valid lane
+ * is NaN, hi the code of the largest non-NaN value (0 when every lane
+ * is NaN). Equals bdTileBitsFromCodes of the candidate's
+ * linearToSrgb8Planar codes, from two lookups per channel.
+ */
+std::size_t bdTileBitsFromRange(const simd::CandidateRange &range,
+                                std::size_t n, simd::CandidateCodes &codes);
 
 /**
  * Clamp the movement parameter @p t of the segment p(t) = origin +

@@ -151,8 +151,8 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * allocation-free, the foveal-bypass test runs on the eccentricity map
  * before any pixel is gathered (O(tile border) per bypassed tile), and
  * only each tile's chosen candidate is quantized, straight into the
- * output rows, its BD stats taken from the code range the cost kernel
- * already found. With
+ * output rows, its BD stats taken from the code range the tile
+ * adjuster already found. With
  * threads > 1 the encoder owns a persistent ThreadPool and schedules
  * tiles dynamically in chunks — foveal tiles are nearly free, so static
  * striding would load-imbalance badly. Output is bit-identical for any

@@ -6,8 +6,8 @@
  *
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
- *  3. movement clamping/apply along one optimization axis,
- *  4. BD bit cost of a candidate from each channel's value range —
+ *  3. movement clamping/apply along one optimization axis, reducing
+ *     each stored candidate channel to its value range —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
  * Three implementations exist behind one function table: a portable
@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "core/quadric.hh"
 #include "perception/discrimination.hh"
@@ -82,6 +83,23 @@ SimdLevel activeSimdLevel();
 SimdLevel effectiveSimdLevel(SimdLevel requested);
 
 /**
+ * Stage 3 result: the gamut-clamp count and the per-channel value range
+ * of the stored candidate over its n valid lanes. lo / hi are the min /
+ * max of the non-NaN lanes (+inf / -inf when there are none; a zero of
+ * either sign may stand for both), nan[c] is set when any valid lane of
+ * channel c is NaN. The tile adjuster turns it into the candidate's
+ * sRGB code range and BD bit cost (bdTileBitsFromRange, core/adjust.hh).
+ */
+struct CandidateRange
+{
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+    double lo[3] = {kInf, kInf, kInf};
+    double hi[3] = {-kInf, -kInf, -kInf};
+    bool nan[3] = {};
+    int gamutClamped = 0;  ///< pixels whose movement the gamut shortened
+};
+
+/**
  * The per-stage kernel table. All kernels read/write the planar lanes
  * of a TileSoA (see tile_soa.hh for the lane map) and may touch the
  * full padded stride of any lane.
@@ -112,34 +130,19 @@ struct TileKernels
      * per-tile target (Fig. 6), clamping to the RGB gamut. Reads the
      * raw pixels and the extrema lanes of @p axis; writes the adjusted
      * candidate lanes of @p axis (kOutRed* for axis 0, kOutBlue* for
-     * axis 2).
+     * axis 2), folding each channel into its value range as it is
+     * stored.
      *
      * @param axis     Optimization axis, 0 (Red) or 2 (Blue).
      * @param collapse True for the Fig. 6b common-plane case (C2).
      * @param target   Collapse plane 0.5 * (hl + lh); ignored unless
      *                 @p collapse.
      * @param lh,hl    The LH / HL planes (Fig. 6a clamp interval).
-     * @return Number of pixels whose movement was shortened by the
-     *         gamut clamp.
+     * @return The candidate's value range and the number of pixels
+     *         whose movement was shortened by the gamut clamp.
      */
-    int (*moveAxis)(TileSoA &soa, int axis, bool collapse, double target,
-                    double lh, double hl);
-
-    /**
-     * Stage 4: BD bit cost of one adjusted candidate straight from its
-     * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2).
-     * linearToSrgb8 is a non-decreasing step function (NaN maps to 0;
-     * tests/color proves the table monotone), so a channel's min / max
-     * code is the code of its min / max value: lo is 0 when any valid
-     * lane is NaN, hi the code of the largest non-NaN value (0 when
-     * every lane is NaN). Each channel therefore costs one min/max
-     * reduction and two lookups, never a per-pixel quantize. Leaves
-     * the code range in soa.codesOf(axis) for the frame pass's BD
-     * stats. Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits
-     * per channel, exactly bdTileBitsFromCodes' accounting of the
-     * linearToSrgb8Planar codes.
-     */
-    std::size_t (*tileCost)(TileSoA &soa, int axis);
+    CandidateRange (*moveAxis)(TileSoA &soa, int axis, bool collapse,
+                               double target, double lh, double hl);
 };
 
 /**

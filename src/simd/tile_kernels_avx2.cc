@@ -46,19 +46,17 @@ struct Avx2
     static M mandnot(M a, M b) { return _mm256_andnot_pd(a, b); }
     static unsigned bits(M m)
     { return static_cast<unsigned>(_mm256_movemask_pd(m)); }
+    static M
+    fromBits(unsigned b)
+    {
+        const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
+        return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+            _mm256_and_si256(_mm256_set1_epi64x(b), lane), lane));
+    }
 
     static D absv(D v) { return _mm256_andnot_pd(bc(-0.0), v); }
     static D vmin(D a, D b) { return _mm256_min_pd(a, b); }
     static D vmax(D a, D b) { return _mm256_max_pd(a, b); }
-
-    static D
-    tailLoad(const double *p, std::size_t valid)
-    {
-        const M keep = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
-            _mm256_set1_epi64x(static_cast<long long>(valid)),
-            _mm256_setr_epi64x(0, 1, 2, 3)));
-        return sel(_mm256_broadcast_sd(p), load(p), keep);
-    }
 
     static double
     hmin(D v)

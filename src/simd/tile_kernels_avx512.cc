@@ -47,18 +47,11 @@ struct Avx512
     static M mor(M a, M b) { return static_cast<M>(a | b); }
     static M mandnot(M a, M b) { return static_cast<M>(~a & b); }
     static unsigned bits(M m) { return m; }
+    static M fromBits(unsigned b) { return static_cast<M>(b); }
 
     static D absv(D v) { return _mm512_andnot_pd(bc(-0.0), v); }
     static D vmin(D a, D b) { return _mm512_min_pd(a, b); }
     static D vmax(D a, D b) { return _mm512_max_pd(a, b); }
-
-    /** Masked-off lanes are not read, so no load crosses the stride. */
-    static D
-    tailLoad(const double *p, std::size_t valid)
-    {
-        return _mm512_mask_loadu_pd(bc(*p), static_cast<M>((1u << valid) - 1u),
-                                    p);
-    }
 
     static double hmin(D v) { return _mm512_reduce_min_pd(v); }
     static double hmax(D v) { return _mm512_reduce_max_pd(v); }

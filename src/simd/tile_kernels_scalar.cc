@@ -19,10 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "bd/bd_codec.hh"
-#include "color/srgb.hh"
 #include "common/vec3.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
@@ -95,7 +92,7 @@ extremaBothScalar(TileSoA &soa)
     });
 }
 
-int
+CandidateRange
 moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
                double lh, double hl)
 {
@@ -109,10 +106,16 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
     const double *lx = soa.lane(red ? kRedLowX : kBlueLowX);
     const double *ly = soa.lane(red ? kRedLowY : kBlueLowY);
     const double *lz = soa.lane(red ? kRedLowZ : kBlueLowZ);
-    double *ox = soa.lane(red ? kOutRedX : kOutBlueX);
-    double *oy = soa.lane(red ? kOutRedY : kOutBlueY);
-    double *oz = soa.lane(red ? kOutRedZ : kOutBlueZ);
+    double *out[3] = {soa.lane(red ? kOutRedX : kOutBlueX),
+                      soa.lane(red ? kOutRedY : kOutBlueY),
+                      soa.lane(red ? kOutRedZ : kOutBlueZ)};
 
+    // The running range lives in locals: a struct in the return slot
+    // could alias the lane stores, which would pin it to memory.
+    const double inf = CandidateRange::kInf;
+    double lo[3] = {inf, inf, inf};
+    double hi[3] = {-inf, -inf, -inf};
+    bool nan[3] = {};
     int gamut_clamped = 0;
     for (std::size_t i = 0; i < soa.n; ++i) {
         const Vec3 p(px[i], py[i], pz[i]);
@@ -137,11 +140,20 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
                 adjusted = p + v * t_gamut;
             }
         }
-        ox[i] = adjusted.x;
-        oy[i] = adjusted.y;
-        oz[i] = adjusted.z;
+        // Store and fold into the range; a NaN only raises the flag.
+#pragma GCC unroll 3
+        for (int k = 0; k < 3; ++k) {
+            const double a = adjusted[k];
+            out[k][i] = a;
+            nan[k] |= std::isnan(a);
+            lo[k] = a < lo[k] ? a : lo[k];
+            hi[k] = a > hi[k] ? a : hi[k];
+        }
     }
-    return gamut_clamped;
+    return CandidateRange{{lo[0], lo[1], lo[2]},
+                          {hi[0], hi[1], hi[2]},
+                          {nan[0], nan[1], nan[2]},
+                          gamut_clamped};
 }
 
 } // namespace
@@ -183,37 +195,11 @@ extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
     });
 }
 
-std::size_t
-tileCostScalar(TileSoA &soa, int axis)
-{
-    std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
-    if (soa.n == 0)
-        return bits;
-    CandidateCodes &out = soa.codesOf(axis);
-    for (int ch = 0; ch < 3; ++ch) {
-        // The code range is the codes of the value range (see the
-        // tileCost contract); NaN lanes skip the reduction and pin lo.
-        const double *v = soa.candidate(axis, ch);
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -lo;
-        bool nan = false;
-        for (std::size_t i = 0; i < soa.n; ++i) {
-            nan |= std::isnan(v[i]);
-            lo = v[i] < lo ? v[i] : lo;
-            hi = v[i] > hi ? v[i] : hi;
-        }
-        out.lo[ch] = nan ? 0 : linearToSrgb8(lo);
-        out.hi[ch] = linearToSrgb8(hi);
-        bits += soa.n * bdDeltaWidth(out.lo[ch], out.hi[ch]);
-    }
-    return bits;
-}
-
 const TileKernels &
 scalarTileKernels()
 {
     static const TileKernels k{ellipsoidsScalar, extremaBothScalar,
-                               moveAxisScalar, tileCostScalar};
+                               moveAxisScalar};
     return k;
 }
 

@@ -20,10 +20,10 @@
  *  - lt, gt, ge, eq, ne (ordered compares), neOrNan (unordered
  *    not-equal: true when either lane is NaN), isNan;
  *  - sel(a, b, m) = m ? b : a; mand, mor and mandnot(a, b) = ~a & b on
- *    masks; bits(m), bit k set when lane k is;
+ *    masks; bits(m), bit k set when lane k is, and its inverse
+ *    fromBits(b);
  *  - absv (clear the sign bit); vmin / vmax, the minpd / maxpd
  *    instructions (NaN in either operand returns the second);
- *  - tailLoad(p, valid): lanes below @p valid from p, the rest p[0];
  *  - hmin / hmax: horizontal min / max of NaN-free lanes.
  *
  * Bit-identity with the scalar reference (tile_kernels_scalar.cc) is a
@@ -39,10 +39,9 @@
  *  - min/max/clamp are NOT the minpd/maxpd instructions (whose NaN and
  *    +/-0 semantics differ from std::min/std::max): they are
  *    compare+blend sequences mirroring the exact ternaries of the
- *    scalar code, including NaN fall-through. (The cost kernel's value
- *    reductions are the one use of vmin/vmax: their result only picks a
- *    code, which +/-0 cannot change, and NaN lanes are flagged
- *    separately.)
+ *    scalar code, including NaN fall-through. (The move kernel's value
+ *    range is the one use of vmin/vmax: it only picks a code, which
+ *    +/-0 cannot change, and NaN lanes are flagged separately.)
  *  - Branches become masks: each lane computes every path and blends in
  *    the scalar code's priority order (degenerate overrides in-gamut
  *    overrides the gamut-clamped path).
@@ -51,8 +50,8 @@
  * (TileSoA pads the stride to the widest level, kLaneWidth), so every
  * block holds at least one valid lane. Padding lanes compute on benign
  * data (TileSoA zero-fills input padding); anything *observable* — the
- * degenerate-ellipsoid check, the gamut-clamp count and the cost
- * kernel's value range — is masked to the valid n lanes.
+ * degenerate-ellipsoid check, the gamut-clamp count and the candidate
+ * value range — is masked to the valid n lanes.
  */
 
 #ifndef PCE_SIMD_TILE_KERNELS_VEC_HH
@@ -62,9 +61,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "bd/bd_codec.hh"
 #include "color/dkl.hh"
-#include "color/srgb.hh"
 #include "perception/discrimination.hh"
 #include "simd/tile_kernels.hh"
 
@@ -308,7 +305,7 @@ extremaBoth(TileSoA &soa)
 }
 
 template <class V>
-int
+CandidateRange
 moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
          double lh, double hl)
 {
@@ -322,9 +319,9 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
     const double *lx = soa.lane(red ? kRedLowX : kBlueLowX);
     const double *ly = soa.lane(red ? kRedLowY : kBlueLowY);
     const double *lz = soa.lane(red ? kRedLowZ : kBlueLowZ);
-    double *ox = soa.lane(red ? kOutRedX : kOutBlueX);
-    double *oy = soa.lane(red ? kOutRedY : kOutBlueY);
-    double *oz = soa.lane(red ? kOutRedZ : kOutBlueZ);
+    double *out[3] = {soa.lane(red ? kOutRedX : kOutBlueX),
+                      soa.lane(red ? kOutRedY : kOutBlueY),
+                      soa.lane(red ? kOutRedZ : kOutBlueZ)};
 
     const D zero = V::bc(0.0);
     const D one = V::bc(1.0);
@@ -332,7 +329,21 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
     const D vhl = V::bc(hl);
     const D vtarget = V::bc(target_c2);
 
-    int gamut_clamped = 0;
+    // The candidate's value range, folded where each block is stored.
+    // vmin/vmax return their second operand when either is NaN, so a
+    // NaN lane leaves the running min/max untouched and only raises
+    // its channel's flag. A ragged block's padding lanes are blended
+    // to NaN and masked out of the flag, so they reach neither.
+    CandidateRange range;
+    D lo[3];
+    D hi[3];
+    unsigned nan[3] = {};
+    for (int k = 0; k < 3; ++k) {
+        lo[k] = V::bc(range.lo[k]);
+        hi[k] = V::bc(range.hi[k]);
+    }
+    const D pad = V::bc(std::numeric_limits<double>::quiet_NaN());
+
     const std::size_t end = blockEnd<V>(soa.n);
     for (std::size_t i = 0; i < end; i += V::kWidth) {
         const D p[3] = {V::load(pl[0] + i), V::load(pl[1] + i),
@@ -358,84 +369,62 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
         const M in_gamut =
             V::mand(V::mand(in_unit[0], in_unit[1]), in_unit[2]);
 
-        // Division-free fast path for the whole block: when every
-        // valid lane is in-gamut or degenerate, the gamut clamp below
-        // (6 divisions) is dead — exactly the per-pixel short-circuit
-        // of the scalar code, taken a block at a time.
+        // When every valid lane of the block is in-gamut or
+        // degenerate, the gamut clamp (6 divisions) is dead — exactly
+        // the per-pixel short-circuit of the scalar code, taken a
+        // block at a time.
+        D res[3];
+        for (int k = 0; k < 3; ++k)
+            res[k] = V::sel(cand[k], p[k], degenerate);
         const unsigned live = liveBits<V>(soa.n, i);
-        if ((V::bits(V::mor(in_gamut, degenerate)) & live) == live) {
-            double *out_fast[3] = {ox + i, oy + i, oz + i};
-            for (int k = 0; k < 3; ++k)
-                V::store(out_fast[k], V::sel(cand[k], p[k], degenerate));
-            continue;
+        if ((V::bits(V::mor(in_gamut, degenerate)) & live) != live) {
+            // clampToGamut on every lane (blended away where unused).
+            D tg = t;
+            for (int k = 0; k < 3; ++k) {
+                const D d = v[k];
+                const M active = V::ne(d, zero);
+                const D t0 = V::div(V::sub(zero, p[k]), d);
+                const D t1 = V::div(V::sub(one, p[k]), d);
+                const D t_min = minStd<V>(t0, t1);
+                const D t_max = maxStd<V>(t0, t1);
+                tg = V::sel(tg, clampStd<V>(tg, t_min, t_max), active);
+            }
+
+            // Count (valid, non-degenerate, out-of-gamut) lanes whose
+            // t moved, exactly the scalar ++gamutClampedPixels
+            // condition. neOrNan, not ne: C++ `t_gamut != t` is true
+            // for NaN operands (unordered compares are not-equal), and
+            // a NaN input pixel must count identically at every
+            // dispatch level.
+            const M moved = V::neOrNan(tg, t);
+            const unsigned counted = V::bits(
+                V::mandnot(degenerate, V::mandnot(in_gamut, moved)));
+            range.gamutClamped += __builtin_popcount(counted & live);
+
+            for (int k = 0; k < 3; ++k) {
+                const D adj = V::add(p[k], V::mul(v[k], tg));
+                res[k] = V::sel(V::sel(adj, cand[k], in_gamut), p[k],
+                                degenerate);
+            }
         }
 
-        // clampToGamut on every lane (blended away where unused).
-        D tg = t;
+        const bool ragged = live != (1u << V::kWidth) - 1u;
+#pragma GCC unroll 3
         for (int k = 0; k < 3; ++k) {
-            const D d = v[k];
-            const M active = V::ne(d, zero);
-            const D t0 = V::div(V::sub(zero, p[k]), d);
-            const D t1 = V::div(V::sub(one, p[k]), d);
-            const D t_min = minStd<V>(t0, t1);
-            const D t_max = maxStd<V>(t0, t1);
-            tg = V::sel(tg, clampStd<V>(tg, t_min, t_max), active);
-        }
-
-        // Count (valid, non-degenerate, out-of-gamut) lanes whose t
-        // moved, exactly the scalar ++gamutClampedPixels condition.
-        // neOrNan, not ne: C++ `t_gamut != t` is true for NaN
-        // operands (unordered compares are not-equal), and a NaN input
-        // pixel must count identically at every dispatch level.
-        const M moved = V::neOrNan(tg, t);
-        const unsigned counted =
-            V::bits(V::mandnot(degenerate, V::mandnot(in_gamut, moved)));
-        gamut_clamped += __builtin_popcount(counted & live);
-
-        double *out[3] = {ox + i, oy + i, oz + i};
-        for (int k = 0; k < 3; ++k) {
-            const D adj = V::add(p[k], V::mul(v[k], tg));
-            D res = V::sel(adj, cand[k], in_gamut);
-            res = V::sel(res, p[k], degenerate);
-            V::store(out[k], res);
+            V::store(out[k] + i, res[k]);
+            const D x =
+                ragged ? V::sel(pad, res[k], V::fromBits(live)) : res[k];
+            lo[k] = V::vmin(x, lo[k]);
+            hi[k] = V::vmax(x, hi[k]);
+            nan[k] |= V::bits(V::isNan(res[k])) & live;
         }
     }
-    return gamut_clamped;
-}
-
-template <class V>
-std::size_t
-tileCost(TileSoA &soa, int axis)
-{
-    using D = typename V::D;
-    std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
-    if (soa.n == 0)
-        return bits;
-    CandidateCodes &out = soa.codesOf(axis);
-    for (int ch = 0; ch < 3; ++ch) {
-        // The code range is the codes of the value range (see the
-        // tileCost contract). vmin/vmax return their second operand
-        // when either is NaN, so NaN lanes leave the running min/max
-        // untouched and only raise the flag. The last block's padded
-        // lanes take a copy of its first (always valid) value, which
-        // moves no min, max or NaN flag.
-        const double *v = soa.candidate(axis, ch);
-        D lo = V::bc(std::numeric_limits<double>::infinity());
-        D hi = V::bc(-std::numeric_limits<double>::infinity());
-        unsigned nan = 0;
-        for (std::size_t i = 0; i < soa.n; i += V::kWidth) {
-            const D x = i + V::kWidth > soa.n
-                            ? V::tailLoad(v + i, soa.n - i)
-                            : V::load(v + i);
-            lo = V::vmin(x, lo);
-            hi = V::vmax(x, hi);
-            nan |= V::bits(V::isNan(x));
-        }
-        out.lo[ch] = nan != 0 ? 0 : linearToSrgb8(V::hmin(lo));
-        out.hi[ch] = linearToSrgb8(V::hmax(hi));
-        bits += soa.n * bdDeltaWidth(out.lo[ch], out.hi[ch]);
+    for (int k = 0; k < 3; ++k) {
+        range.lo[k] = V::hmin(lo[k]);
+        range.hi[k] = V::hmax(hi[k]);
+        range.nan[k] = nan[k] != 0;
     }
-    return bits;
+    return range;
 }
 
 } // namespace vec
@@ -446,7 +435,7 @@ const TileKernels &
 vectorTileKernels()
 {
     static const TileKernels k{vec::ellipsoids<V>, vec::extremaBoth<V>,
-                               vec::moveAxis<V>, vec::tileCost<V>};
+                               vec::moveAxis<V>};
     return k;
 }
 

@@ -61,9 +61,10 @@ enum Lane : int
 };
 
 /**
- * Stage 4 output of one candidate: the per-channel min / max of the
+ * The code range of one candidate: the per-channel min / max of the
  * sRGB codes linearToSrgb8Planar makes of its lanes — the tile's BD
- * base and delta range. The codes themselves are never stored: the
+ * base and delta range, which the tile adjuster derives from the
+ * stage-3 value range. The codes themselves are never stored: the
  * frame pass quantizes only the chosen candidate, straight into the
  * delivered frame.
  */
@@ -79,7 +80,7 @@ struct TileSoA
     std::size_t n = 0;       ///< valid pixels per lane
     std::size_t stride = 0;  ///< doubles per lane (n padded to kLaneWidth)
     std::vector<double> buf; ///< kLaneCount lanes of `stride` doubles
-    /** Stage 4 outputs of the Red (0) and Blue (1) candidates. */
+    /** Code ranges of the Red (0) and Blue (1) candidates. */
     CandidateCodes codes[2];
 
     /**
@@ -108,7 +109,7 @@ struct TileSoA
     const double *candidate(int axis, int ch) const
     { return lane((axis == 0 ? kOutRedX : kOutBlueX) + ch); }
 
-    /** Stage 4 outputs of optimization axis @p axis (0 or 2). */
+    /** Code range of the candidate of axis @p axis (0 or 2). */
     CandidateCodes &codesOf(int axis) { return codes[axis == 0 ? 0 : 1]; }
     const CandidateCodes &codesOf(int axis) const
     { return codes[axis == 0 ? 0 : 1]; }

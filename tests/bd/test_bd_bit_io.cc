@@ -199,24 +199,29 @@ TEST(BdBitIo, EncodeOverwritesEveryByteOfAReusedBuffer)
     // encodeInto sizes the output exactly and writes each byte once
     // instead of clearing it: stale bytes from an earlier, different
     // stream in the same allocation must not leak into the new one.
+    // 193x181 (2254 tiles) emits on the pool at 4 participants.
     Rng rng(13);
     ThreadPool pool(3);
     const BdCodec codec(4);
-    const ImageU8 img = widthImage(rng, 61, 47, 4, kMixed);
-    const std::vector<uint8_t> ref = bdref::encode(img, 4);
-    for (const uint8_t stale : {0x00, 0xFF, 0xA5}) {
-        for (const int participants : {1, 4}) {
-            for (const std::size_t size :
-                 {ref.size(), ref.size() + 37}) {
-                std::vector<uint8_t> out(size, stale);
-                codec.encodeInto(img, nullptr, out, nullptr, &pool,
-                                 participants);
-                EXPECT_EQ(out, ref)
-                    << "stale " << int(stale) << " participants "
-                    << participants << " size " << size;
+    for (const auto [w, h] : {std::pair{61, 47}, std::pair{193, 181}}) {
+        const ImageU8 img = widthImage(rng, w, h, 4, kMixed);
+        const std::vector<uint8_t> ref = bdref::encode(img, 4);
+        for (const uint8_t stale : {0x00, 0xFF, 0xA5}) {
+            for (const int participants : {1, 4}) {
+                for (const std::size_t size :
+                     {ref.size(), ref.size() + 37}) {
+                    std::vector<uint8_t> out(size, stale);
+                    codec.encodeInto(img, nullptr, out, nullptr, &pool,
+                                     participants);
+                    EXPECT_EQ(out, ref)
+                        << w << "x" << h << " stale " << int(stale)
+                        << " participants " << participants << " size "
+                        << size;
+                }
             }
         }
     }
+    EXPECT_GT(pool.dispatchCalls(), 0u);
 }
 
 TEST(BdBitIo, SeededStreamHashIsPinned)

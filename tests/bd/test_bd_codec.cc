@@ -114,19 +114,28 @@ TEST(BdCodec, AnalyzeMatchesEncodedStreamLength)
     }
 }
 
-TEST(BdCodec, AnalyzeTileChannelMatchesManual)
+TEST(BdCodec, TileStatsMatchManual)
 {
     ImageU8 img(4, 4);
-    // Channel 0 values 10..25 -> range 15 -> 4 bits.
+    // Channel 0 values 10..25 -> base 10, range 15 -> 4 bits; channels
+    // 1 and 2 stay 0 -> base 0, width 0.
     int v = 10;
     for (int y = 0; y < 4; ++y)
         for (int x = 0; x < 4; ++x)
             img.setChannel(x, y, 0, static_cast<uint8_t>(v++));
-    const TileRect rect{0, 0, 4, 4};
-    const auto stats = BdCodec::analyzeTileChannel(img, rect, 0);
-    EXPECT_EQ(stats.deltaWidth, 4u);
-    EXPECT_EQ(stats.baseBits, 8u);
-    EXPECT_EQ(stats.metaBits, 4u);
+    uint8_t base[3];
+    uint8_t width[3];
+    bdTileStats(img, TileRect{0, 0, 4, 4}, base, width);
+    EXPECT_EQ(base[0], 10);
+    EXPECT_EQ(width[0], 4);
+    for (int c = 1; c < 3; ++c) {
+        EXPECT_EQ(base[c], 0);
+        EXPECT_EQ(width[c], 0);
+    }
+    // analyze sums the same per-tile stats.
+    const BdFrameStats stats = BdCodec(4).analyze(img);
+    EXPECT_EQ(stats.baseBits, 3u * 8);
+    EXPECT_EQ(stats.metaBits, 3u * 4);
     EXPECT_EQ(stats.deltaBits, 16u * 4);
 }
 

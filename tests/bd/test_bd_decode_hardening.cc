@@ -341,34 +341,44 @@ TEST(BdDecodeHardening, RandomStreamsAreGraceful)
 TEST(BdDecodeHardening, MutantsAreGracefulUnderParallelDecode)
 {
     // The parallel path must fail validation identically to the serial
-    // path — workers only ever run over validated offsets.
+    // path — workers only ever run over validated offsets. 24x24 (36
+    // tiles) stays inline; 192x192 (2304 tiles, at least
+    // 2 * kBdMinTilesPerParticipant) must reach the pool.
     const BdCodec codec(4);
-    const auto valid = codec.encode(randomImage(24, 24, 7));
-    ThreadPool pool(3);
-    BdDecodeScratch scratch;
-    ImageU8 serial_out;
-    ImageU8 parallel_out;
-    Rng rng(8);
-    for (int trial = 0; trial < 150; ++trial) {
-        auto mutant = valid;
-        const std::size_t pos = rng.uniformInt(mutant.size());
-        mutant[pos] ^= static_cast<uint8_t>(1u << rng.uniformInt(8));
-        bool serial_ok = true;
-        try {
-            decodeOnEveryPath(mutant, serial_out);
-        } catch (const std::runtime_error &) {
-            serial_ok = false;
+    for (const int side : {24, 192}) {
+        const bool dispatches = side == 192;
+        const auto valid = codec.encode(randomImage(side, side, 7));
+        ThreadPool pool(3);
+        BdDecodeScratch scratch;
+        ImageU8 serial_out;
+        ImageU8 parallel_out;
+        const std::uint64_t before = pool.dispatchCalls();
+        decodeOnEveryPath(valid, parallel_out, &scratch, &pool, 4);
+        EXPECT_EQ(pool.dispatchCalls() > before, dispatches) << side;
+        Rng rng(8);
+        for (int trial = 0; trial < 150; ++trial) {
+            auto mutant = valid;
+            const std::size_t pos = rng.uniformInt(mutant.size());
+            mutant[pos] ^= static_cast<uint8_t>(1u << rng.uniformInt(8));
+            bool serial_ok = true;
+            try {
+                decodeOnEveryPath(mutant, serial_out);
+            } catch (const std::runtime_error &) {
+                serial_ok = false;
+            }
+            bool parallel_ok = true;
+            try {
+                decodeOnEveryPath(mutant, parallel_out, &scratch, &pool,
+                                  4);
+            } catch (const std::runtime_error &) {
+                parallel_ok = false;
+            }
+            EXPECT_EQ(serial_ok, parallel_ok)
+                << side << " trial " << trial;
+            if (serial_ok && parallel_ok)
+                EXPECT_EQ(serial_out, parallel_out)
+                    << side << " trial " << trial;
         }
-        bool parallel_ok = true;
-        try {
-            decodeOnEveryPath(mutant, parallel_out, &scratch, &pool,
-                                4);
-        } catch (const std::runtime_error &) {
-            parallel_ok = false;
-        }
-        EXPECT_EQ(serial_ok, parallel_ok) << "trial " << trial;
-        if (serial_ok && parallel_ok)
-            EXPECT_EQ(serial_out, parallel_out) << "trial " << trial;
     }
 }
 

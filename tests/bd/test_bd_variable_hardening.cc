@@ -371,46 +371,57 @@ TEST(BdVariableHardening, ParallelDecodeIsByteIdenticalAndAgreesOnMutants)
     // The parallel path runs only over validated offsets, so it must
     // accept/reject exactly like the serial path and produce identical
     // pixels when it accepts — across participant counts and scratch
-    // reuse (pointer-pinned).
+    // reuse (pointer-pinned). 48x48 (144 tiles) stays inline; 192x192
+    // (2304 tiles, at least 2 * kBdMinTilesPerParticipant) must reach
+    // the pool.
     const BdVariableCodec codec(4);
-    const auto valid = codec.encode(rowStructuredImage(48, 48, 8));
-    ThreadPool pool(3);
-    BdDecodeScratch scratch;
-    ImageU8 serial_out;
-    ImageU8 parallel_out;
-    BdVariableCodec::decodeInto(valid, serial_out);
-    for (const int participants : {2, 4}) {
-        BdVariableCodec::decodeInto(valid, parallel_out, &scratch,
-                                    &pool, participants);
-        EXPECT_EQ(parallel_out, serial_out)
-            << participants << " participants";
-    }
-    const uint8_t *pinned = parallel_out.data().data();
-    BdVariableCodec::decodeInto(valid, parallel_out, &scratch, &pool, 4);
-    EXPECT_EQ(parallel_out.data().data(), pinned)
-        << "steady-state decode reallocated";
+    for (const int side : {48, 192}) {
+        const bool dispatches = side == 192;
+        const auto valid = codec.encode(rowStructuredImage(side, side, 8));
+        ThreadPool pool(3);
+        BdDecodeScratch scratch;
+        ImageU8 serial_out;
+        ImageU8 parallel_out;
+        BdVariableCodec::decodeInto(valid, serial_out);
+        for (const int participants : {2, 4}) {
+            const std::uint64_t before = pool.dispatchCalls();
+            BdVariableCodec::decodeInto(valid, parallel_out, &scratch,
+                                        &pool, participants);
+            EXPECT_EQ(parallel_out, serial_out)
+                << side << " " << participants << " participants";
+            EXPECT_EQ(pool.dispatchCalls() > before, dispatches)
+                << side << " " << participants << " participants";
+        }
+        const uint8_t *pinned = parallel_out.data().data();
+        BdVariableCodec::decodeInto(valid, parallel_out, &scratch, &pool,
+                                    4);
+        EXPECT_EQ(parallel_out.data().data(), pinned)
+            << side << ": steady-state decode reallocated";
 
-    Rng rng(9);
-    for (int trial = 0; trial < 150; ++trial) {
-        auto mutant = valid;
-        const std::size_t pos = rng.uniformInt(mutant.size());
-        mutant[pos] ^= static_cast<uint8_t>(1u << rng.uniformInt(8));
-        bool serial_ok = true;
-        try {
-            BdVariableCodec::decodeInto(mutant, serial_out);
-        } catch (const std::runtime_error &) {
-            serial_ok = false;
+        Rng rng(9);
+        for (int trial = 0; trial < 150; ++trial) {
+            auto mutant = valid;
+            const std::size_t pos = rng.uniformInt(mutant.size());
+            mutant[pos] ^= static_cast<uint8_t>(1u << rng.uniformInt(8));
+            bool serial_ok = true;
+            try {
+                BdVariableCodec::decodeInto(mutant, serial_out);
+            } catch (const std::runtime_error &) {
+                serial_ok = false;
+            }
+            bool parallel_ok = true;
+            try {
+                BdVariableCodec::decodeInto(mutant, parallel_out,
+                                            &scratch, &pool, 4);
+            } catch (const std::runtime_error &) {
+                parallel_ok = false;
+            }
+            EXPECT_EQ(serial_ok, parallel_ok)
+                << side << " trial " << trial;
+            if (serial_ok && parallel_ok)
+                EXPECT_EQ(serial_out, parallel_out)
+                    << side << " trial " << trial;
         }
-        bool parallel_ok = true;
-        try {
-            BdVariableCodec::decodeInto(mutant, parallel_out, &scratch,
-                                        &pool, 4);
-        } catch (const std::runtime_error &) {
-            parallel_ok = false;
-        }
-        EXPECT_EQ(serial_ok, parallel_ok) << "trial " << trial;
-        if (serial_ok && parallel_ok)
-            EXPECT_EQ(serial_out, parallel_out) << "trial " << trial;
     }
 }
 

@@ -149,10 +149,10 @@ TEST(SrgbLut, MatchesReferenceOnRandomAndEdgeInputs)
 
 TEST(SrgbLut, ForwardIsANonDecreasingStepFunction)
 {
-    // The tile cost kernels (src/simd) take a channel's code range from
-    // its value range, which holds only if linearToSrgb8 never steps
-    // down. Find each code's threshold (the smallest double the
-    // reference maps to >= c) by bisection
+    // The tile adjuster's candidate cost (bdTileBitsFromRange) takes a
+    // channel's code range from its value range, which holds only if
+    // linearToSrgb8 never steps down. Find each code's threshold (the
+    // smallest double the reference maps to >= c) by bisection
     // (tests/support/srgb_test_util.hh), then check the LUT steps
     // from c - 1 to c exactly there and the thresholds strictly
     // increase. With the sweeps above pinning the LUT to the reference

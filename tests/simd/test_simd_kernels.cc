@@ -279,7 +279,7 @@ TEST_P(SimdLevelTest, FixedPointExtremaMatchesReferenceExactly)
 TEST_P(SimdLevelTest, ScaledModelMatchesReferenceExactly)
 {
     // A wrapped model cannot use the analytic stage-1 kernel; stage 1
-    // loops over the model per pixel, stages 2-4 stay dispatched.
+    // loops over the model per pixel, stages 2-3 stay dispatched.
     const ScaledDiscriminationModel scaled(model(), 1.5);
     const TileAdjuster adjuster(scaled, {}, GetParam());
     sweepAgainstReference(adjuster, {}, 306, 10);
@@ -295,12 +295,17 @@ TEST_P(SimdLevelTest, DarkAdaptationModelMatchesReferenceExactly)
 
 TEST_P(SimdLevelTest, TileCostMatchesCodePath)
 {
-    // The value-range cost kernel vs. the materialized-codes path: the
-    // bit cost and the per-channel code range it leaves for the frame
-    // pass, of both candidates. The values hit every branch of the
-    // quantizer and the range reduction: NaN, +/-inf, -0.0, a denormal,
-    // code thresholds and one ulp below them, 0 and 1, out-of-gamut
-    // values, and whole-NaN channels.
+    // The move kernel's value range, costed by bdTileBitsFromRange, vs.
+    // the materialized-codes path: the bit cost and the per-channel
+    // code range it leaves for the frame pass, of both candidates. With
+    // high == low in the extrema lanes every pixel is degenerate, so
+    // its candidate is the pixel itself and the kernel stores the
+    // values below unchanged. They hit every branch of the quantizer
+    // and the range reduction: NaN, +/-inf, -0.0, a denormal, code
+    // thresholds and one ulp below them, 0 and 1, out-of-gamut values,
+    // and whole-NaN channels. In odd trials every even pixel gets a
+    // real extrema vector and an out-of-gamut collapse target, which
+    // sends every block through the gamut-clamp store instead.
     const simd::TileKernels &k = simd::tileKernels(GetParam());
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -317,35 +322,53 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
     for (const std::size_t n : {16u, 3u, 9u, 1u, 6u, 2u, 14u, 4u, 5u, 7u}) {
         for (int trial = 0; trial < 40; ++trial) {
             soa.resize(n);
-            for (int lane = simd::kOutRedX; lane <= simd::kOutBlueZ;
-                 ++lane) {
-                double *v = soa.lane(lane);
-                // Tiles mostly within a few codes of each other (the
-                // common case) or across the whole range.
-                const double base = rng.uniform(-0.1, 1.1);
-                const double spread = trial % 2 ? 0.01 : 1.2;
-                for (std::size_t i = 0; i < n; ++i)
-                    v[i] = rng.uniform() < 0.2
-                               ? special[rng.uniformInt(special.size())]
-                               : base + rng.uniform(-spread, spread);
-                if ((lane + trial) % 7 == 0)
-                    std::fill(v, v + n, nan);
-                // Stale padding must not reach the range.
-                for (std::size_t i = n; i < soa.stride; ++i)
-                    v[i] = i % 2 ? nan : -7.0;
-            }
+            const bool clamp_path = trial % 2 == 1;
             for (const int axis : {0, 2}) {
+                const bool red = axis == 0;
+                for (int ch = 0; ch < 3; ++ch) {
+                    double *p = soa.lane(simd::kPx + ch);
+                    double *hi = soa.lane((red ? simd::kRedHighX
+                                               : simd::kBlueHighX) +
+                                          ch);
+                    double *lo = soa.lane((red ? simd::kRedLowX
+                                               : simd::kBlueLowX) +
+                                          ch);
+                    // Tiles mostly within a few codes of each other
+                    // (the common case) or across the whole range.
+                    const double base = rng.uniform(-0.1, 1.1);
+                    const double spread = trial % 4 < 2 ? 0.01 : 1.2;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        p[i] = rng.uniform() < 0.2
+                                   ? special[rng.uniformInt(special.size())]
+                                   : base + rng.uniform(-spread, spread);
+                        lo[i] = rng.uniform();
+                        hi[i] = lo[i] + (clamp_path && i % 2 == 0 ? 0.25
+                                                                   : 0.0);
+                    }
+                    const int lane = (red ? simd::kOutRedX
+                                          : simd::kOutBlueX) +
+                                     ch;
+                    if ((lane + trial) % 7 == 0)
+                        std::fill(p, p + n, nan);
+                    // Stale padding must not reach the range.
+                    for (std::size_t i = n; i < soa.stride; ++i)
+                        p[i] = hi[i] = lo[i] = i % 2 ? nan : -7.0;
+                }
+                const simd::CandidateRange range =
+                    k.moveAxis(soa, axis, clamp_path, 2.0, 0.0, 1.0);
+                if (!clamp_path)
+                    EXPECT_EQ(range.gamutClamped, 0);
+
                 std::vector<uint8_t> codes(n * 3);
                 linearToSrgb8Planar(soa.candidate(axis, 0),
                                     soa.candidate(axis, 1),
                                     soa.candidate(axis, 2), n,
                                     codes.data());
-                EXPECT_EQ(k.tileCost(soa, axis),
+                simd::CandidateCodes &out = soa.codesOf(axis);
+                EXPECT_EQ(bdTileBitsFromRange(range, n, out),
                           bdTileBitsFromCodes(codes.data(), n))
                     << "n " << n << " trial " << trial << " axis "
                     << axis;
-
-                const simd::CandidateCodes &out = soa.codesOf(axis);
                 for (int c = 0; c < 3; ++c) {
                     uint8_t lo = 255;
                     uint8_t hi = 0;
