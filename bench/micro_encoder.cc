@@ -6,7 +6,8 @@
  * adjustment (full PE), frame-level encoding, the BD codec, and CRC-32.
  * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
  * one-thread rows (the frame pass on one worker), BM_TileAdjustScratch/16
- * (one tile through the kernel table), BM_Hash64_Frame, BM_Crc32_77KB,
+ * (one tile through the kernel table), BM_TileStages/256 (the frame
+ * pass's tile flow split stage by stage), BM_Hash64_Frame, BM_Crc32_77KB,
  * BM_BdEmit and BM_BdDecode at 128 and 256 (1 and 4 participants), and
  * the BD decode split into BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256.
  *
@@ -17,10 +18,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "bd/bd_codec.hh"
 #include "bench_common.hh"
 #include "common/integrity.hh"
 #include "common/rng.hh"
+#include "color/srgb.hh"
 #include "common/thread_pool.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
@@ -136,6 +142,105 @@ BM_TileAdjustScratch(benchmark::State &state)
                             static_cast<int64_t>(tile.size()));
 }
 BENCHMARK(BM_TileAdjustScratch)->Arg(4)->Arg(8)->Arg(16);
+
+/** Median of @p v (which it reorders). */
+double
+median(std::vector<double> &v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
+void
+BM_TileStages(benchmark::State &state)
+{
+    // The frame pass's tile flow split into its stages, on one thread
+    // at the active SIMD level, over every adjusted tile of a rendered
+    // Skyline frame. Each iteration times the cumulative prefixes of
+    // the flow back to back — gather; + ellipsoids; + extrema; + both
+    // moves (HL/LH and move); + both costs; + the chosen candidate's
+    // quantize — and a stage's time is the difference of two
+    // consecutive prefixes of the same iteration. The counters are the
+    // medians of those differences over the iterations, in ms per
+    // frame; tile_loop_ms is the whole flow.
+    const int n = static_cast<int>(state.range(0));
+    const ImageF frame = renderScene(SceneId::Skyline, {n, n, 0, 0.0, 0});
+    const EccentricityMap ecc(pce::bench::benchDisplay(n, n));
+    const PipelineParams params;
+    std::vector<TileRect> tiles;
+    for (const TileRect &r : tileGrid(n, n, params.tileSize))
+        if (ecc.minInRect(r) >= params.fovealCutoffDeg)
+            tiles.push_back(r);
+    const simd::TileKernels &k = simd::activeTileKernels();
+    const Srgb8Table &table = srgb8Table();
+    simd::TileSoA soa;
+    ImageU8 img(n, n);
+
+    auto prefix = [&](int stages) {
+        for (const TileRect &r : tiles) {
+            soa.resize(static_cast<std::size_t>(r.pixelCount()));
+            std::size_t i = 0;
+            for (int y = r.y0; y < r.y0 + r.h; ++y)
+                for (int x = r.x0; x < r.x0 + r.w; ++x, ++i) {
+                    const Vec3 &p = frame.at(x, y);
+                    soa.lane(simd::kPx)[i] = p.x;
+                    soa.lane(simd::kPy)[i] = p.y;
+                    soa.lane(simd::kPz)[i] = p.z;
+                    soa.lane(simd::kEcc)[i] = ecc.at(x, y);
+                }
+            if (stages < 2)
+                continue;
+            k.ellipsoids(soa, model().params());
+            if (stages < 3)
+                continue;
+            k.extremaBoth(soa);
+            if (stages < 4)
+                continue;
+            const simd::AxisMove red = k.moveAxis[0](soa);
+            const simd::AxisMove blue = k.moveAxis[1](soa);
+            if (stages < 5)
+                continue;
+            const std::size_t bits_red =
+                bdTileBitsFromRange(red.range, soa.n, soa.codesOf(0));
+            const std::size_t bits_blue =
+                bdTileBitsFromRange(blue.range, soa.n, soa.codesOf(2));
+            if (stages < 6)
+                continue;
+            k.quantize(soa, bits_red < bits_blue ? 0 : 2, table,
+                       static_cast<std::size_t>(r.w), img.pixel(r.x0, r.y0),
+                       3 * static_cast<std::size_t>(n));
+        }
+        benchmark::DoNotOptimize(soa.buf.data());
+        benchmark::DoNotOptimize(img.data().data());
+        benchmark::ClobberMemory();
+    };
+
+    constexpr int kStages = 6;
+    const char *names[kStages] = {"gather_ms", "ellipsoids_ms",
+                                  "extrema_ms", "move_ms",
+                                  "cost_ms", "quantize_ms"};
+    std::vector<double> stage[kStages];
+    std::vector<double> whole;
+    prefix(kStages);  // warm the lanes, the tables and the frame
+    for (auto _ : state) {
+        double before = 0.0;
+        for (int s = 0; s < kStages; ++s) {
+            const auto t0 = std::chrono::steady_clock::now();
+            prefix(s + 1);
+            const double ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+            stage[s].push_back(ms - before);
+            before = ms;
+        }
+        whole.push_back(before);
+    }
+    for (int s = 0; s < kStages; ++s)
+        state.counters[names[s]] = median(stage[s]);
+    state.counters["tile_loop_ms"] = median(whole);
+    state.counters["tiles"] = static_cast<double>(tiles.size());
+}
+BENCHMARK(BM_TileStages)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void
 BM_FrameAdjust(benchmark::State &state)

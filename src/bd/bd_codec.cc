@@ -99,16 +99,6 @@ bdReadStreamHeader(const std::uint8_t *data, std::size_t size_bytes,
             static_cast<int>(tile)};
 }
 
-unsigned
-bdDeltaWidth(uint8_t min_value, uint8_t max_value)
-{
-    const unsigned range = static_cast<unsigned>(max_value) - min_value;
-    unsigned w = 0;
-    while ((1u << w) < range + 1u)
-        ++w;
-    return w;
-}
-
 int
 bdPassParticipants(const ThreadPool *pool, int participants,
                    std::size_t n_tiles)

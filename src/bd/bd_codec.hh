@@ -43,6 +43,7 @@
 #ifndef PCE_BD_BD_CODEC_HH
 #define PCE_BD_BD_CODEC_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -465,7 +466,12 @@ int bdPassParticipants(const ThreadPool *pool, int participants,
                        std::size_t n_tiles);
 
 /** Number of delta bits for a [min, max] range: ceil(log2(range+1)). */
-unsigned bdDeltaWidth(uint8_t min_value, uint8_t max_value);
+inline unsigned
+bdDeltaWidth(uint8_t min_value, uint8_t max_value)
+{
+    return static_cast<unsigned>(
+        std::bit_width(static_cast<unsigned>(max_value - min_value)));
+}
 
 /**
  * Pass-1 stats of one tile of @p img (encodeInto): per channel c, the

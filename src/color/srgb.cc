@@ -15,26 +15,11 @@ constexpr double kA = 0.055;
 // Inverse-direction cutoff: kLinearSlope * kLinearCutoff.
 constexpr double kSrgbCutoff = kLinearSlope * kLinearCutoff;
 
-/**
- * Bucket count of the forward LUT. The steepest slope of the forward
- * map is 12.92 * 255 ~= 3295 codes per unit input (the linear segment),
- * so with 4096 buckets over [0,1) a bucket spans < 1 code and the code
- * of any x is either the bucket's base code or the next one.
- */
-constexpr int kFwdBuckets = 4096;
-
 struct SrgbTables
 {
     /** srgbToLinearContinuous(c) for every 8-bit code c. */
     double toLinear[256];
-    /** Code of the bucket's lower edge: reference(b / kFwdBuckets). */
-    uint8_t bucketCode[kFwdBuckets];
-    /**
-     * codeMin[c] is the smallest double in [0,1] whose reference code
-     * is >= c (bisection over reference doubles — exact, not analytic).
-     * codeMin[256] is an unreachable sentinel.
-     */
-    double codeMin[257];
+    Srgb8Table fwd;
 
     SrgbTables()
     {
@@ -42,7 +27,7 @@ struct SrgbTables
             toLinear[c] =
                 srgbToLinearContinuous(static_cast<double>(c));
 
-        codeMin[0] = 0.0;
+        fwd.codeMin[0] = 0.0;
         for (int c = 1; c < 256; ++c) {
             double lo = 0.0;   // reference(lo) < c
             double hi = 1.0;   // reference(hi) >= c
@@ -54,13 +39,13 @@ struct SrgbTables
                 else
                     lo = mid;
             }
-            codeMin[c] = hi;
+            fwd.codeMin[c] = hi;
         }
-        codeMin[256] = 2.0;
+        fwd.codeMin[256] = 2.0;
 
-        for (int b = 0; b < kFwdBuckets; ++b)
-            bucketCode[b] = linearToSrgb8Reference(
-                static_cast<double>(b) / kFwdBuckets);
+        for (int b = 0; b < kSrgbFwdBuckets; ++b)
+            fwd.bucketCode[b] = linearToSrgb8Reference(
+                static_cast<double>(b) / kSrgbFwdBuckets);
     }
 };
 
@@ -97,29 +82,16 @@ linearToSrgb8Reference(double x)
     return static_cast<uint8_t>(std::clamp(q, 0.0, 255.0));
 }
 
-namespace {
-
-inline uint8_t
-lutForward(const SrgbTables &t, double x)
+const Srgb8Table &
+srgb8Table()
 {
-    if (!(x > 0.0))
-        return 0;
-    if (x >= 1.0)
-        return 255;
-    const int b = static_cast<int>(x * kFwdBuckets);
-    uint8_t c = t.bucketCode[b];
-    // A bucket spans at most one code boundary (see kFwdBuckets).
-    if (x >= t.codeMin[c + 1])
-        ++c;
-    return c;
+    return tables().fwd;
 }
-
-} // namespace
 
 uint8_t
 linearToSrgb8(double x)
 {
-    return lutForward(tables(), x);
+    return srgb8Table().code(x);
 }
 
 double
@@ -140,20 +112,20 @@ srgb8ToLinear(uint8_t code)
 void
 linearToSrgb8(const Vec3 &rgb, uint8_t out[3])
 {
-    const SrgbTables &t = tables();
-    out[0] = lutForward(t, rgb.x);
-    out[1] = lutForward(t, rgb.y);
-    out[2] = lutForward(t, rgb.z);
+    const Srgb8Table &t = srgb8Table();
+    out[0] = t.code(rgb.x);
+    out[1] = t.code(rgb.y);
+    out[2] = t.code(rgb.z);
 }
 
 void
 linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes)
 {
-    const SrgbTables &t = tables();
+    const Srgb8Table &t = srgb8Table();
     for (std::size_t i = 0; i < n; ++i) {
-        codes[3 * i + 0] = lutForward(t, pixels[i].x);
-        codes[3 * i + 1] = lutForward(t, pixels[i].y);
-        codes[3 * i + 2] = lutForward(t, pixels[i].z);
+        codes[3 * i + 0] = t.code(pixels[i].x);
+        codes[3 * i + 1] = t.code(pixels[i].y);
+        codes[3 * i + 2] = t.code(pixels[i].z);
     }
 }
 
@@ -161,11 +133,11 @@ void
 linearToSrgb8Planar(const double *x, const double *y, const double *z,
                     std::size_t n, uint8_t *codes)
 {
-    const SrgbTables &t = tables();
+    const Srgb8Table &t = srgb8Table();
     for (std::size_t i = 0; i < n; ++i) {
-        codes[3 * i + 0] = lutForward(t, x[i]);
-        codes[3 * i + 1] = lutForward(t, y[i]);
-        codes[3 * i + 2] = lutForward(t, z[i]);
+        codes[3 * i + 0] = t.code(x[i]);
+        codes[3 * i + 1] = t.code(y[i]);
+        codes[3 * i + 2] = t.code(z[i]);
     }
 }
 

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/srgb8_table.hh"
 #include "common/vec3.hh"
 
 namespace pce {
@@ -33,6 +34,13 @@ namespace pce {
  * about the continuous map (Sec. 3.2 uses f_s2r inside the objective).
  */
 double linearToSrgbContinuous(double x);
+
+/**
+ * The forward table linearToSrgb8 quantizes through (built on first
+ * use). A hot loop fetches it once and calls Srgb8Table::code, which
+ * inlines; the tile flow hands it to its quantize kernels.
+ */
+const Srgb8Table &srgb8Table();
 
 /**
  * Eq. 1: linear RGB channel in [0,1] -> quantized 8-bit sRGB code.
@@ -74,9 +82,8 @@ void linearToSrgb8(const Vec3 *pixels, std::size_t n, uint8_t *codes);
  * Planar variant of the batched quantizer: channels arrive as separate
  * x/y/z arrays (the TileSoA lane layout of src/simd) and leave as the
  * same interleaved 3-byte codes. Bit-identical to the Vec3 overload on
- * the same values. The frame pass quantizes each tile's chosen
- * candidate through it, and it is the candidate cost's reference
- * oracle (tests/simd).
+ * the same values. The reference oracle of the tile flow's candidate
+ * cost and quantize kernels (tests/simd).
  */
 void linearToSrgb8Planar(const double *x, const double *y,
                          const double *z, std::size_t n, uint8_t *codes);

@@ -29,6 +29,13 @@ fillLanes(simd::TileSoA &soa, const std::vector<Vec3> &pixels,
     }
 }
 
+/** The Fig. 6 case a move kernel picked. */
+AdjustCase
+caseOf(const simd::AxisMove &m)
+{
+    return m.collapse ? AdjustCase::C2 : AdjustCase::C1;
+}
+
 /** The adjusted candidate of @p axis, interleaved. */
 std::vector<Vec3>
 candidateOf(const simd::TileSoA &soa, int axis)
@@ -52,9 +59,10 @@ bdTileBitsFromRange(const simd::CandidateRange &range, std::size_t n,
     std::size_t bits = 3 * (kBdWidthFieldBits + kBdBaseBits);
     if (n == 0)
         return bits;
+    const Srgb8Table &t = srgb8Table();
     for (int ch = 0; ch < 3; ++ch) {
-        codes.lo[ch] = range.nan[ch] ? 0 : linearToSrgb8(range.lo[ch]);
-        codes.hi[ch] = linearToSrgb8(range.hi[ch]);
+        codes.lo[ch] = range.nan[ch] ? 0 : t.code(range.lo[ch]);
+        codes.hi[ch] = t.code(range.hi[ch]);
         bits += n * bdDeltaWidth(codes.lo[ch], codes.hi[ch]);
     }
     return bits;
@@ -73,7 +81,8 @@ TileAdjuster::TileAdjuster(const DiscriminationModel &model,
                            ExtremaFn extrema, simd::SimdLevel level)
     : model_(model), extrema_(std::move(extrema)),
       kernels_(&simd::tileKernels(level)),
-      simdLevel_(simd::effectiveSimdLevel(level))
+      simdLevel_(simd::effectiveSimdLevel(level)),
+      srgbTable_(&srgb8Table())
 {
     // The stage-1 kernel hardcodes the analytic model's datapath; use
     // it only when the model *is* exactly that type (a subclass could
@@ -99,56 +108,40 @@ TileAdjuster::computeExtrema(simd::TileSoA &soa) const
         kernels_->extremaBoth(soa);
 }
 
-TileAdjuster::AxisOutcome
+simd::AxisMove
 TileAdjuster::moveAxis(simd::TileSoA &soa, int axis) const
 {
-    AxisOutcome out;
-    if (soa.n == 0)
-        return out;
-
-    // Step 2 (Fig. 7): HL (highest of the lows) and LH (lowest of the
-    // highs); the CAU computes these with two reduction trees (Sec. 4.2).
-    const double *low =
-        soa.lane(axis == 0 ? simd::kRedLowX : simd::kBlueLowZ);
-    const double *high =
-        soa.lane(axis == 0 ? simd::kRedHighX : simd::kBlueHighZ);
-    double hl = -1e300;
-    double lh = 1e300;
-    for (std::size_t i = 0; i < soa.n; ++i) {
-        hl = std::max(hl, low[i]);
-        lh = std::min(lh, high[i]);
-    }
-    out.hlPlane = hl;
-    out.lhPlane = lh;
-    out.adjustCase = hl > lh ? AdjustCase::C1 : AdjustCase::C2;
-
-    // Step 3: move colors along the extrema vectors — collapse onto the
-    // average plane (Fig. 6b) or clamp into [LH, HL] (Fig. 6a).
-    out.range = kernels_->moveAxis(soa, axis,
-                                   out.adjustCase == AdjustCase::C2,
-                                   0.5 * (hl + lh), lh, hl);
-    return out;
+    return soa.n == 0 ? simd::AxisMove{}
+                      : kernels_->moveAxis[axis == 0 ? 0 : 1](soa);
 }
 
 TileOutcome
 TileAdjuster::adjustTile(simd::TileSoA &soa) const
 {
     computeExtrema(soa);
-    const AxisOutcome red = moveAxis(soa, 0);
-    const AxisOutcome blue = moveAxis(soa, 2);
+    const simd::AxisMove red = moveAxis(soa, 0);
+    const simd::AxisMove blue = moveAxis(soa, 2);
 
     TileOutcome out;
-    out.caseRed = red.adjustCase;
-    out.caseBlue = blue.adjustCase;
+    out.caseRed = caseOf(red);
+    out.caseBlue = caseOf(blue);
     out.bitsRed = bdTileBitsFromRange(red.range, soa.n, soa.codesOf(0));
     out.bitsBlue = bdTileBitsFromRange(blue.range, soa.n, soa.codesOf(2));
 
     const bool pick_red = out.bitsRed < out.bitsBlue;
-    const AxisOutcome &chosen = pick_red ? red : blue;
     out.chosenAxis = pick_red ? 0 : 2;
-    out.chosenCase = chosen.adjustCase;
-    out.gamutClampedPixels = chosen.range.gamutClamped;
+    out.chosenCase = pick_red ? out.caseRed : out.caseBlue;
+    out.gamutClampedPixels =
+        (pick_red ? red : blue).range.gamutClamped;
     return out;
+}
+
+void
+TileAdjuster::quantizeCandidate(const simd::TileSoA &soa, int axis,
+                                std::size_t width, uint8_t *dst,
+                                std::size_t row_bytes) const
+{
+    kernels_->quantize(soa, axis, *srgbTable_, width, dst, row_bytes);
 }
 
 AxisAdjustment
@@ -165,11 +158,11 @@ TileAdjuster::adjustAlongAxis(const std::vector<Vec3> &pixels,
     simd::TileSoA soa;
     fillLanes(soa, pixels, ecc_deg);
     computeExtrema(soa);
-    const AxisOutcome o = moveAxis(soa, axis);
+    const simd::AxisMove o = moveAxis(soa, axis);
 
     AxisAdjustment out;
     out.adjusted = candidateOf(soa, axis);
-    out.adjustCase = o.adjustCase;
+    out.adjustCase = caseOf(o);
     out.hlPlane = o.hlPlane;
     out.lhPlane = o.lhPlane;
     out.gamutClampedPixels = o.range.gamutClamped;

@@ -32,13 +32,15 @@
  * axes) are the only per-configuration choice — the dispatched
  * kernels for the analytic model and the default Eq. 11-13 datapath,
  * per-pixel loops over DiscriminationModel::ellipsoidFor / the
- * ExtremaFn override otherwise — and stage 3 (move, reducing each
- * candidate to its value range) always runs through the dispatched
- * kernel table; bdTileBitsFromRange costs each candidate from that
- * range. The frame pipeline gathers each tile straight into a reused
- * TileSoA, so a worker thread encodes a whole frame without
- * allocating; the std::vector overloads below wrap the same flow for
- * tests, benches, and exploratory code.
+ * ExtremaFn override otherwise — and stage 3 (one kernel per axis:
+ * the HL/LH reduction, then the move, reducing the candidate to its
+ * value range) always runs through the dispatched kernel table;
+ * bdTileBitsFromRange costs each candidate from that range, and
+ * stage 4 (quantizeCandidate) quantizes the chosen one between the
+ * codes of its range. The frame pipeline gathers each tile straight
+ * into a reused TileSoA, so a worker thread encodes a whole frame
+ * without allocating; the std::vector overloads below wrap the same
+ * flow for tests, benches, and exploratory code.
  */
 
 #ifndef PCE_CORE_ADJUST_HH
@@ -46,6 +48,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/vec3.hh"
@@ -144,6 +147,17 @@ class TileAdjuster
     TileOutcome adjustTile(simd::TileSoA &soa) const;
 
     /**
+     * Quantize the candidate of @p axis that adjustTile(soa) left (its
+     * code range included) to interleaved sRGB codes, straight into
+     * image rows: pixel k of the tile, @p width pixels wide, goes to
+     * dst + (k / width) * row_bytes + 3 * (k % width). Bit-identical to
+     * linearToSrgb8Planar of the candidate's lanes, at every level.
+     */
+    void quantizeCandidate(const simd::TileSoA &soa, int axis,
+                           std::size_t width, uint8_t *dst,
+                           std::size_t row_bytes) const;
+
+    /**
      * Adjust a tile along a single axis (exposed for tests and the
      * ablation benches). Runs the same flow; bit-identical to the
      * matching candidate of adjustTile.
@@ -166,23 +180,14 @@ class TileAdjuster
     const DiscriminationModel &model() const { return model_; }
 
   private:
-    /** Per-axis outcome without pixel storage. */
-    struct AxisOutcome
-    {
-        AdjustCase adjustCase = AdjustCase::C2;
-        double hlPlane = 0.0;
-        double lhPlane = 0.0;
-        simd::CandidateRange range;  ///< value range, gamut-clamp count
-    };
-
     /** Stages 1-2 of Fig. 7: ellipsoids, then extrema for both axes. */
     void computeExtrema(simd::TileSoA &soa) const;
 
     /**
-     * Stage 3 along one axis: reduce HL/LH over the axis' extrema lanes
-     * and move every pixel into the axis' output lanes.
+     * Stage 3 along one axis: the kernel of the axis reduces HL/LH over
+     * its extrema lanes and moves every pixel into its output lanes.
      */
-    AxisOutcome moveAxis(simd::TileSoA &soa, int axis) const;
+    simd::AxisMove moveAxis(simd::TileSoA &soa, int axis) const;
 
     const DiscriminationModel &model_;
     ExtremaFn extrema_;
@@ -192,6 +197,8 @@ class TileAdjuster
     AnalyticModelParams analyticParams_;
     const simd::TileKernels *kernels_ = nullptr;
     simd::SimdLevel simdLevel_ = simd::SimdLevel::Scalar;
+    /** The sRGB table stage 4 quantizes through. */
+    const Srgb8Table *srgbTable_ = nullptr;
 };
 
 /**

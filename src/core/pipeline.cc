@@ -244,18 +244,13 @@ PerceptualEncoder::encodePass(const ImageF &frame,
             },
             [&](std::size_t t, const TileRect &r, const simd::TileSoA &soa,
                 int axis) {
-                // Only the chosen candidate is quantized, row by row
-                // from its lanes; its code range is what the cost
-                // kernel left, so the BD stats need no rescan.
-                const double *ox = soa.candidate(axis, 0);
-                const double *oy = soa.candidate(axis, 1);
-                const double *oz = soa.candidate(axis, 2);
-                const std::size_t w = static_cast<std::size_t>(r.w);
-                for (int y = 0; y < r.h; ++y) {
-                    const std::size_t k = static_cast<std::size_t>(y) * w;
-                    linearToSrgb8Planar(ox + k, oy + k, oz + k, w,
-                                        img.pixel(r.x0, r.y0 + y));
-                }
+                // Only the chosen candidate is quantized, straight into
+                // the output rows; its code range is what the cost left,
+                // so the BD stats need no rescan.
+                adjuster_.quantizeCandidate(
+                    soa, axis, static_cast<std::size_t>(r.w),
+                    img.pixel(r.x0, r.y0),
+                    3 * static_cast<std::size_t>(img.width()));
                 const simd::CandidateCodes &c = soa.codesOf(axis);
                 for (int k = 0; k < 3; ++k) {
                     bd.base[3 * t + k] = c.lo[k];

@@ -6,7 +6,6 @@
 
 #include "image/image.hh"
 #include "obs/trace.hh"
-#include "perception/display.hh"
 
 namespace pce::net {
 
@@ -173,20 +172,15 @@ deliverFrame(const std::vector<std::uint8_t> &bd_stream,
     }
 
     // Foveal accounting lives here, not in the receiver: the receiver
-    // never sees an eccentricity map, only the delivery mask.
-    if (ecc) {
-        const std::vector<TileRect> tiles =
-            tileGrid(static_cast<int>(pf.manifest.width),
-                     static_cast<int>(pf.manifest.height),
-                     static_cast<int>(pf.manifest.tileSize));
-        for (std::size_t t = 0; t < tiles.size(); ++t) {
-            if (ecc->minInRect(tiles[t]) > policy.fovealCutoffDeg)
-                continue;
-            ++rep.fovealTiles;
-            if (t < rep.frame.tileDelivered.size() &&
-                rep.frame.tileDelivered[t])
-                ++rep.fovealDelivered;
-        }
+    // never sees an eccentricity map, only the delivery mask. The
+    // packetizer already took each tile's minimum eccentricity.
+    for (std::size_t t = 0; t < pf.tileMinEccDeg.size(); ++t) {
+        if (pf.tileMinEccDeg[t] > policy.fovealCutoffDeg)
+            continue;
+        ++rep.fovealTiles;
+        if (t < rep.frame.tileDelivered.size() &&
+            rep.frame.tileDelivered[t])
+            ++rep.fovealDelivered;
     }
     rep.fovealIntact = rep.frame.manifestReceived &&
                        rep.fovealDelivered == rep.fovealTiles;

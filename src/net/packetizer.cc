@@ -1,7 +1,6 @@
 #include "net/packetizer.hh"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -59,6 +58,11 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
     }
 
     PacketizedFrame pf;
+    if (ecc) {
+        pf.tileMinEccDeg.resize(n_tiles);
+        for (std::size_t t = 0; t < n_tiles; ++t)
+            pf.tileMinEccDeg[t] = ecc->minInRect(tiles[t]);
+    }
     pf.manifest.width = static_cast<std::uint32_t>(hdr.width);
     pf.manifest.height = static_cast<std::uint32_t>(hdr.height);
     pf.manifest.tileSize = static_cast<std::uint32_t>(hdr.tileSize);
@@ -100,13 +104,9 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
             static_cast<std::uint32_t>(eb - sb);
         pkt.bytes =
             buildPacket(pkt.header, bd_stream.data() + sb, eb - sb);
-        if (ecc) {
-            double min_ecc = std::numeric_limits<double>::infinity();
-            for (std::size_t t = t0; t < t1; ++t)
-                min_ecc =
-                    std::min(min_ecc, ecc->minInRect(tiles[t]));
-            pkt.minEccDeg = min_ecc;
-        }
+        if (ecc)
+            pkt.minEccDeg = *std::min_element(pf.tileMinEccDeg.begin() + t0,
+                                              pf.tileMinEccDeg.begin() + t1);
         pf.wireBytes += pkt.bytes.size();
         pf.packets.push_back(std::move(pkt));
     }

@@ -67,6 +67,11 @@ struct PacketizedFrame
     std::vector<std::uint32_t> sendOrder;
     /** Sum of all datagram bytes (one transmission of everything). */
     std::size_t wireBytes = 0;
+    /** Per tile, in tile order: the minimum eccentricity over the
+     *  tile, degrees (EccentricityMap::minInRect); empty without a
+     *  map. The packets' minEccDeg and the sender's foveal accounting
+     *  both read it. */
+    std::vector<double> tileMinEccDeg;
 };
 
 /**

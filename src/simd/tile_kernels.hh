@@ -6,8 +6,10 @@
  *
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
- *  3. movement clamping/apply along one optimization axis, reducing
- *     each stored candidate channel to its value range —
+ *  3. along one optimization axis, the HL/LH reduction and the
+ *     movement clamping/apply, reducing each stored candidate channel
+ *     to its value range,
+ *  4. sRGB quantization of the chosen candidate into the output rows —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
  * Three implementations exist behind one function table: a portable
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/srgb8_table.hh"
 #include "core/quadric.hh"
 #include "perception/discrimination.hh"
 #include "simd/tile_soa.hh"
@@ -83,10 +86,10 @@ SimdLevel activeSimdLevel();
 SimdLevel effectiveSimdLevel(SimdLevel requested);
 
 /**
- * Stage 3 result: the gamut-clamp count and the per-channel value range
- * of the stored candidate over its n valid lanes. lo / hi are the min /
- * max of the non-NaN lanes (+inf / -inf when there are none; a zero of
- * either sign may stand for both), nan[c] is set when any valid lane of
+ * The gamut-clamp count and the per-channel value range of a stage-3
+ * candidate over its n valid lanes. lo / hi are the min / max of the
+ * non-NaN lanes (+inf / -inf when there are none; a zero of either
+ * sign may stand for both), nan[c] is set when any valid lane of
  * channel c is NaN. The tile adjuster turns it into the candidate's
  * sRGB code range and BD bit cost (bdTileBitsFromRange, core/adjust.hh).
  */
@@ -97,6 +100,19 @@ struct CandidateRange
     double hi[3] = {-kInf, -kInf, -kInf};
     bool nan[3] = {};
     int gamutClamped = 0;  ///< pixels whose movement the gamut shortened
+};
+
+/**
+ * Stage 3 result along one axis: the Fig. 7 step-2 planes, the case
+ * they select, and the stored candidate's range. The defaults are the
+ * outcome of an empty tile.
+ */
+struct AxisMove
+{
+    double hlPlane = 0.0;  ///< HL: the highest of the axis' low extrema
+    double lhPlane = 0.0;  ///< LH: the lowest of the high extrema
+    bool collapse = true;  ///< HL <= LH: the Fig. 6b common plane (C2)
+    CandidateRange range;
 };
 
 /**
@@ -126,23 +142,36 @@ struct TileKernels
     void (*extremaBoth)(TileSoA &soa);
 
     /**
-     * Stage 3: move every pixel along its extrema vector toward the
-     * per-tile target (Fig. 6), clamping to the RGB gamut. Reads the
-     * raw pixels and the extrema lanes of @p axis; writes the adjusted
-     * candidate lanes of @p axis (kOutRed* for axis 0, kOutBlue* for
-     * axis 2), folding each channel into its value range as it is
-     * stored.
-     *
-     * @param axis     Optimization axis, 0 (Red) or 2 (Blue).
-     * @param collapse True for the Fig. 6b common-plane case (C2).
-     * @param target   Collapse plane 0.5 * (hl + lh); ignored unless
-     *                 @p collapse.
-     * @param lh,hl    The LH / HL planes (Fig. 6a clamp interval).
-     * @return The candidate's value range and the number of pixels
-     *         whose movement was shortened by the gamut clamp.
+     * Stage 3 along one axis, [0] for Red (axis 0) and [1] for Blue
+     * (axis 2), each instantiated for its axis. Fig. 7 step 2 reduces
+     * the axis' extrema lanes over the n >= 1 valid lanes: HL is the
+     * sequential std::max fold of the low lane from -1e300, LH the
+     * std::min fold of the high lane from 1e300, bit for bit (NaN
+     * lanes are skipped; of equal values the first lane's stays, which
+     * decides the sign of a zero). HL > LH is case C1: every pixel's
+     * axis channel is clamped into [LH, HL] (Fig. 6a); otherwise it
+     * moves to the common plane 0.5 * (HL + LH) (Fig. 6b). Each pixel
+     * moves along its extrema vector to that target, clamped to the
+     * RGB gamut, into the axis' output lanes (kOutRed* / kOutBlue*),
+     * and each channel is folded into its value range as it is stored.
      */
-    CandidateRange (*moveAxis)(TileSoA &soa, int axis, bool collapse,
-                               double target, double lh, double hl);
+    AxisMove (*moveAxis[2])(TileSoA &soa);
+
+    /**
+     * Stage 4: quantize the candidate of @p axis (0 or 2) to
+     * interleaved 8-bit sRGB codes through @p table, straight into an
+     * image's rows: pixel k (row-major over a tile @p width pixels
+     * wide) goes to dst + (k / width) * row_bytes + 3 * (k % width).
+     * Equals linearToSrgb8Planar of the candidate's n lanes, given
+     * that soa.codesOf(axis) bounds every lane's code
+     * (bdTileBitsFromRange leaves the exact range there). The vector
+     * kernels count the thresholds (Srgb8Table::codeMin) each lane
+     * reaches above its channel's lo code, and look a channel whose
+     * code range is wide up in the table (srgbCodeLanes).
+     */
+    void (*quantize)(const TileSoA &soa, int axis, const Srgb8Table &table,
+                     std::size_t width, uint8_t *dst,
+                     std::size_t row_bytes);
 };
 
 /**
@@ -161,6 +190,15 @@ void ellipsoidsFromModel(TileSoA &soa, const DiscriminationModel &model);
  * extremaBothAxes. Writes the n valid slots only.
  */
 void extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema);
+
+/**
+ * codes[i] = table.code(x[i]) for i < n, as doubles: stage 4's table
+ * lookup, built for the baseline ISA so the vector kernels can call it
+ * for a channel whose code range is too wide to count thresholds
+ * across.
+ */
+void srgbCodeLanes(const Srgb8Table &table, const double *x, std::size_t n,
+                   double *codes);
 
 /** Kernel table of a specific level (Scalar is always available). */
 const TileKernels &tileKernels(SimdLevel level);

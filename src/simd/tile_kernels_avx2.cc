@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "simd/tile_kernels_vec.hh"
 
 namespace pce::simd {
@@ -41,6 +43,7 @@ struct Avx2
 
     /** blendv selects b where the mask lane's sign bit is set. */
     static D sel(D a, D b, M m) { return _mm256_blendv_pd(a, b, m); }
+    static D incIf(D a, M m) { return add(a, _mm256_and_pd(m, bc(1.0))); }
     static M mand(M a, M b) { return _mm256_and_pd(a, b); }
     static M mor(M a, M b) { return _mm256_or_pd(a, b); }
     static M mandnot(M a, M b) { return _mm256_andnot_pd(a, b); }
@@ -72,6 +75,19 @@ struct Avx2
         const __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v),
                                      _mm256_extractf128_pd(v, 1));
         return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+    }
+
+    static void
+    storeRgb12(uint8_t *out, D v, std::size_t)
+    {
+        // The low three bytes of each 32-bit lane, packed.
+        const __m128i q = _mm_shuffle_epi8(
+            _mm256_cvttpd_epi32(v),
+            _mm_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1,
+                          -1, -1));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(out), q);
+        const int last = _mm_cvtsi128_si32(_mm_srli_si128(q, 8));
+        std::memcpy(out + 8, &last, 4);
     }
 };
 

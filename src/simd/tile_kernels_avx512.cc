@@ -11,6 +11,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "simd/tile_kernels_vec.hh"
 
 namespace pce::simd {
@@ -43,6 +45,7 @@ struct Avx512
     static M isNan(D a) { return _mm512_cmp_pd_mask(a, a, _CMP_UNORD_Q); }
 
     static D sel(D a, D b, M m) { return _mm512_mask_blend_pd(m, a, b); }
+    static D incIf(D a, M m) { return _mm512_mask_add_pd(a, m, a, bc(1.0)); }
     static M mand(M a, M b) { return static_cast<M>(a & b); }
     static M mor(M a, M b) { return static_cast<M>(a | b); }
     static M mandnot(M a, M b) { return static_cast<M>(~a & b); }
@@ -55,6 +58,23 @@ struct Avx512
 
     static double hmin(D v) { return _mm512_reduce_min_pd(v); }
     static double hmax(D v) { return _mm512_reduce_max_pd(v); }
+
+    static void
+    storeRgb12(uint8_t *out, D v, std::size_t g)
+    {
+        // The low three bytes of each 32-bit lane, packed per 128-bit
+        // half.
+        const __m256i b = _mm256_shuffle_epi8(
+            _mm512_cvttpd_epi32(v),
+            _mm256_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1,
+                             -1, -1, -1, 0, 1, 2, 4, 5, 6, 8, 9, 10, 12,
+                             13, 14, -1, -1, -1, -1));
+        const __m128i q = g == 0 ? _mm256_castsi256_si128(b)
+                                 : _mm256_extracti128_si256(b, 1);
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(out), q);
+        const int last = _mm_cvtsi128_si32(_mm_srli_si128(q, 8));
+        std::memcpy(out + 8, &last, 4);
+    }
 };
 
 } // namespace

@@ -5,8 +5,9 @@
  * This TU is the reference: stages 1 and 2 are thin planar loops over
  * the model/quadric code (AnalyticDiscriminationModel::ellipsoidFor,
  * extremaBothAxes) — the same loops, parameterized, serve any model and
- * extrema backend (ellipsoidsFromModel, extremaFromBackend) — and stage
- * 3's gamut clamp is the shared clampMovementToGamut (core/adjust.hh).
+ * extrema backend (ellipsoidsFromModel, extremaFromBackend) — stage
+ * 3's gamut clamp is the shared clampMovementToGamut (core/adjust.hh),
+ * and stage 4 looks every code up in the sRGB table.
  * tests/core/adjust_reference.hh keeps the Vec3 statement of the
  * algorithm, and tests/core and tests/simd pin every kernel level to it
  * bit for bit.
@@ -92,11 +93,11 @@ extremaBothScalar(TileSoA &soa)
     });
 }
 
-CandidateRange
-moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
-               double lh, double hl)
+template <int Axis>
+AxisMove
+moveAxisScalar(TileSoA &soa)
 {
-    const bool red = axis == 0;
+    constexpr bool red = Axis == 0;
     const double *px = soa.lane(kPx);
     const double *py = soa.lane(kPy);
     const double *pz = soa.lane(kPz);
@@ -110,6 +111,21 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
                       soa.lane(red ? kOutRedY : kOutBlueY),
                       soa.lane(red ? kOutRedZ : kOutBlueZ)};
 
+    // Step 2 (Fig. 7): HL (highest of the lows) and LH (lowest of the
+    // highs); the CAU computes these with two reduction trees (Sec. 4.2).
+    const double *low = red ? lx : lz;
+    const double *high = red ? hx : hz;
+    double hl = -1e300;
+    double lh = 1e300;
+    for (std::size_t i = 0; i < soa.n; ++i) {
+        hl = std::max(hl, low[i]);
+        lh = std::min(lh, high[i]);
+    }
+    // Step 3: collapse onto the average plane (Fig. 6b) or clamp into
+    // [LH, HL] (Fig. 6a).
+    const bool collapse = !(hl > lh);
+    const double target_c2 = 0.5 * (hl + lh);
+
     // The running range lives in locals: a struct in the return slot
     // could alias the lane stores, which would pin it to memory.
     const double inf = CandidateRange::kInf;
@@ -120,15 +136,15 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
     for (std::size_t i = 0; i < soa.n; ++i) {
         const Vec3 p(px[i], py[i], pz[i]);
         const double target =
-            collapse ? target_c2 : std::clamp(p[axis], lh, hl);
+            collapse ? target_c2 : std::clamp(p[Axis], lh, hl);
 
         const Vec3 v = Vec3(hx[i], hy[i], hz[i]) -
                        Vec3(lx[i], ly[i], lz[i]);
         Vec3 adjusted;
-        if (v[axis] == 0.0) {
+        if (v[Axis] == 0.0) {
             adjusted = p;  // degenerate: no mobility along this axis
         } else {
-            const double t = (target - p[axis]) / v[axis];
+            const double t = (target - p[Axis]) / v[Axis];
             const Vec3 cand = p + v * t;
             if (cand.x > 0.0 && cand.x < 1.0 && cand.y > 0.0 &&
                 cand.y < 1.0 && cand.z > 0.0 && cand.z < 1.0) {
@@ -150,10 +166,30 @@ moveAxisScalar(TileSoA &soa, int axis, bool collapse, double target_c2,
             hi[k] = a > hi[k] ? a : hi[k];
         }
     }
-    return CandidateRange{{lo[0], lo[1], lo[2]},
-                          {hi[0], hi[1], hi[2]},
-                          {nan[0], nan[1], nan[2]},
-                          gamut_clamped};
+    return AxisMove{hl, lh, collapse,
+                    CandidateRange{{lo[0], lo[1], lo[2]},
+                                   {hi[0], hi[1], hi[2]},
+                                   {nan[0], nan[1], nan[2]},
+                                   gamut_clamped}};
+}
+
+void
+quantizeScalar(const TileSoA &soa, int axis, const Srgb8Table &table,
+               std::size_t width, uint8_t *dst, std::size_t row_bytes)
+{
+    const double *x = soa.candidate(axis, 0);
+    const double *y = soa.candidate(axis, 1);
+    const double *z = soa.candidate(axis, 2);
+    std::size_t col = 0;
+    for (std::size_t i = 0; i < soa.n; ++i) {
+        dst[3 * col + 0] = table.code(x[i]);
+        dst[3 * col + 1] = table.code(y[i]);
+        dst[3 * col + 2] = table.code(z[i]);
+        if (++col == width) {
+            col = 0;
+            dst += row_bytes;
+        }
+    }
 }
 
 } // namespace
@@ -186,6 +222,14 @@ ellipsoidsFromModel(TileSoA &soa, const DiscriminationModel &model)
 }
 
 void
+srgbCodeLanes(const Srgb8Table &table, const double *x, std::size_t n,
+              double *codes)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        codes[i] = table.code(x[i]);
+}
+
+void
 extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
 {
     extremaLanes(soa, [&extrema](const Ellipsoid &e, ExtremaPair &red,
@@ -198,8 +242,11 @@ extremaFromBackend(TileSoA &soa, const ExtremaFn &extrema)
 const TileKernels &
 scalarTileKernels()
 {
-    static const TileKernels k{ellipsoidsScalar, extremaBothScalar,
-                               moveAxisScalar};
+    static const TileKernels k{
+        ellipsoidsScalar,
+        extremaBothScalar,
+        {moveAxisScalar<0>, moveAxisScalar<2>},
+        quantizeScalar};
     return k;
 }
 

@@ -19,12 +19,15 @@
  *  - add, sub, mul, div, sqrt (IEEE-exact per lane);
  *  - lt, gt, ge, eq, ne (ordered compares), neOrNan (unordered
  *    not-equal: true when either lane is NaN), isNan;
- *  - sel(a, b, m) = m ? b : a; mand, mor and mandnot(a, b) = ~a & b on
- *    masks; bits(m), bit k set when lane k is, and its inverse
- *    fromBits(b);
+ *  - sel(a, b, m) = m ? b : a; incIf(a, m) = m ? a + 1.0 : a; mand, mor
+ *    and mandnot(a, b) = ~a & b on masks; bits(m), bit k set when lane
+ *    k is, and its inverse fromBits(b);
  *  - absv (clear the sign bit); vmin / vmax, the minpd / maxpd
  *    instructions (NaN in either operand returns the second);
- *  - hmin / hmax: horizontal min / max of NaN-free lanes.
+ *  - hmin / hmax: horizontal min / max of NaN-free lanes;
+ *  - storeRgb12(out, v, g): v holds r + 256 * (g + 256 * b) per lane
+ *    (each a code 0..255); writes the 12 bytes r, g, b of lanes 4g to
+ *    4g + 3 to out.
  *
  * Bit-identity with the scalar reference (tile_kernels_scalar.cc) is a
  * hard contract, enforced by tests/simd with exact equality at every
@@ -40,8 +43,11 @@
  *    +/-0 semantics differ from std::min/std::max): they are
  *    compare+blend sequences mirroring the exact ternaries of the
  *    scalar code, including NaN fall-through. (The move kernel's value
- *    range is the one use of vmin/vmax: it only picks a code, which
- *    +/-0 cannot change, and NaN lanes are flagged separately.)
+ *    range uses vmin/vmax: it only picks a code, which +/-0 cannot
+ *    change, and NaN lanes are flagged separately. Its HL/LH reduction
+ *    folds each lane with the std:: forms and takes the horizontal
+ *    min/max, then restores the sign of a zero from the first zero
+ *    lane, which is the only bit the lane order can change.)
  *  - Branches become masks: each lane computes every path and blends in
  *    the scalar code's priority order (degenerate overrides in-gamut
  *    overrides the gamut-clamped path).
@@ -50,14 +56,17 @@
  * (TileSoA pads the stride to the widest level, kLaneWidth), so every
  * block holds at least one valid lane. Padding lanes compute on benign
  * data (TileSoA zero-fills input padding); anything *observable* — the
- * degenerate-ellipsoid check, the gamut-clamp count and the candidate
- * value range — is masked to the valid n lanes.
+ * degenerate-ellipsoid check, the HL/LH planes, the gamut-clamp count,
+ * the candidate value range and the quantized codes — is masked to the
+ * valid n lanes.
  */
 
 #ifndef PCE_SIMD_TILE_KERNELS_VEC_HH
 #define PCE_SIMD_TILE_KERNELS_VEC_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -304,14 +313,58 @@ extremaBoth(TileSoA &soa)
     }
 }
 
+/**
+ * Fig. 7 step 2 over the n >= 1 valid lanes: @p hl the sequential
+ * std::max fold of @p low from -1e300 and @p lh the std::min fold of
+ * @p high from 1e300, bit for bit. Each vector lane folds its own
+ * subsequence with the std:: forms, which skip NaN (it never passes
+ * the compare); a ragged block's padding lanes are blended to NaN.
+ */
 template <class V>
-CandidateRange
-moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
-         double lh, double hl)
+void
+reducePlanes(const double *low, const double *high, std::size_t n,
+             double &hl, double &lh)
+{
+    using D = typename V::D;
+    const D pad = V::bc(std::numeric_limits<double>::quiet_NaN());
+    D vhl = V::bc(-1e300);
+    D vlh = V::bc(1e300);
+    const std::size_t end = blockEnd<V>(n);
+    for (std::size_t i = 0; i < end; i += V::kWidth) {
+        D l = V::load(low + i);
+        D h = V::load(high + i);
+        const unsigned live = liveBits<V>(n, i);
+        if (live != (1u << V::kWidth) - 1u) {
+            l = V::sel(pad, l, V::fromBits(live));
+            h = V::sel(pad, h, V::fromBits(live));
+        }
+        vhl = maxStd<V>(vhl, l);
+        vlh = minStd<V>(vlh, h);
+    }
+    // Across lanes the order can only decide the sign of a zero: the
+    // fold keeps the first of equal values, so a zero result takes the
+    // sign of the first zero lane.
+    auto firstZero = [n](const double *lane) {
+        for (std::size_t i = 0; i < n; ++i)
+            if (lane[i] == 0.0)
+                return lane[i];
+        return 0.0;
+    };
+    hl = V::hmax(vhl);
+    lh = V::hmin(vlh);
+    if (hl == 0.0)
+        hl = firstZero(low);
+    if (lh == 0.0)
+        lh = firstZero(high);
+}
+
+template <class V, int Axis>
+AxisMove
+moveAxis(TileSoA &soa)
 {
     using D = typename V::D;
     using M = typename V::M;
-    const bool red = axis == 0;
+    constexpr bool red = Axis == 0;
     const double *pl[3] = {soa.lane(kPx), soa.lane(kPy), soa.lane(kPz)};
     const double *hx = soa.lane(red ? kRedHighX : kBlueHighX);
     const double *hy = soa.lane(red ? kRedHighY : kBlueHighY);
@@ -323,18 +376,26 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
                       soa.lane(red ? kOutRedY : kOutBlueY),
                       soa.lane(red ? kOutRedZ : kOutBlueZ)};
 
+    AxisMove move;
+    reducePlanes<V>(red ? lx : lz, red ? hx : hz, soa.n, move.hlPlane,
+                    move.lhPlane);
+    const double hl = move.hlPlane;
+    const double lh = move.lhPlane;
+    move.collapse = !(hl > lh);
+    const bool collapse = move.collapse;
+
     const D zero = V::bc(0.0);
     const D one = V::bc(1.0);
     const D vlh = V::bc(lh);
     const D vhl = V::bc(hl);
-    const D vtarget = V::bc(target_c2);
+    const D vtarget = V::bc(0.5 * (hl + lh));
 
     // The candidate's value range, folded where each block is stored.
     // vmin/vmax return their second operand when either is NaN, so a
     // NaN lane leaves the running min/max untouched and only raises
     // its channel's flag. A ragged block's padding lanes are blended
     // to NaN and masked out of the flag, so they reach neither.
-    CandidateRange range;
+    CandidateRange &range = move.range;
     D lo[3];
     D hi[3];
     unsigned nan[3] = {};
@@ -351,8 +412,8 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
         const D v[3] = {V::sub(V::load(hx + i), V::load(lx + i)),
                         V::sub(V::load(hy + i), V::load(ly + i)),
                         V::sub(V::load(hz + i), V::load(lz + i))};
-        const D pax = p[axis];
-        const D vax = v[axis];
+        const D pax = p[Axis];
+        const D vax = v[Axis];
 
         const D target = collapse ? vtarget : clampStd<V>(pax, vlh, vhl);
 
@@ -362,6 +423,7 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
         // Division-free fast path: strictly in-gamut candidate.
         D cand[3];
         M in_unit[3];
+#pragma GCC unroll 3
         for (int k = 0; k < 3; ++k) {
             cand[k] = V::add(p[k], V::mul(v[k], t));
             in_unit[k] = V::mand(V::gt(cand[k], zero), V::lt(cand[k], one));
@@ -374,12 +436,14 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
         // the per-pixel short-circuit of the scalar code, taken a
         // block at a time.
         D res[3];
+#pragma GCC unroll 3
         for (int k = 0; k < 3; ++k)
             res[k] = V::sel(cand[k], p[k], degenerate);
         const unsigned live = liveBits<V>(soa.n, i);
         if ((V::bits(V::mor(in_gamut, degenerate)) & live) != live) {
             // clampToGamut on every lane (blended away where unused).
             D tg = t;
+#pragma GCC unroll 3
             for (int k = 0; k < 3; ++k) {
                 const D d = v[k];
                 const M active = V::ne(d, zero);
@@ -401,6 +465,7 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
                 V::mandnot(degenerate, V::mandnot(in_gamut, moved)));
             range.gamutClamped += __builtin_popcount(counted & live);
 
+#pragma GCC unroll 3
             for (int k = 0; k < 3; ++k) {
                 const D adj = V::add(p[k], V::mul(v[k], tg));
                 res[k] = V::sel(V::sel(adj, cand[k], in_gamut), p[k],
@@ -424,7 +489,92 @@ moveAxis(TileSoA &soa, int axis, bool collapse, double target_c2,
         range.hi[k] = V::hmax(hi[k]);
         range.nan[k] = nan[k] != 0;
     }
-    return range;
+    return move;
+}
+
+/**
+ * Widest code range stage 4 counts thresholds across: one window of as
+ * many thresholds above the channel's lo code. A wider channel is
+ * looked up in the table.
+ */
+inline constexpr int kCodeWindow = 4;
+
+template <class V>
+void
+quantize(const TileSoA &soa, int axis, const Srgb8Table &table,
+         std::size_t width, uint8_t *dst, std::size_t row_bytes)
+{
+    using D = typename V::D;
+    const CandidateCodes &codes = soa.codesOf(axis);
+    // A narrow channel's code is lo plus the number of window
+    // thresholds a lane reaches; a NaN reaches none, and its channel's
+    // lo is 0. No valid lane reaches a threshold above hi except the
+    // sentinel codeMin[256] (at hi = 255), so min(., hi) keeps the
+    // count exact where the window overhangs the range.
+    const double *x[3];
+    D lo[3];
+    D hi[3];
+    D window[3][kCodeWindow];
+    bool wide[3];
+#pragma GCC unroll 3
+    for (int k = 0; k < 3; ++k) {
+        x[k] = soa.candidate(axis, k);
+        lo[k] = V::bc(codes.lo[k]);
+        hi[k] = V::bc(codes.hi[k]);
+        wide[k] = codes.hi[k] - codes.lo[k] > kCodeWindow;
+#pragma GCC unroll 4
+        for (int j = 0; j < kCodeWindow; ++j)
+            window[k][j] =
+                V::bc(table.codeMin[std::min(codes.lo[k] + 1 + j, 256)]);
+    }
+    const D byte = V::bc(256.0);
+    std::size_t col = 0;
+    for (std::size_t i = 0; i < soa.n; i += V::kWidth) {
+        D c[3];
+#pragma GCC unroll 3
+        for (int k = 0; k < 3; ++k) {
+            if (wide[k]) {
+                double looked_up[V::kWidth];
+                srgbCodeLanes(table, x[k] + i, V::kWidth, looked_up);
+                c[k] = V::load(looked_up);
+                continue;
+            }
+            const D v = V::load(x[k] + i);
+            D code = lo[k];
+#pragma GCC unroll 4
+            for (int j = 0; j < kCodeWindow; ++j)
+                code = V::incIf(code, V::ge(v, window[k][j]));
+            c[k] = V::vmin(code, hi[k]);
+        }
+        // r + 256 * (g + 256 * b) is exact in a double.
+        const D rgb =
+            V::add(c[0], V::mul(byte, V::add(c[1], V::mul(byte, c[2]))));
+        // Each group of 4 valid pixels inside one row is stored as its
+        // 12 bytes; any other group goes pixel by pixel.
+        for (std::size_t g = 0; g < V::kWidth / 4 && i + 4 * g < soa.n;
+             ++g) {
+            if (col + 4 <= width && i + 4 * g + 4 <= soa.n) {
+                V::storeRgb12(dst + 3 * col, rgb, g);
+                col += 4;
+            } else {
+                uint8_t group[12];
+                V::storeRgb12(group, rgb, g);
+                for (std::size_t p = 0; p < 4 && i + 4 * g + p < soa.n;
+                     ++p) {
+                    std::memcpy(dst + 3 * col, group + 3 * p, 3);
+                    if (++col == width) {
+                        col = 0;
+                        dst += row_bytes;
+                    }
+                }
+                continue;
+            }
+            if (col == width) {
+                col = 0;
+                dst += row_bytes;
+            }
+        }
+    }
 }
 
 } // namespace vec
@@ -434,8 +584,11 @@ template <class V>
 const TileKernels &
 vectorTileKernels()
 {
-    static const TileKernels k{vec::ellipsoids<V>, vec::extremaBoth<V>,
-                               vec::moveAxis<V>};
+    static const TileKernels k{
+        vec::ellipsoids<V>,
+        vec::extremaBoth<V>,
+        {vec::moveAxis<V, 0>, vec::moveAxis<V, 2>},
+        vec::quantize<V>};
     return k;
 }
 

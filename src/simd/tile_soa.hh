@@ -64,9 +64,10 @@ enum Lane : int
  * The code range of one candidate: the per-channel min / max of the
  * sRGB codes linearToSrgb8Planar makes of its lanes — the tile's BD
  * base and delta range, which the tile adjuster derives from the
- * stage-3 value range. The codes themselves are never stored: the
- * frame pass quantizes only the chosen candidate, straight into the
- * delivered frame.
+ * stage-3 value range. The codes themselves are never stored: stage 4
+ * quantizes only the chosen candidate, straight into the delivered
+ * frame, comparing each value with the code thresholds inside this
+ * range.
  */
 struct CandidateCodes
 {

@@ -132,6 +132,22 @@ TEST(Packetizer, FovealPacketsLeadTheSendOrder)
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i)
         EXPECT_EQ(sorted[i], i);
+
+    // Each tile's minimum eccentricity is the map's, and a packet's is
+    // the minimum over the tiles it carries.
+    const std::vector<TileRect> tiles = tileGrid(64, 64, 4);
+    ASSERT_EQ(pf.tileMinEccDeg.size(), tiles.size());
+    for (std::size_t t = 0; t < tiles.size(); ++t)
+        EXPECT_EQ(pf.tileMinEccDeg[t], ecc.minInRect(tiles[t])) << t;
+    for (std::size_t i = 1; i < pf.packets.size(); ++i) {
+        const PacketHeader &h = pf.packets[i].header;
+        double lowest = pf.tileMinEccDeg[h.tileBegin];
+        for (std::size_t t = h.tileBegin; t < h.tileBegin + h.tileCount; ++t)
+            lowest = std::min(lowest, pf.tileMinEccDeg[t]);
+        EXPECT_EQ(pf.packets[i].minEccDeg, lowest) << i;
+    }
+    EXPECT_TRUE(packetizeFrame(stream, 0, nullptr, params)
+                    .tileMinEccDeg.empty());
 }
 
 TEST(Packetizer, RejectsNonsense)

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -304,8 +305,9 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
     // and the range reduction: NaN, +/-inf, -0.0, a denormal, code
     // thresholds and one ulp below them, 0 and 1, out-of-gamut values,
     // and whole-NaN channels. In odd trials every even pixel gets a
-    // real extrema vector and an out-of-gamut collapse target, which
-    // sends every block through the gamut-clamp store instead.
+    // real extrema vector, and the axis extrema make the collapse plane
+    // out of gamut (2.0; 2.025 for n = 1), which sends every block
+    // through the gamut-clamp store instead.
     const simd::TileKernels &k = simd::tileKernels(GetParam());
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -337,13 +339,16 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
                     // (the common case) or across the whole range.
                     const double base = rng.uniform(-0.1, 1.1);
                     const double spread = trial % 4 < 2 ? 0.01 : 1.2;
+                    const bool axis_ch = ch == axis;
                     for (std::size_t i = 0; i < n; ++i) {
                         p[i] = rng.uniform() < 0.2
                                    ? special[rng.uniformInt(special.size())]
                                    : base + rng.uniform(-spread, spread);
-                        lo[i] = rng.uniform();
-                        hi[i] = lo[i] + (clamp_path && i % 2 == 0 ? 0.25
-                                                                   : 0.0);
+                        const bool moves = clamp_path && i % 2 == 0;
+                        lo[i] = axis_ch && clamp_path
+                                    ? (moves ? 1.9 : 2.0)
+                                    : rng.uniform();
+                        hi[i] = lo[i] + (moves ? 0.25 : 0.0);
                     }
                     const int lane = (red ? simd::kOutRedX
                                           : simd::kOutBlueX) +
@@ -354,9 +359,11 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
                     for (std::size_t i = n; i < soa.stride; ++i)
                         p[i] = hi[i] = lo[i] = i % 2 ? nan : -7.0;
                 }
-                const simd::CandidateRange range =
-                    k.moveAxis(soa, axis, clamp_path, 2.0, 0.0, 1.0);
-                if (!clamp_path)
+                const simd::AxisMove move = k.moveAxis[red ? 0 : 1](soa);
+                const simd::CandidateRange &range = move.range;
+                if (clamp_path)
+                    EXPECT_TRUE(move.collapse);
+                else
                     EXPECT_EQ(range.gamutClamped, 0);
 
                 std::vector<uint8_t> codes(n * 3);
@@ -382,6 +389,254 @@ TEST_P(SimdLevelTest, TileCostMatchesCodePath)
                         << "n " << n << " trial " << trial << " ch " << c;
                 }
             }
+        }
+    }
+}
+
+TEST_P(SimdLevelTest, MoveKernelReducesPlanesLikeTheSequentialFold)
+{
+    // The HL/LH reduction of the per-axis move kernel against the Vec3
+    // reference (adjref::moveAlongAxis: the sequential std::max /
+    // std::min fold from -1e300 / 1e300, then the move). The axis
+    // extrema lanes are filled directly with what a vector reduction
+    // can get wrong: +/-0 ties in both orders (in one block or across
+    // blocks), NaN lanes, all-NaN lanes, values at and beyond +/-1e300,
+    // and stale padding. The planes must match bit for bit (memcmp: the
+    // sign of a zero counts), and so must the case, the gamut count and
+    // every candidate double.
+    const simd::TileKernels &k = simd::tileKernels(GetParam());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> special = {
+        0.0, -0.0, nan, 1e300, -1e300, inf, -inf,
+        std::nextafter(1e300, 0.0), std::nextafter(-1e300, 0.0)};
+    Rng rng(808);
+    simd::TileSoA soa;
+    for (const std::size_t n :
+         {16u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u,
+          14u, 15u}) {
+        for (int trial = 0; trial < 60; ++trial) {
+            const int pattern = trial % 6;
+            soa.resize(n);
+            for (const int axis : {0, 2}) {
+                const bool red = axis == 0;
+                std::vector<Vec3> pixels(n);
+                std::vector<ExtremaPair> extrema(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    pixels[i] = Vec3(rng.uniform(), rng.uniform(),
+                                     rng.uniform());
+                    for (int c = 0; c < 3; ++c) {
+                        const double lo = rng.uniform(-0.2, 1.0);
+                        extrema[i].low[c] = lo;
+                        extrema[i].high[c] = lo + rng.uniform(0.0, 0.4);
+                    }
+                    double &low = extrema[i].low[axis];
+                    double &high = extrema[i].high[axis];
+                    switch (pattern) {
+                    case 0:  // zero ties: the first zero's sign stays
+                        low = rng.uniform() < 0.5 ? -rng.uniform() : 0.0;
+                        high = rng.uniform() < 0.5 ? 1.0 + rng.uniform()
+                                                   : 0.0;
+                        if (low == 0.0 && rng.uniform() < 0.5)
+                            low = -0.0;
+                        if (high == 0.0 && rng.uniform() < 0.5)
+                            high = -0.0;
+                        break;
+                    case 1:  // specials anywhere
+                        if (rng.uniform() < 0.5)
+                            low = special[rng.uniformInt(special.size())];
+                        if (rng.uniform() < 0.5)
+                            high = special[rng.uniformInt(special.size())];
+                        break;
+                    case 2:  // NaN lanes among ordinary ones
+                        if (rng.uniform() < 0.4)
+                            low = nan;
+                        if (rng.uniform() < 0.4)
+                            high = nan;
+                        break;
+                    case 3:  // every lane NaN: the planes stay +/-1e300
+                        low = nan;
+                        high = nan;
+                        break;
+                    case 4:  // at and beyond the fold's start values
+                        low = rng.uniform() < 0.5 ? -1e300 : -inf;
+                        high = rng.uniform() < 0.5 ? 1e300 : inf;
+                        break;
+                    default:  // ordinary extrema
+                        break;
+                    }
+                }
+                if (pattern == 0 && n >= 2) {
+                    // A +/-0 pair in a fixed order, first lane and a
+                    // lane in a later block.
+                    const std::size_t second = n - 1;
+                    const bool plus_first = trial % 12 < 6;
+                    extrema[0].low[axis] = plus_first ? 0.0 : -0.0;
+                    extrema[second].low[axis] = plus_first ? -0.0 : 0.0;
+                    extrema[0].high[axis] = plus_first ? -0.0 : 0.0;
+                    extrema[second].high[axis] = plus_first ? 0.0 : -0.0;
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    soa.lane(simd::kPx)[i] = pixels[i].x;
+                    soa.lane(simd::kPy)[i] = pixels[i].y;
+                    soa.lane(simd::kPz)[i] = pixels[i].z;
+                    for (int c = 0; c < 3; ++c) {
+                        soa.lane((red ? simd::kRedLowX : simd::kBlueLowX) +
+                                 c)[i] = extrema[i].low[c];
+                        soa.lane((red ? simd::kRedHighX
+                                      : simd::kBlueHighX) +
+                                 c)[i] = extrema[i].high[c];
+                    }
+                }
+                // Stale padding that would win either fold.
+                for (std::size_t i = n; i < soa.stride; ++i) {
+                    soa.lane(red ? simd::kRedLowX : simd::kBlueLowZ)[i] =
+                        i % 2 ? 1e308 : 0.0;
+                    soa.lane(red ? simd::kRedHighX : simd::kBlueHighZ)[i] =
+                        i % 2 ? -1e308 : -0.0;
+                }
+
+                const AxisAdjustment ref =
+                    adjref::moveAlongAxis(pixels, extrema, axis);
+                const simd::AxisMove move = k.moveAxis[red ? 0 : 1](soa);
+                const std::string where = "n " + std::to_string(n) +
+                                          " trial " +
+                                          std::to_string(trial) +
+                                          " axis " + std::to_string(axis);
+                EXPECT_EQ(std::memcmp(&move.hlPlane, &ref.hlPlane,
+                                      sizeof(double)),
+                          0)
+                    << where << ": hl " << move.hlPlane << " vs "
+                    << ref.hlPlane;
+                EXPECT_EQ(std::memcmp(&move.lhPlane, &ref.lhPlane,
+                                      sizeof(double)),
+                          0)
+                    << where << ": lh " << move.lhPlane << " vs "
+                    << ref.lhPlane;
+                EXPECT_EQ(move.collapse, ref.adjustCase == AdjustCase::C2)
+                    << where;
+                EXPECT_EQ(move.range.gamutClamped, ref.gamutClampedPixels)
+                    << where;
+                const std::vector<Vec3> cand =
+                    adjref::candidateLanes(soa, axis);
+                for (std::size_t i = 0; i < n; ++i)
+                    EXPECT_TRUE(sameBits(cand[i], ref.adjusted[i]))
+                        << where << " pixel " << i;
+            }
+        }
+    }
+}
+
+TEST_P(SimdLevelTest, QuantizeKernelMatchesPlanarQuantizer)
+{
+    // Stage 4 against linearToSrgb8Planar on hostile values: NaN, +/-0,
+    // +/-inf, denormals, values above 1 and below 0, every code
+    // threshold and one ulp below it, at every tail length, with the
+    // candidate's code range anywhere from lo == hi to 0..255 (so both
+    // the threshold count and the table lookup of wide channels run).
+    // The kernel gets the exact code range, as bdTileBitsFromRange
+    // leaves it, writes into rows of a wider buffer, and must leave
+    // every byte outside the tile untouched.
+    const simd::TileKernels &k = simd::tileKernels(GetParam());
+    const Srgb8Table &table = srgb8Table();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> special = {
+        nan, -nan, 0.0, -0.0, inf, -inf, 1.0, std::nextafter(1.0, 0.0),
+        std::nextafter(1.0, 2.0), 2.0, 1e300, -1e-300, -0.5,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min()};
+    std::vector<double> thresholds;
+    for (int c = 1; c < 256; ++c) {
+        const double t = testsrgb::codeThreshold(c);
+        thresholds.push_back(t);
+        thresholds.push_back(std::nextafter(t, 0.0));
+    }
+    // Code spans: single codes, the window's edge, wide ranges.
+    const int spans[] = {0, 1, 2, 3, 4, 5, 6, 8, 17, 64, 200, 255};
+    Rng rng(909);
+    simd::TileSoA soa;
+    std::size_t sweep = 0;  // next threshold of the in-order sweep
+    for (const std::size_t n :
+         {16u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u,
+          14u, 15u}) {
+        for (int trial = 0; trial < 80; ++trial) {
+            soa.resize(n);
+            const int axis = trial % 2 == 0 ? 0 : 2;
+            const bool red = axis == 0;
+            for (int ch = 0; ch < 3; ++ch) {
+                double *lane =
+                    soa.lane((red ? simd::kOutRedX : simd::kOutBlueX) + ch);
+                const int span = spans[rng.uniformInt(std::size(spans))];
+                const int lo = static_cast<int>(rng.uniformInt(256 - span));
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double u = rng.uniform();
+                    if (trial % 4 == 3) {
+                        // The thresholds in order, one per lane.
+                        lane[i] = thresholds[sweep++ % thresholds.size()];
+                    } else if (trial % 8 == 6) {
+                        // The top codes only, with values at and far
+                        // above 1: a narrow range whose window reaches
+                        // past code 255.
+                        const double top[] = {thresholds[2 * 252],
+                                              thresholds[2 * 254 + 1],
+                                              1.0, 2.0, 1e300, inf};
+                        lane[i] = top[rng.uniformInt(std::size(top))];
+                    } else if (trial % 4 == 2 && u < 0.3) {
+                        lane[i] = special[rng.uniformInt(special.size())];
+                    } else {
+                        // A value whose code lies in [lo, lo + span]:
+                        // on a threshold, one ulp below the next one,
+                        // or between.
+                        const int c = lo + static_cast<int>(
+                                               rng.uniformInt(span + 1));
+                        const double t0 =
+                            c == 0 ? 0.0 : thresholds[2 * (c - 1)];
+                        const double t1 =
+                            c == 255 ? 1.0 : thresholds[2 * c + 1];
+                        lane[i] = u < 0.3   ? t0
+                                  : u < 0.6 ? t1
+                                            : t0 + (t1 - t0) * rng.uniform();
+                    }
+                }
+                // Stale padding must not reach the output.
+                for (std::size_t i = n; i < soa.stride; ++i)
+                    lane[i] = i % 2 ? nan : 1e300;
+            }
+            std::vector<uint8_t> want(3 * n);
+            linearToSrgb8Planar(soa.candidate(axis, 0),
+                                soa.candidate(axis, 1),
+                                soa.candidate(axis, 2), n, want.data());
+            simd::CandidateCodes &codes = soa.codesOf(axis);
+            for (int ch = 0; ch < 3; ++ch) {
+                codes.lo[ch] = 255;
+                codes.hi[ch] = 0;
+                for (std::size_t i = 0; i < n; ++i) {
+                    codes.lo[ch] = std::min(codes.lo[ch], want[3 * i + ch]);
+                    codes.hi[ch] = std::max(codes.hi[ch], want[3 * i + ch]);
+                }
+            }
+
+            // Rows of `width` pixels (the last may be partial) in a
+            // buffer with guard bytes around and between the rows.
+            const std::size_t width = 1 + rng.uniformInt(n);
+            const std::size_t rows = (n + width - 1) / width;
+            const std::size_t row_bytes = 3 * width + 7;
+            const std::size_t offset = 5;
+            std::vector<uint8_t> buf(offset + rows * row_bytes + 9, 0xA5);
+            k.quantize(soa, axis, table, width, buf.data() + offset,
+                       row_bytes);
+            std::vector<uint8_t> expect(buf.size(), 0xA5);
+            for (std::size_t i = 0; i < n; ++i)
+                for (int ch = 0; ch < 3; ++ch)
+                    expect[offset + (i / width) * row_bytes +
+                           3 * (i % width) + ch] = want[3 * i + ch];
+            ASSERT_EQ(buf, expect)
+                << "n " << n << " trial " << trial << " width " << width
+                << " lo/hi " << int(codes.lo[0]) << "/"
+                << int(codes.hi[0]) << " " << int(codes.lo[1]) << "/"
+                << int(codes.hi[1]) << " " << int(codes.lo[2]) << "/"
+                << int(codes.hi[2]);
         }
     }
 }
