@@ -8,8 +8,11 @@
  * one-thread rows (the frame pass on one worker), BM_TileAdjustScratch/16
  * (one tile through the kernel table), BM_TileStages/256 (the frame
  * pass's tile flow split stage by stage), BM_Hash64_Frame, BM_Crc32_77KB,
- * BM_BdEmit and BM_BdDecode at 128 and 256 (1 and 4 participants), and
- * the BD decode split into BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256.
+ * BM_BdEmit and BM_BdDecode at 128 and 256 (1 and 4 participants), the
+ * BD decode split into BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256,
+ * and the gaze update's map stages: BM_EccentricityRebuild (a full
+ * rebuild) and BM_EccentricityRefixate (shift + exact bands) at 256x256
+ * and 1832x1920.
  *
  * These quantify the paper's motivation: the algorithm in software runs
  * far below display rate (2 FPS on a mobile GPU), which is why the CAU
@@ -30,6 +33,7 @@
 #include "common/thread_pool.hh"
 #include "core/adjust.hh"
 #include "core/quadric.hh"
+#include "gaze/incremental_ecc.hh"
 #include "perception/rbf.hh"
 
 namespace {
@@ -441,6 +445,65 @@ BM_Crc32_77KB(benchmark::State &state)
                             static_cast<int64_t>(buf.size()));
 }
 BENCHMARK(BM_Crc32_77KB);
+
+void
+BM_EccentricityRebuild(benchmark::State &state, int w, int h)
+{
+    // A full same-size EccentricityMap rebuild, alternating between two
+    // fixations 1/8 of the display apart so each rebuild rewrites every
+    // value: the re-fixation fallback a saccade landing pays.
+    DisplayGeometry a = pce::bench::benchDisplay(w, h);
+    DisplayGeometry b = a;
+    b.fixationX += w / 8.0;
+    b.fixationY -= h / 8.0;
+    EccentricityMap map(a);
+    bool flip = false;
+    for (auto _ : state) {
+        map.rebuild(flip ? a : b);
+        flip = !flip;
+        benchmark::DoNotOptimize(map.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(w) * h);
+}
+BENCHMARK_CAPTURE(BM_EccentricityRebuild, 256, 256, 256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EccentricityRebuild, 1832x1920, 1832, 1920)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_EccentricityRefixate(benchmark::State &state, int w, int h)
+{
+    // An in-place refixate that takes the shift path every time: the
+    // fixation steps (+2, +1) and back, and the accumulated-error cap
+    // is parked out of the way, so each step shifts the map and
+    // recomputes only the incoming border and the foveal band.
+    const DisplayGeometry geom = pce::bench::benchDisplay(w, h);
+    IncrementalEccParams params;
+    params.maxAccumulatedErrorDeg = 1e300;
+    IncrementalEccentricity upd(geom, params);
+    EccentricityMap map(geom);
+    RefixStats st;
+    bool flip = false;
+    for (auto _ : state) {
+        upd.refixate(map, geom.fixationX + (flip ? 0.0 : 2.0),
+                     geom.fixationY + (flip ? 0.0 : 1.0), &st);
+        flip = !flip;
+        if (st.fullRebuild) {
+            state.SkipWithError("refixate fell back to a full rebuild");
+            break;
+        }
+        benchmark::DoNotOptimize(map.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["recomputed_px"] =
+        static_cast<double>(st.recomputedPixels);
+}
+BENCHMARK_CAPTURE(BM_EccentricityRefixate, 256, 256, 256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EccentricityRefixate, 1832x1920, 1832, 1920)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

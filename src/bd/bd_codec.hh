@@ -484,10 +484,10 @@ void bdTileStats(const ImageU8 &img, const TileRect &rect,
 /**
  * BD bit cost of one tile given its pixels' already-quantized sRGB
  * codes, @p n pixels of 3 interleaved channel bytes: per channel,
- * meta(4) + base(8) + n * ceil(log2(range+1)) bits. This is the tile
- * adjuster's axis-selection fast path — it quantizes each candidate
- * tile exactly once and feeds the codes straight in, instead of
- * re-deriving sRGB per channel from linear RGB.
+ * meta(4) + base(8) + n * ceil(log2(range+1)) bits. It backs
+ * bdTileBits (core/adjust.hh), used by tests and the reference flow;
+ * the tile flow takes the same cost from a candidate's value range
+ * instead (bdTileBitsFromRange).
  */
 std::size_t bdTileBitsFromCodes(const uint8_t *codes, std::size_t n);
 

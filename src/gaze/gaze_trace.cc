@@ -8,23 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/vec3.hh"
-
 namespace pce {
-
-double
-gazeAngleDeg(const DisplayGeometry &geom, double x0, double y0,
-             double x1, double y1)
-{
-    const double f = geom.focalPixels();
-    const double cx = geom.width / 2.0;
-    const double cy = geom.height / 2.0;
-    const Vec3 a(x0 - cx, y0 - cy, f);
-    const Vec3 b(x1 - cx, y1 - cy, f);
-    const double cosang =
-        std::clamp(a.dot(b) / (a.norm() * b.norm()), -1.0, 1.0);
-    return std::acos(cosang) * 180.0 / M_PI;
-}
 
 IVTClassifier::IVTClassifier(const DisplayGeometry &geom,
                              double saccade_velocity_deg_per_sec)
@@ -40,10 +24,10 @@ IVTClassifier::update(const GazeSample &sample)
 {
     lastVelocity_ = 0.0;
     if (havePrev_ && sample.timeSeconds > prev_.timeSeconds) {
-        const double dt = sample.timeSeconds - prev_.timeSeconds;
-        lastVelocity_ = gazeAngleDeg(geom_, prev_.x, prev_.y, sample.x,
-                                     sample.y) /
-                        dt;
+        const Vec3 from = geom_.viewRay(prev_.x, prev_.y);
+        lastVelocity_ = viewAngleDeg(from, from.norm(),
+                                     geom_.viewRay(sample.x, sample.y)) /
+                        (sample.timeSeconds - prev_.timeSeconds);
     }
     havePrev_ = true;
     prev_ = sample;

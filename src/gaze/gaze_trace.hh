@@ -20,9 +20,9 @@
  *    tracker noise) for benches/tests, and CSV loading for replaying
  *    recorded traces.
  *
- * Angular velocity between two gaze positions is the angle between the
- * two view rays of the display geometry (the same pinhole model as
- * perception/display.hh), divided by the sample interval.
+ * Angular velocity between two gaze positions is the angle between their
+ * view rays (viewAngleDeg, perception/display.hh), divided by the sample
+ * interval.
  */
 
 #ifndef PCE_GAZE_GAZE_TRACE_HH
@@ -61,10 +61,6 @@ enum class GazePhase
  * hundreds, so the band between is all safe.
  */
 inline constexpr double kSaccadeVelocityDegPerSec = 70.0;
-
-/** Angle (degrees) between the view rays through two display points. */
-double gazeAngleDeg(const DisplayGeometry &geom, double x0, double y0,
-                    double x1, double y1);
 
 /**
  * Streaming I-VT classifier: feed samples in time order, get the phase

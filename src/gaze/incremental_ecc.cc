@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/integrity.hh"
 
@@ -45,15 +46,13 @@ IncrementalEccentricity::shiftErrorBoundDeg(const DisplayGeometry &geom,
 }
 
 double
-IncrementalEccentricity::exactBandRadiusPx() const
+IncrementalEccentricity::exactBandRadiusPx(const DisplayGeometry &at) const
 {
     const double band = params_.exactBandDeg;
     if (band <= 0.0)
         return 0.0;
-    const double cx = geom_.width / 2.0;
-    const double cy = geom_.height / 2.0;
-    double ux = geom_.fixationX - cx;
-    double uy = geom_.fixationY - cy;
+    double ux = at.fixationX - at.width / 2.0;
+    double uy = at.fixationY - at.height / 2.0;
     const double n = std::hypot(ux, uy);
     if (n < 1e-12) {
         ux = 1.0;  // centered fixation: the band is a circle
@@ -70,13 +69,12 @@ IncrementalEccentricity::exactBandRadiusPx() const
     // point from the fixation is therefore one of the two crossings of
     // that line, each found by bisection (eccentricity is monotone
     // along any ray leaving the fixation).
-    const double t_max = std::hypot(static_cast<double>(geom_.width),
-                                    static_cast<double>(geom_.height));
+    const double t_max = std::hypot(at.width, at.height);
     double radius = 0.0;
     for (double s : {1.0, -1.0}) {
         const auto ecc_at = [&](double t) {
-            return geom_.eccentricityDeg(geom_.fixationX + s * ux * t,
-                                         geom_.fixationY + s * uy * t);
+            return at.eccentricityDeg(at.fixationX + s * ux * t,
+                                      at.fixationY + s * uy * t);
         };
         double t;
         if (ecc_at(t_max) <= band) {
@@ -94,46 +92,54 @@ IncrementalEccentricity::exactBandRadiusPx() const
     return radius + 1.0;  // one pixel of slack against rounding
 }
 
+DisplayGeometry
+IncrementalEccentricity::fixatedAt(const EccentricityMap &map, double fix_x,
+                                   double fix_y, const char *who) const
+{
+    if (map.width() != geom_.width || map.height() != geom_.height)
+        throw std::invalid_argument(
+            std::string(who) +
+            ": map does not match the display geometry");
+    if (!std::isfinite(fix_x) || !std::isfinite(fix_y))
+        throw std::invalid_argument(std::string(who) +
+                                    ": non-finite fixation");
+    // Tracker glitches land off-display; clamp so the fixation stays
+    // a display position (the foveal region is then at the edge).
+    DisplayGeometry at = geom_;
+    at.fixationX = std::clamp(fix_x, 0.0, geom_.width - 1.0);
+    at.fixationY = std::clamp(fix_y, 0.0, geom_.height - 1.0);
+    return at;
+}
+
 void
 IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
                                   double fix_y, RefixStats *stats)
 {
-    const int w = geom_.width;
-    const int h = geom_.height;
-    if (map.width() != w || map.height() != h)
-        throw std::invalid_argument(
-            "IncrementalEccentricity::refixate: map does not match "
-            "the display geometry");
+    const DisplayGeometry at = fixatedAt(
+        map, fix_x, fix_y, "IncrementalEccentricity::refixate");
+    const int w = at.width;
+    const int h = at.height;
+    const double cx = at.fixationX;
+    const double cy = at.fixationY;
 
     RefixStats st;
-
-    // Tracker glitches land off-display; clamp so the fixation stays
-    // a display position (the foveal region is then at the edge).
-    const double cx = std::clamp(fix_x, 0.0,
-                                 static_cast<double>(w - 1));
-    const double cy = std::clamp(fix_y, 0.0,
-                                 static_cast<double>(h - 1));
     st.clamped = (cx != fix_x) || (cy != fix_y);
 
-    const double dx = cx - map.fixationX_;
-    const double dy = cy - map.fixationY_;
+    const double dx = cx - map.fixationX();
+    const double dy = cy - map.fixationY();
     const double delta = std::hypot(dx, dy);
     const int dxi = static_cast<int>(std::lround(dx));
     const int dyi = static_cast<int>(std::lround(dy));
-    const double step = shiftErrorBoundDeg(geom_, dx, dy);
-
-    geom_.fixationX = cx;
-    geom_.fixationY = cy;
+    const double step = shiftErrorBoundDeg(at, dx, dy);
 
     if (delta > params_.maxShiftPx ||
         accumulated_ + step > params_.maxAccumulatedErrorDeg ||
         std::abs(dxi) >= w || std::abs(dyi) >= h) {
         // Fallback: exact full rebuild, reusing the map's storage.
-        map.rebuild(geom_);
+        map.rebuild(at);
         accumulated_ = 0.0;
         st.fullRebuild = true;
-        st.recomputedPixels =
-            static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+        st.recomputedPixels = map.ecc_.size();
         st.exactRect = TileRect{0, 0, w, h};
         if (stats)
             *stats = st;
@@ -165,26 +171,19 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
         st.shiftedPixels =
             count * static_cast<std::size_t>(h - std::abs(dyi));
     }
-    map.fixationX_ = cx;
-    map.fixationY_ = cy;
+    map.geom_ = at;
     accumulated_ += step;
     st.stepErrorBoundDeg = step;
     st.accumulatedErrorBoundDeg = accumulated_;
 
     // ---- 2. recompute the bands the shift cannot supply ------------
+    // Every rect below is non-empty and inside the display: the
+    // fallback took any |rounded delta| of a whole side or more.
     const auto recompute = [&](int x0, int y0, int x1, int y1) {
-        x0 = std::max(x0, 0);
-        y0 = std::max(y0, 0);
-        x1 = std::min(x1, w);
-        y1 = std::min(y1, h);
-        for (int y = y0; y < y1; ++y) {
-            double *r = row(y);
-            for (int x = x0; x < x1; ++x)
-                r[x] = geom_.eccentricityDeg(x, y);
-        }
-        if (x1 > x0 && y1 > y0)
-            st.recomputedPixels += static_cast<std::size_t>(x1 - x0) *
-                                   static_cast<std::size_t>(y1 - y0);
+        for (int y = y0; y < y1; ++y)
+            at.eccentricityRow(y, x0, x1, row(y) + x0);
+        st.recomputedPixels += static_cast<std::size_t>(x1 - x0) *
+                               static_cast<std::size_t>(y1 - y0);
     };
 
     // Incoming border rows/columns (no source under the shift).
@@ -200,7 +199,7 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
         recompute(w + dxi, mid_y0, w, mid_y1);
 
     // The always-exact foveal band around the new fixation.
-    const double radius = exactBandRadiusPx();
+    const double radius = exactBandRadiusPx(at);
     const int bx0 = std::max(
         0, static_cast<int>(std::floor(cx - radius)));
     const int by0 = std::max(
@@ -220,15 +219,8 @@ void
 IncrementalEccentricity::rebuildAt(EccentricityMap &map, double fix_x,
                                    double fix_y)
 {
-    if (map.width() != geom_.width || map.height() != geom_.height)
-        throw std::invalid_argument(
-            "IncrementalEccentricity::rebuildAt: map does not match "
-            "the display geometry");
-    geom_.fixationX = std::clamp(
-        fix_x, 0.0, static_cast<double>(geom_.width - 1));
-    geom_.fixationY = std::clamp(
-        fix_y, 0.0, static_cast<double>(geom_.height - 1));
-    map.rebuild(geom_);
+    map.rebuild(fixatedAt(map, fix_x, fix_y,
+                          "IncrementalEccentricity::rebuildAt"));
     accumulated_ = 0.0;
 }
 
@@ -243,6 +235,12 @@ GazePhase
 GazeTrackedEccentricity::update(const GazeSample &sample,
                                 RefixStats *stats)
 {
+    // A NaN time would stall the classifier's velocity at 0 for good,
+    // and a NaN position would poison the map's fixation and bound.
+    if (!std::isfinite(sample.timeSeconds) || !std::isfinite(sample.x) ||
+        !std::isfinite(sample.y))
+        throw std::invalid_argument(
+            "GazeTrackedEccentricity::update: non-finite gaze sample");
     phase_ = classifier_.update(sample);
     if (phase_ == GazePhase::Saccade) {
         // Saccadic suppression: the encoder bypasses adjustment for

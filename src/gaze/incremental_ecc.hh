@@ -4,7 +4,7 @@
  *
  * A static-fixation stream builds one EccentricityMap and reuses it
  * forever; an eye-tracked stream re-fixates every frame, and a full
- * per-pixel rebuild (one acos + two norms per pixel) per frame is the
+ * per-pixel rebuild (the view-angle formula at every pixel) per frame is the
  * dominant per-frame cost before any pixel is encoded. The insight —
  * the same one application-specific datapaths exploit — is that a gaze
  * delta changes the map *almost* by a translation: the eccentricity
@@ -30,7 +30,7 @@
  *
  *  - Recomputed pixels (incoming bands, foveal band, or everything on
  *    the fallback path) are **bit-identical** to the fresh build: both
- *    run the same DisplayGeometry::eccentricityDeg.
+ *    run the same row kernel, DisplayGeometry::eccentricityRow.
  *  - Every other (shifted) pixel differs by at most the *accumulated*
  *    error bound: each step contributes no more than
  *    shiftErrorBoundDeg() = (|delta| + |rounded delta|) / focal
@@ -133,8 +133,9 @@ class IncrementalEccentricity
     /**
      * Re-fixate @p map in place to (@p fix_x, @p fix_y), clamped into
      * the display. The map must match the constructor geometry's
-     * dimensions (throws std::invalid_argument otherwise).
-     * Allocation-free in the steady state.
+     * dimensions and the fixation must be finite (throws
+     * std::invalid_argument otherwise, leaving map and bound as they
+     * were). Allocation-free in the steady state.
      */
     void refixate(EccentricityMap &map, double fix_x, double fix_y,
                   RefixStats *stats = nullptr);
@@ -163,13 +164,20 @@ class IncrementalEccentricity
     const IncrementalEccParams &params() const { return params_; }
 
   private:
+    /** geom_ fixated at (@p fix_x, @p fix_y) clamped into the display;
+     *  std::invalid_argument (naming @p who) when @p map's size differs
+     *  or the fixation is not finite. */
+    DisplayGeometry fixatedAt(const EccentricityMap &map, double fix_x,
+                              double fix_y, const char *who) const;
+
     /**
-     * Half-width (pixels) of the clamped square around the fixation
+     * Half-width (pixels) of the clamped square around @p at's fixation
      * that covers every pixel with eccentricity <= exactBandDeg.
      */
-    double exactBandRadiusPx() const;
+    double exactBandRadiusPx(const DisplayGeometry &at) const;
 
-    DisplayGeometry geom_;  ///< fixation fields track the map's
+    /** Size and FoV; the map is the one record of its fixation. */
+    const DisplayGeometry geom_;
     IncrementalEccParams params_;
     double accumulated_ = 0.0;
 };
@@ -198,7 +206,9 @@ class GazeTrackedEccentricity
 
     /**
      * Classify @p sample and bring the map up to date for it (unless
-     * the sample is mid-saccade, see above). Returns the phase.
+     * the sample is mid-saccade, see above). Returns the phase. Throws
+     * std::invalid_argument on a non-finite time, x or y, before the
+     * classifier or the map changes.
      */
     GazePhase update(const GazeSample &sample,
                      RefixStats *stats = nullptr);

@@ -12,32 +12,42 @@ DisplayGeometry::focalPixels() const
     return (width / 2.0) / std::tan(half_fov_rad);
 }
 
+Vec3
+DisplayGeometry::viewRay(double x, double y) const
+{
+    return {x - width / 2.0, y - height / 2.0, focalPixels()};
+}
+
 double
 DisplayGeometry::eccentricityDeg(double x, double y) const
 {
-    const double f = focalPixels();
-    // Rays from the eye through the display plane at distance f.
-    const Vec3 gaze(fixationX - width / 2.0, fixationY - height / 2.0, f);
-    const Vec3 pix(x - width / 2.0, y - height / 2.0, f);
-    const double cosang =
-        std::clamp(gaze.dot(pix) / (gaze.norm() * pix.norm()), -1.0, 1.0);
-    return std::acos(cosang) * 180.0 / M_PI;
+    const Vec3 gaze = viewRay(fixationX, fixationY);
+    return viewAngleDeg(gaze, gaze.norm(), viewRay(x, y));
+}
+
+void
+DisplayGeometry::eccentricityRow(int y, int x0, int x1, double *out) const
+{
+    const Vec3 gaze = viewRay(fixationX, fixationY);
+    const double gaze_norm = gaze.norm();
+    Vec3 pix = viewRay(x0, y);
+    for (int x = x0; x < x1; ++x) {
+        pix.x = x - width / 2.0;
+        *out++ = viewAngleDeg(gaze, gaze_norm, pix);
+    }
 }
 
 double
 DisplayGeometry::maxEccentricityDeg() const
 {
     double m = 0.0;
-    const double xs[] = {0.0, static_cast<double>(width - 1)};
-    const double ys[] = {0.0, static_cast<double>(height - 1)};
-    for (double x : xs)
-        for (double y : ys)
+    for (double x : {0.0, width - 1.0})
+        for (double y : {0.0, height - 1.0})
             m = std::max(m, eccentricityDeg(x, y));
     return m;
 }
 
 EccentricityMap::EccentricityMap(const DisplayGeometry &geom)
-    : width_(0), height_(0), fixationX_(0.0), fixationY_(0.0)
 {
     rebuild(geom);
 }
@@ -45,18 +55,14 @@ EccentricityMap::EccentricityMap(const DisplayGeometry &geom)
 void
 EccentricityMap::rebuild(const DisplayGeometry &geom)
 {
-    width_ = geom.width;
-    height_ = geom.height;
-    fixationX_ = geom.fixationX;
-    fixationY_ = geom.fixationY;
+    geom_ = geom;
     // resize() keeps the capacity (and skips the redundant fill when
     // the size is unchanged): a same-size rebuild — the per-frame
     // re-fixation fallback — never reallocates.
-    ecc_.resize(static_cast<std::size_t>(width_) * height_);
-    for (int y = 0; y < height_; ++y)
-        for (int x = 0; x < width_; ++x)
-            ecc_[static_cast<std::size_t>(y) * width_ + x] =
-                geom.eccentricityDeg(x, y);
+    const auto w = static_cast<std::size_t>(geom.width);
+    ecc_.resize(w * geom.height);
+    for (int y = 0; y < geom.height; ++y)
+        geom.eccentricityRow(y, 0, geom.width, ecc_.data() + y * w);
 }
 
 double
@@ -68,8 +74,8 @@ EccentricityMap::minInRect(const TileRect &rect) const
 
     // Fixation inside (with half-pixel slack): the interior can hold
     // the minimum — scan everything. At most one tile per frame.
-    if (fixationX_ >= rect.x0 - 0.5 && fixationX_ <= x1 + 0.5 &&
-        fixationY_ >= rect.y0 - 0.5 && fixationY_ <= y1 + 0.5) {
+    if (geom_.fixationX >= rect.x0 - 0.5 && geom_.fixationX <= x1 + 0.5 &&
+        geom_.fixationY >= rect.y0 - 0.5 && geom_.fixationY <= y1 + 0.5) {
         for (int y = rect.y0; y <= y1; ++y)
             for (int x = rect.x0; x <= x1; ++x)
                 m = std::min(m, at(x, y));

@@ -16,12 +16,24 @@
 #ifndef PCE_PERCEPTION_DISPLAY_HH
 #define PCE_PERCEPTION_DISPLAY_HH
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/vec3.hh"
 #include "image/image.hh"
 
 namespace pce {
+
+/** Angle (degrees) between view rays @p ref (norm @p ref_norm) and
+ *  @p ray: the one statement of the view-angle formula. */
+inline double
+viewAngleDeg(const Vec3 &ref, double ref_norm, const Vec3 &ray)
+{
+    const double cosang =
+        std::clamp(ref.dot(ray) / (ref_norm * ray.norm()), -1.0, 1.0);
+    return std::acos(cosang) * 180.0 / M_PI;
+}
 
 /** Per-eye display description. */
 struct DisplayGeometry
@@ -40,11 +52,19 @@ struct DisplayGeometry
     /** Focal length in pixels implied by the FoV. */
     double focalPixels() const;
 
+    /** Ray from the eye through display point (x, y). */
+    Vec3 viewRay(double x, double y) const;
+
     /**
      * Eccentricity (degrees) of pixel (x, y) relative to the fixation
      * point: the angle between the two view rays.
      */
     double eccentricityDeg(double x, double y) const;
+
+    /** eccentricityDeg(x, y) of pixels x0 .. x1-1 of row @p y into
+     *  out[0 .. x1-x0-1], bit for bit; the focal length, gaze ray, its
+     *  norm and the row's y term are computed once per call. */
+    void eccentricityRow(int y, int x0, int x1, double *out) const;
 
     /** Eccentricity of the farthest display corner, degrees. */
     double maxEccentricityDeg() const;
@@ -53,7 +73,7 @@ struct DisplayGeometry
 /**
  * A precomputed per-pixel eccentricity map for a display geometry.
  * The encoder queries eccentricity per tile; precomputing avoids
- * recomputing atan per pixel per frame when the fixation is static.
+ * recomputing acos per pixel per frame when the fixation is static.
  *
  * For eye-tracked streams the fixation moves every frame; rebuild()
  * re-fixates by recomputing everything in place (reusing the storage),
@@ -73,15 +93,15 @@ class EccentricityMap
      */
     void rebuild(const DisplayGeometry &geom);
 
-    int width() const { return width_; }
-    int height() const { return height_; }
+    int width() const { return geom_.width; }
+    int height() const { return geom_.height; }
 
     /** Fixation the map is currently built for, pixel coordinates. */
-    double fixationX() const { return fixationX_; }
-    double fixationY() const { return fixationY_; }
+    double fixationX() const { return geom_.fixationX; }
+    double fixationY() const { return geom_.fixationY; }
 
     double at(int x, int y) const
-    { return ecc_[static_cast<std::size_t>(y) * width_ + x]; }
+    { return ecc_[static_cast<std::size_t>(y) * geom_.width + x]; }
 
     /** Row-major raw values (width*height); pointer-pinning tests. */
     const double *data() const { return ecc_.data(); }
@@ -111,15 +131,12 @@ class EccentricityMap
     double fractionBeyond(double deg) const;
 
   private:
-    /** The in-place re-fixation updater (src/gaze) writes ecc_ and
-     *  the fixation directly; its exactness contract is tested against
-     *  rebuild(). */
+    /** The in-place re-fixation updater (src/gaze) writes ecc_ and the
+     *  fixation, whose one record is the map; its exactness contract
+     *  is tested against rebuild(). */
     friend class IncrementalEccentricity;
 
-    int width_;
-    int height_;
-    double fixationX_;
-    double fixationY_;
+    DisplayGeometry geom_;  ///< the geometry the values are built for
     std::vector<double> ecc_;
 };
 

@@ -134,23 +134,6 @@ copyFrameInto(const ImageF &src, ImageF &dst)
               dst.pixels().begin());
 }
 
-/**
- * Record the frame size from the stream's map and size the slot/ready
- * rings, once, at stream open.
- */
-void
-initStream(StreamState &s, const ServiceParams &params)
-{
-    s.width = s.ecc->width();
-    s.height = s.ecc->height();
-    const int depth = params.streamDepth;
-    s.slots.resize(static_cast<std::size_t>(depth));
-    s.freeSlots.reserve(static_cast<std::size_t>(depth));
-    for (int i = depth - 1; i >= 0; --i)
-        s.freeSlots.push_back(i);  // slot 0 served first
-    s.readyRing.assign(static_cast<std::size_t>(depth), -1);
-}
-
 } // namespace
 
 const std::string &
@@ -280,17 +263,8 @@ EncodeService::openStream(std::string name, const EccentricityMap &ecc)
         throw std::runtime_error(
             "EncodeService::openStream: service is shut down");
     auto state = std::make_unique<StreamState>();
-    state->name = std::move(name);
     state->ecc = &ecc;
-    initStream(*state, params_);
-    state->latencyHist = &metrics_.histogram(
-        "stream/" + state->name + "/queue_latency_ms");
-
-    StreamState *raw = state.get();
-    std::lock_guard<std::mutex> lock(streamsMutex_);
-    state->obsId = static_cast<std::uint32_t>(streams_.size());
-    streams_.push_back(std::move(state));
-    return StreamHandle(raw);
+    return registerStream(std::move(state), std::move(name));
 }
 
 StreamHandle
@@ -317,10 +291,26 @@ EncodeService::openGazeStream(std::string name,
     if (params_.hardenIntegrity)
         gaze->sealState();
     auto state = std::make_unique<StreamState>();
-    state->name = std::move(name);
     state->ecc = &gaze->map();
     state->gaze = std::move(gaze);
-    initStream(*state, params_);
+    return registerStream(std::move(state), std::move(name));
+}
+
+StreamHandle
+EncodeService::registerStream(std::unique_ptr<StreamState> state,
+                              std::string name)
+{
+    state->name = std::move(name);
+    // Frame size from the stream's map, and the slot/ready rings sized
+    // once, here.
+    state->width = state->ecc->width();
+    state->height = state->ecc->height();
+    const int depth = params_.streamDepth;
+    state->slots.resize(static_cast<std::size_t>(depth));
+    state->freeSlots.reserve(static_cast<std::size_t>(depth));
+    for (int i = depth - 1; i >= 0; --i)
+        state->freeSlots.push_back(i);  // slot 0 served first
+    state->readyRing.assign(static_cast<std::size_t>(depth), -1);
     state->latencyHist = &metrics_.histogram(
         "stream/" + state->name + "/queue_latency_ms");
 

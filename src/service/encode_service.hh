@@ -562,6 +562,11 @@ class EncodeService
   private:
     struct ShardRuntime;  ///< pool slice + encoder + dispatcher (.cc)
 
+    /** Name @p state (its ecc, and gaze if any, already set), size
+     *  its frame and rings, give it a queue-latency histogram and a
+     *  trace id, and add it to streams_. */
+    StreamHandle registerStream(std::unique_ptr<detail::StreamState> state,
+                                std::string name);
     void dispatchLoop(std::size_t shard);
     void submitImpl(StreamHandle handle, const ImageF &frame,
                     const GazeSample *gaze);

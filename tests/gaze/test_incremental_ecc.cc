@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gaze/incremental_ecc.hh"
@@ -72,7 +75,7 @@ expectContract(const EccentricityMap &inc, const EccentricityMap &fresh,
             const double e_fresh = fresh.at(x, y);
             if (st.fullRebuild || inRect(st.exactRect, x, y)) {
                 // Recomputed pixels are bit-identical to a fresh
-                // build (same eccentricityDeg evaluation).
+                // build (same eccentricityRow evaluation).
                 ASSERT_EQ(e_inc, e_fresh)
                     << what << " exact pixel (" << x << "," << y << ")";
             } else {
@@ -362,6 +365,109 @@ TEST(IncrementalEcc, RejectsMismatchedMapAndBadParams)
     bad.exactBandDeg = -0.1;
     EXPECT_THROW(IncrementalEccentricity(geom, bad),
                  std::invalid_argument);
+}
+
+TEST(IncrementalEcc, NonFiniteFixationIsRejectedAndChangesNothing)
+{
+    const DisplayGeometry geom = geometry(96, 80, 48.0, 40.0);
+    IncrementalEccParams params;
+    params.maxAccumulatedErrorDeg = 1000.0;  // keep the shift path
+    IncrementalEccentricity upd(geom, params);
+    EccentricityMap map(geom);
+    upd.refixate(map, 50.0, 41.0);  // one shift step: a nonzero bound
+    const std::vector<double> before(
+        map.data(), map.data() + static_cast<std::size_t>(96 * 80));
+    const double bound = upd.accumulatedErrorBoundDeg();
+    ASSERT_GT(bound, 0.0);
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<double, double> bad[] = {
+        {nan, 41.0}, {50.0, nan}, {inf, 41.0}, {50.0, -inf}, {-inf, inf}};
+    for (const auto &[x, y] : bad) {
+        EXPECT_THROW(upd.refixate(map, x, y), std::invalid_argument);
+        EXPECT_THROW(upd.rebuildAt(map, x, y), std::invalid_argument);
+        EXPECT_EQ(std::memcmp(map.data(), before.data(),
+                              before.size() * sizeof(double)),
+                  0)
+            << "(" << x << "," << y << ")";
+        EXPECT_EQ(map.fixationX(), 50.0);
+        EXPECT_EQ(map.fixationY(), 41.0);
+        EXPECT_EQ(upd.accumulatedErrorBoundDeg(), bound);
+    }
+
+    // The next real move still meets the contract from the kept state.
+    RefixStats st;
+    upd.refixate(map, 53.0, 43.0, &st);
+    EXPECT_FALSE(st.fullRebuild);
+    expectContract(map, freshMap(geom, 53.0, 43.0), st, params,
+                   "after rejected fixations");
+}
+
+/** Everything update() may change, compared field by field. */
+void
+expectSameGazeState(const GazeTrackedEccentricity &a,
+                    const GazeTrackedEccentricity &b,
+                    const std::string &what)
+{
+    const EccentricityMap &ma = a.map();
+    const EccentricityMap &mb = b.map();
+    ASSERT_EQ(ma.width(), mb.width());
+    ASSERT_EQ(ma.height(), mb.height());
+    EXPECT_EQ(std::memcmp(ma.data(), mb.data(),
+                          static_cast<std::size_t>(ma.width()) *
+                              ma.height() * sizeof(double)),
+              0)
+        << what;
+    EXPECT_EQ(ma.fixationX(), mb.fixationX()) << what;
+    EXPECT_EQ(ma.fixationY(), mb.fixationY()) << what;
+    EXPECT_EQ(a.updater().accumulatedErrorBoundDeg(),
+              b.updater().accumulatedErrorBoundDeg())
+        << what;
+    EXPECT_EQ(a.phase(), b.phase()) << what;
+    EXPECT_EQ(a.refixations(), b.refixations()) << what;
+    EXPECT_EQ(a.fullRebuilds(), b.fullRebuilds()) << what;
+    EXPECT_EQ(a.deferredUpdates(), b.deferredUpdates()) << what;
+    EXPECT_TRUE(a.verifyState()) << what;
+}
+
+TEST(GazeTrackedEcc, NonFiniteSampleIsRejectedAndChangesNothing)
+{
+    const DisplayGeometry geom = geometry(96, 80, 48.0, 40.0);
+    // 1 s spacing keeps pixel moves in fixation range on this tiny
+    // display; sample 4 jumps 28 px in 4 ms (a saccade) — a classifier
+    // that had recorded a bad predecessor would miss it.
+    const GazeSample trace[] = {{0.0, 48.0, 40.0},   {1.0, 49.0, 40.5},
+                                {2.0, 47.5, 41.0},   {3.0, 50.0, 39.0},
+                                {3.004, 70.0, 60.0}, {4.0, 71.0, 60.0},
+                                {5.0, 72.0, 61.0}};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const GazeSample bad[] = {{nan, 50.0, 40.0}, {inf, 50.0, 40.0},
+                              {-inf, 50.0, 40.0}, {3.5, nan, 40.0},
+                              {3.5, inf, 40.0},  {3.5, 50.0, nan},
+                              {3.5, 50.0, -inf}};
+
+    GazeTrackedEccentricity clean(geom);
+    GazeTrackedEccentricity probed(geom);
+    clean.sealState();
+    probed.sealState();
+    for (std::size_t i = 0; i < std::size(trace); ++i) {
+        for (const GazeSample &b : bad) {
+            RefixStats st;
+            st.recomputedPixels = 12345;
+            EXPECT_THROW(probed.update(b, &st), std::invalid_argument);
+            EXPECT_EQ(st.recomputedPixels, 12345u);
+            expectSameGazeState(probed, clean,
+                                "bad sample before " + std::to_string(i));
+        }
+        EXPECT_EQ(probed.update(trace[i]), clean.update(trace[i]));
+        expectSameGazeState(probed, clean,
+                            "sample " + std::to_string(i));
+        EXPECT_EQ(clean.phase(), i == 4 ? GazePhase::Saccade
+                                        : GazePhase::Fixation)
+            << "sample " << i;
+    }
 }
 
 TEST(IncrementalEcc, RebuildReusesStorageAndMatchesConstructor)

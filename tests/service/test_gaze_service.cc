@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "service/encode_service.hh"
@@ -143,6 +145,56 @@ TEST(GazeService, StreamsRefixateIndependently)
         svc.submit(b, wb.frames[i], gaze_b[i]);
         EXPECT_EQ(svc.collect(a)->bdStream, ref_a[i]) << i;
         EXPECT_EQ(svc.collect(b)->bdStream, ref_b[i]) << i;
+    }
+}
+
+TEST(GazeService, NonFiniteSampleFailsOnlyItsFrame)
+{
+    // A bad sample's frame fails at collect; the stream goes on, and
+    // every later frame is byte-identical to a run that never saw it.
+    const int n = 48;
+    const DisplayGeometry geom = geometry(n, n);
+    const Workload w = workload(SceneId::Office, n, 6);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const bool harden : {false, true}) {
+        ServiceParams sp;
+        sp.hardenIntegrity = harden;
+        EncodeService svc(model(), sp);
+        StreamHandle clean = svc.openGazeStream("clean", geom);
+        StreamHandle probed = svc.openGazeStream("probed", geom);
+        for (std::size_t i = 0; i < w.frames.size(); ++i) {
+            if (i == 2 || i == 3) {  // around the frame-3 saccade
+                const GazeSample &g = w.gaze[i];
+                const GazeSample bad[] = {{nan, g.x, g.y},
+                                          {g.timeSeconds, inf, g.y},
+                                          {g.timeSeconds, g.x, -inf}};
+                for (const GazeSample &b : bad) {
+                    svc.submit(probed, w.frames[i], b);
+                    EXPECT_THROW(svc.collect(probed),
+                                 std::invalid_argument)
+                        << "frame " << i;
+                }
+            }
+            svc.submit(clean, w.frames[i], w.gaze[i]);
+            svc.submit(probed, w.frames[i], w.gaze[i]);
+            const FrameLease want = svc.collect(clean);
+            const FrameLease got = svc.collect(probed);
+            EXPECT_EQ(got->bdStream, want->bdStream)
+                << "frame " << i << " harden " << harden;
+            EXPECT_EQ(got->stats.saccadeBypassTiles,
+                      want->stats.saccadeBypassTiles)
+                << "frame " << i;
+        }
+        const ServiceReport rep = svc.report();
+        ASSERT_EQ(rep.streams.size(), 2u);
+        EXPECT_EQ(rep.streams[0].saccadeFrames, 1u);
+        EXPECT_EQ(rep.streams[1].saccadeFrames, 1u);
+        EXPECT_EQ(rep.streams[1].refixations,
+                  rep.streams[0].refixations);
+        EXPECT_EQ(rep.streams[1].fullRebuilds,
+                  rep.streams[0].fullRebuilds);
+        EXPECT_EQ(rep.streams[1].gazeRecoveries, 0u);
     }
 }
 
