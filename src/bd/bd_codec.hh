@@ -177,7 +177,7 @@ struct BdFrameStats
 /**
  * Reusable working storage of BdCodec::encodeInto / encodeFromStats. A
  * caller that keeps one scratch across a stream of frames
- * (EncodedFrame owns one) makes the encode allocation-free in the
+ * (each encoding thread keeps one) makes the encode allocation-free in the
  * steady state: the tile grid, the per-tile stats, the prefix offsets,
  * and the per-chunk seam bytes all grow once and are reused.
  */

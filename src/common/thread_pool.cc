@@ -1,7 +1,6 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace pce {
@@ -31,7 +30,8 @@ ThreadPool::workerLoop(int worker_index)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        const std::function<void(int)> *job = nullptr;
+        JobFn job = nullptr;
+        const void *ctx = nullptr;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             wake_.wait(lock, [&] {
@@ -40,14 +40,16 @@ ThreadPool::workerLoop(int worker_index)
             if (stop_)
                 return;
             seen = generation_;
-            if (worker_index < jobWorkers_)
-                job = job_;
+            if (worker_index < jobWorkers_) {
+                job = jobFn_;
+                ctx = jobCtx_;
+            }
         }
         if (!job)
             continue;
         std::exception_ptr error;
         try {
-            (*job)(worker_index + 1);
+            job(ctx, worker_index + 1);
         } catch (...) {
             error = std::current_exception();
         }
@@ -62,14 +64,14 @@ ThreadPool::workerLoop(int worker_index)
 }
 
 void
-ThreadPool::dispatch(int participants, const std::function<void(int)> &fn)
+ThreadPool::run(int participants, JobFn fn, const void *ctx)
 {
     participants = std::clamp(participants, 1, workerCount() + 1);
     dispatchCalls_.fetch_add(1, std::memory_order_relaxed);
     participantSum_.fetch_add(static_cast<std::uint64_t>(participants),
                               std::memory_order_relaxed);
     if (participants == 1) {
-        fn(0);
+        fn(ctx, 0);
         return;
     }
 
@@ -77,7 +79,8 @@ ThreadPool::dispatch(int participants, const std::function<void(int)> &fn)
     const int pool_workers = participants - 1;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &fn;
+        jobFn_ = fn;
+        jobCtx_ = ctx;
         jobWorkers_ = pool_workers;
         remaining_ = pool_workers;
         ++generation_;
@@ -89,7 +92,7 @@ ThreadPool::dispatch(int participants, const std::function<void(int)> &fn)
     // caller's stack frames — always wait for them before unwinding.
     std::exception_ptr caller_error;
     try {
-        fn(0);
+        fn(ctx, 0);
     } catch (...) {
         caller_error = std::current_exception();
     }
@@ -98,7 +101,8 @@ ThreadPool::dispatch(int participants, const std::function<void(int)> &fn)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         done_.wait(lock, [&] { return remaining_ == 0; });
-        job_ = nullptr;
+        jobFn_ = nullptr;
+        jobCtx_ = nullptr;
         jobWorkers_ = 0;
         worker_error = jobError_;
         jobError_ = nullptr;
@@ -107,26 +111,6 @@ ThreadPool::dispatch(int participants, const std::function<void(int)> &fn)
         std::rethrow_exception(caller_error);
     if (worker_error)
         std::rethrow_exception(worker_error);
-}
-
-void
-ThreadPool::parallelFor(
-    std::size_t n, std::size_t grain, int participants,
-    const std::function<void(std::size_t, std::size_t, int)> &body)
-{
-    if (n == 0)
-        return;
-    grain = std::max<std::size_t>(1, grain);
-    std::atomic<std::size_t> next{0};
-    dispatch(participants, [&](int slot) {
-        for (;;) {
-            const std::size_t begin =
-                next.fetch_add(grain, std::memory_order_relaxed);
-            if (begin >= n)
-                break;
-            body(begin, std::min(n, begin + grain), slot);
-        }
-    });
 }
 
 } // namespace pce

@@ -16,16 +16,21 @@
  * results deterministically. The scheduler only affects *which* slot
  * processes an index, never the result: tiles are independent, so
  * output is bit-identical for any worker count (tests assert this).
+ *
+ * A dispatch borrows its callable for the call (a function pointer
+ * plus a context pointer, no std::function wrapping), so handing a
+ * capturing lambda to the workers allocates nothing.
  */
 
 #ifndef PCE_COMMON_THREAD_POOL_HH
 #define PCE_COMMON_THREAD_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -59,8 +64,11 @@ class ThreadPool
      * never outlives its users. Serialized: concurrent dispatch calls
      * from different threads queue behind one another.
      */
-    void dispatch(int participants,
-                  const std::function<void(int)> &fn);
+    template <class Fn>
+    void dispatch(int participants, const Fn &fn)
+    {
+        run(participants, &invokeJob<Fn>, &fn);
+    }
 
     /**
      * Dynamic parallel-for: participants repeatedly claim chunks of
@@ -68,9 +76,24 @@ class ThreadPool
      * @p body(begin, end, slot) for each claimed range. Blocks until
      * the whole range is processed.
      */
-    void parallelFor(
-        std::size_t n, std::size_t grain, int participants,
-        const std::function<void(std::size_t, std::size_t, int)> &body);
+    template <class Body>
+    void parallelFor(std::size_t n, std::size_t grain, int participants,
+                     const Body &body)
+    {
+        if (n == 0)
+            return;
+        grain = std::max<std::size_t>(1, grain);
+        std::atomic<std::size_t> next{0};
+        dispatch(participants, [&](int slot) {
+            for (;;) {
+                const std::size_t begin =
+                    next.fetch_add(grain, std::memory_order_relaxed);
+                if (begin >= n)
+                    break;
+                body(begin, std::min(n, begin + grain), slot);
+            }
+        });
+    }
 
     /**
      * Participation accounting: dispatch() calls completed and the
@@ -86,6 +109,17 @@ class ThreadPool
     { return participantSum_.load(std::memory_order_relaxed); }
 
   private:
+    /** A borrowed job: fn(ctx, slot) calls the dispatcher's callable. */
+    using JobFn = void (*)(const void *ctx, int slot);
+
+    template <class Fn>
+    static void invokeJob(const void *ctx, int slot)
+    {
+        (*static_cast<const Fn *>(ctx))(slot);
+    }
+
+    /** dispatch() behind the type erasure. */
+    void run(int participants, JobFn fn, const void *ctx);
     void workerLoop(int worker_index);
 
     std::vector<std::thread> threads_;
@@ -93,7 +127,8 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable done_;
-    const std::function<void(int)> *job_ = nullptr;
+    JobFn jobFn_ = nullptr;
+    const void *jobCtx_ = nullptr;
     int jobWorkers_ = 0;      ///< pool workers active in the current job
     std::uint64_t generation_ = 0;
     int remaining_ = 0;       ///< workers yet to finish the current job

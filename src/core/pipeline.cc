@@ -18,6 +18,28 @@ namespace {
  */
 constexpr std::size_t kTileGrain = 8;
 
+/**
+ * The encoder's reusable working storage, one per calling thread, so
+ * EncodedFrame holds only the frame. Pool workers use the references
+ * their caller took before dispatch (on a worker, workspace() is the
+ * worker's own).
+ */
+struct Workspace
+{
+    std::vector<simd::TileSoA> arenas;   ///< per-slot tile arenas
+    std::vector<PipelineStats> partial;  ///< per-slot frame-pass stats
+    BdEncodeScratch bd;        ///< tile grid, stats, prefix, seams
+    ImageU8 roundTrip;         ///< verifyRoundTrip's decoded image
+    BdDecodeScratch bdDecode;
+};
+
+Workspace &
+workspace()
+{
+    static thread_local Workspace ws;
+    return ws;
+}
+
 } // namespace
 
 PipelineStats &
@@ -66,28 +88,24 @@ PerceptualEncoder::framePass(const ImageF &frame,
     const int participants = std::max(
         1, std::min<int>(params_.threads,
                          static_cast<int>(tiles.size())));
-    // Per-slot working sets, reused across frames. Thread-local (not
-    // members) so concurrent calls on one const encoder from different
-    // threads stay safe; within one call the slots are shared with the
-    // pool workers through the lambda. The arenas grow to the tile size
-    // once and then make the steady state of a frame stream
-    // allocation-free. Reuse is capped at moderate tile sizes: the SoA
-    // arena costs ~28 lanes x tileSize^2 doubles per slot (~230 KB at
-    // the 32 cap, megabytes beyond), and that retention must not
-    // outlive the call for large-tile configs — whose per-tile math
-    // dwarfs one allocation anyway — so those use call-local scratch
-    // instead. The paper's tile sizes (4..16) all stay on the reuse
-    // path.
-    static thread_local std::vector<PipelineStats> partial_tls;
-    static thread_local std::vector<simd::TileSoA> scratch_tls;
-    std::vector<simd::TileSoA> scratch_local;
-    const bool reuse_scratch = params_.tileSize <= 32;
+    // The caller's slots, shared with the workers by reference. An
+    // arena costs ~28 lanes x tileSize^2 doubles (~230 KB at tile 32),
+    // so larger tiles, whose math dwarfs one allocation, use call-local
+    // arenas and retain nothing; the paper's sizes (4..16) reuse.
+    Workspace &ws = workspace();
+    std::vector<simd::TileSoA> arenas_local;
     std::vector<simd::TileSoA> &scratch =
-        reuse_scratch ? scratch_tls : scratch_local;
+        params_.tileSize <= 32 ? ws.arenas : arenas_local;
     if (scratch.size() < static_cast<std::size_t>(participants))
         scratch.resize(participants);
-    partial_tls.assign(participants, PipelineStats{});
-    std::vector<PipelineStats> &partial = partial_tls;
+    // Every slot's arena takes a full tile here, on the caller: a slot
+    // the scheduler happened to leave idle in the first frames must
+    // not grow its arena in a later one.
+    for (int slot = 0; slot < participants; ++slot)
+        scratch[slot].resize(static_cast<std::size_t>(params_.tileSize) *
+                             static_cast<std::size_t>(params_.tileSize));
+    std::vector<PipelineStats> &partial = ws.partial;
+    partial.assign(participants, PipelineStats{});
 
     auto processRange = [&](std::size_t begin, std::size_t end,
                             int slot) {
@@ -175,12 +193,11 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
     if (out.width() != frame.width() ||
         out.height() != frame.height())
         out = ImageF(frame.width(), frame.height());
-    // A BD scratch keeps the geometry-keyed tile grid, exactly as the
-    // encode path's does, so a frame stream builds it once.
-    static thread_local BdEncodeScratch grid;
+    // The workspace's BD scratch keeps the tile grid across frames.
     framePass(
         frame, &ecc,
-        codec_.prepareStats(grid, frame.width(), frame.height()), stats_out,
+        codec_.prepareStats(workspace().bd, frame.width(), frame.height()),
+        stats_out,
         [&](std::size_t, const TileRect &r) {
             for (int y = r.y0; y < r.y0 + r.h; ++y)
                 std::copy_n(&frame.at(r.x0, y), r.w, &out.at(r.x0, y));
@@ -225,7 +242,7 @@ PerceptualEncoder::encodePass(const ImageF &frame,
     ImageU8 &img = out.adjustedSrgb;
     if (img.width() != frame.width() || img.height() != frame.height())
         img = ImageU8(frame.width(), frame.height());
-    BdEncodeScratch &bd = out.bdScratch;
+    BdEncodeScratch &bd = workspace().bd;
     {
         // A saccade frame's pass takes the encode/adjust slot of the
         // frame timeline under its own name: same slot, cheaper work.
@@ -302,12 +319,12 @@ PerceptualEncoder::encodeFrameGazeInto(const ImageF &frame,
 }
 
 bool
-PerceptualEncoder::verifyRoundTrip(EncodedFrame &frame) const
+PerceptualEncoder::verifyRoundTrip(const EncodedFrame &frame) const
 {
-    BdCodec::decodeInto(frame.bdStream, frame.roundTripSrgb,
-                        &frame.bdDecodeScratch, pool_,
+    Workspace &ws = workspace();
+    BdCodec::decodeInto(frame.bdStream, ws.roundTrip, &ws.bdDecode, pool_,
                         params_.threads);
-    return frame.roundTripSrgb == frame.adjustedSrgb;
+    return ws.roundTrip == frame.adjustedSrgb;
 }
 
 void

@@ -96,12 +96,12 @@ struct FrameSeal
 };
 
 /**
- * Everything produced for one frame. A frame loop that keeps one
- * EncodedFrame and calls encodeFrameInto reuses every buffer here
- * (image, bitstream, and the BD encoder's working storage), making
- * the steady state allocation-free. The encoder's tile loop writes
- * adjustedSrgb and the BD stats directly; the adjusted linear frame is
- * never materialized (adjustFrameInto produces it on request).
+ * Everything produced for one frame, and only that: the encoder keeps
+ * its working storage per calling thread. A frame loop that keeps one
+ * EncodedFrame and calls encodeFrameInto reuses its buffers, making
+ * the steady state allocation-free. The tile loop writes adjustedSrgb
+ * and the BD stats directly; the adjusted linear frame is never
+ * materialized (adjustFrameInto produces it on request).
  */
 struct EncodedFrame
 {
@@ -109,19 +109,6 @@ struct EncodedFrame
     std::vector<uint8_t> bdStream;  ///< BD bitstream of adjustedSrgb
     BdFrameStats bdStats;    ///< bit accounting of the stream
     PipelineStats stats;
-    /**
-     * Reusable working storage of the BD encode (not an output): the
-     * tile loop fills its per-tile stats, the prefix and emit passes
-     * read them.
-     */
-    BdEncodeScratch bdScratch;
-    /**
-     * Reusable storage of verifyRoundTrip (not outputs): the decoded
-     * image and the BD decoder's working storage, kept so per-frame
-     * verification stays allocation-free in the steady state.
-     */
-    ImageU8 roundTripSrgb;
-    BdDecodeScratch bdDecodeScratch;
     /**
      * Integrity seal over bdStream + adjustedSrgb; invalidated by
      * every encode into this frame, written by sealFrame().
@@ -147,27 +134,27 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * The full Fig. 7 encoder.
  *
  * The tile loop is the production hot path and is built for
- * throughput: per-worker simd::TileSoA arenas make the steady state
- * allocation-free, the foveal-bypass test runs on the eccentricity map
- * before any pixel is gathered (O(tile border) per bypassed tile), and
- * only each tile's chosen candidate is quantized, straight into the
- * output rows, its BD stats taken from the code range the tile
- * adjuster already found. With
- * threads > 1 the encoder owns a persistent ThreadPool and schedules
- * tiles dynamically in chunks — foveal tiles are nearly free, so static
- * striding would load-imbalance badly. Output is bit-identical for any
- * thread count (tests assert this).
+ * throughput: the calling thread's per-slot simd::TileSoA arenas make
+ * the steady state allocation-free, the foveal-bypass test runs on the
+ * eccentricity map before any pixel is gathered (O(tile border) per
+ * bypassed tile), and only each tile's chosen candidate is quantized,
+ * straight into the output rows, its BD stats taken from the code
+ * range the tile adjuster already found. With threads > 1 the encoder
+ * owns a persistent ThreadPool and schedules tiles dynamically in
+ * chunks — foveal tiles are nearly free, so static striding would
+ * load-imbalance badly. Output is bit-identical for any thread count
+ * (tests assert this).
  *
  * Ownership/reuse: the encoder borrows the DiscriminationModel (and
  * the external pool, when PipelineParams::pool is set) for its whole
  * lifetime; it never takes ownership of frames, eccentricity maps, or
- * EncodedFrame outputs. The `*Into` entry points reuse every buffer
- * the caller's output already holds and resize only on geometry
- * change — keep one EncodedFrame per frame source and the steady
- * state allocates nothing (this is the contract the encode service's
- * per-stream slots are built on). The encoder is safe to share across
- * threads for concurrent encodes with distinct outputs; one
- * EncodedFrame must not be passed to two concurrent calls.
+ * EncodedFrame outputs. The `*Into` entry points reuse the caller's
+ * output and the calling thread's working storage, resizing only on
+ * geometry change — keep one EncodedFrame per frame source and the
+ * steady state allocates nothing (this is the contract the encode
+ * service's per-stream slots are built on). The encoder is safe to
+ * share across threads for concurrent encodes with distinct outputs;
+ * one EncodedFrame must not be passed to two concurrent calls.
  */
 class PerceptualEncoder
 {
@@ -205,10 +192,10 @@ class PerceptualEncoder
                              const EccentricityMap &ecc) const;
 
     /**
-     * encodeFrame into a caller-owned result, reusing every buffer the
-     * result already holds (adjusted images, BD bitstream, encoder
-     * scratch): the steady state of an animation/stereo frame loop
-     * allocates nothing. encodeFrame is a thin wrapper over this.
+     * encodeFrame into a caller-owned result, reusing its buffers and
+     * the calling thread's working storage: the steady state of an
+     * animation/stereo frame loop allocates nothing. encodeFrame is a
+     * thin wrapper over this.
      */
     void encodeFrameInto(const ImageF &frame,
                          const EccentricityMap &ecc,
@@ -241,16 +228,16 @@ class PerceptualEncoder
 
     /**
      * Round-trip verify: decode @p frame's BD stream (in parallel on
-     * the encoder's pool) into frame.roundTripSrgb and compare it
-     * byte-for-byte against frame.adjustedSrgb — the codec-is-lossless
-     * invariant a service can assert per frame at decode cost, reusing
-     * the frame's buffers. Returns true when the stream reproduces the
-     * encoded image exactly.
+     * the encoder's pool) into the calling thread's workspace and
+     * compare it byte-for-byte against frame.adjustedSrgb — the
+     * codec-is-lossless invariant a service can assert per frame at
+     * decode cost, allocation-free in the steady state. Returns true
+     * when the stream reproduces the encoded image exactly.
      *
      * @throws std::runtime_error if the stream fails the hardened
      *         decode validation (it was corrupted after encode).
      */
-    bool verifyRoundTrip(EncodedFrame &frame) const;
+    bool verifyRoundTrip(const EncodedFrame &frame) const;
 
     const PipelineParams &params() const { return params_; }
 
@@ -280,8 +267,8 @@ class PerceptualEncoder
 
     /**
      * framePass writing each tile's sRGB codes into out.adjustedSrgb and
-     * its BD pass-1 stats into out.bdScratch (@p ecc null: a saccade
-     * frame), then the BD prefix and emit passes.
+     * its BD pass-1 stats into the workspace's BD scratch (@p ecc null:
+     * a saccade frame), then the BD prefix and emit passes.
      */
     void encodePass(const ImageF &frame, const EccentricityMap *ecc,
                     EncodedFrame &out) const;

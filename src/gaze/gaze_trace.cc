@@ -22,6 +22,12 @@ IVTClassifier::IVTClassifier(const DisplayGeometry &geom,
 GazePhase
 IVTClassifier::update(const GazeSample &sample)
 {
+    // A NaN time would stall every later velocity at 0 (t > NaN is
+    // false), and a NaN position would poison the next one.
+    if (!std::isfinite(sample.timeSeconds) || !std::isfinite(sample.x) ||
+        !std::isfinite(sample.y))
+        throw std::invalid_argument(
+            "IVTClassifier::update: non-finite gaze sample");
     lastVelocity_ = 0.0;
     if (havePrev_ && sample.timeSeconds > prev_.timeSeconds) {
         const Vec3 from = geom_.viewRay(prev_.x, prev_.y);

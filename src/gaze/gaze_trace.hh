@@ -76,7 +76,11 @@ class IVTClassifier
         const DisplayGeometry &geom,
         double saccade_velocity_deg_per_sec = kSaccadeVelocityDegPerSec);
 
-    /** Classify the next sample; also records it as the predecessor. */
+    /**
+     * Classify the next sample; also records it as the predecessor.
+     * Throws std::invalid_argument on a non-finite time, x or y,
+     * before any state changes.
+     */
     GazePhase update(const GazeSample &sample);
 
     /** Velocity (deg/s) computed for the last update; 0 for first. */
@@ -104,7 +108,8 @@ struct GazeTrace
 
 /**
  * Classify every sample of @p trace with I-VT (one streaming pass).
- * Returns one phase per sample.
+ * Returns one phase per sample; throws std::invalid_argument on a
+ * non-finite sample, as IVTClassifier::update does.
  */
 std::vector<GazePhase> classifyIVT(
     const GazeTrace &trace, const DisplayGeometry &geom,

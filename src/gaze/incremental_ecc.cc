@@ -235,12 +235,8 @@ GazePhase
 GazeTrackedEccentricity::update(const GazeSample &sample,
                                 RefixStats *stats)
 {
-    // A NaN time would stall the classifier's velocity at 0 for good,
-    // and a NaN position would poison the map's fixation and bound.
-    if (!std::isfinite(sample.timeSeconds) || !std::isfinite(sample.x) ||
-        !std::isfinite(sample.y))
-        throw std::invalid_argument(
-            "GazeTrackedEccentricity::update: non-finite gaze sample");
+    // The classifier rejects a non-finite sample before the map or
+    // any counter here changes.
     phase_ = classifier_.update(sample);
     if (phase_ == GazePhase::Saccade) {
         // Saccadic suppression: the encoder bypasses adjustment for

@@ -207,8 +207,9 @@ class GazeTrackedEccentricity
     /**
      * Classify @p sample and bring the map up to date for it (unless
      * the sample is mid-saccade, see above). Returns the phase. Throws
-     * std::invalid_argument on a non-finite time, x or y, before the
-     * classifier or the map changes.
+     * std::invalid_argument on a non-finite time, x or y (from
+     * IVTClassifier::update), before the classifier or the map
+     * changes.
      */
     GazePhase update(const GazeSample &sample,
                      RefixStats *stats = nullptr);

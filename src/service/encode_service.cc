@@ -82,9 +82,16 @@ struct StreamState
     static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
     std::size_t lastShard = kNoShard;
 
-    // Stats, guarded by mutex.
-    double megapixels = 0.0;
-    double encodeSeconds = 0.0;
+    /**
+     * The stream's reported counters, from megapixels to
+     * gazeRecoveries, guarded by mutex; report() copies the record and
+     * fills in the name, submitted / encoded / collected (kept apart:
+     * they drive the FIFO and rollback) and the derived fields. The
+     * gaze counters are copied from the gaze state after each encode
+     * (the gaze object itself is only touched by the dispatcher
+     * holding the stream's lane, outside any lock).
+     */
+    StreamStats stats;
     /**
      * Queue-latency histogram ("stream/<name>/queue_latency_ms",
      * owned by the service's MetricsRegistry — the registry outlives
@@ -94,19 +101,6 @@ struct StreamState
      * lock-free; this pointer is set once at open.
      */
     obs::LogHistogram *latencyHist = nullptr;
-    std::uint64_t framesVerified = 0;
-    std::uint64_t corruptFrames = 0;
-    std::uint64_t saccadeFrames = 0;
-    // Mirrors of the gaze state's counters, copied under this mutex
-    // after each encode (the gaze object itself is only touched by
-    // the dispatcher holding the stream's lane, outside any lock).
-    std::uint64_t refixations = 0;
-    std::uint64_t fullRebuilds = 0;
-    std::uint64_t deferredGazeUpdates = 0;
-    // hardenIntegrity counters (see StreamStats).
-    std::uint64_t faultsDetected = 0;
-    std::uint64_t framesQuarantined = 0;
-    std::uint64_t gazeRecoveries = 0;
 };
 
 } // namespace detail
@@ -524,8 +518,8 @@ EncodeService::collectImpl(StreamHandle handle,
     // frame — with hardening on, a corrupt frame never crosses this
     // boundary undetected.
     if (params_.hardenIntegrity && !verifyFrameSeal(sl.frame)) {
-        ++s.faultsDetected;
-        ++s.framesQuarantined;
+        ++s.stats.faultsDetected;
+        ++s.stats.framesQuarantined;
         s.freeSlots.push_back(slot);
         lock.unlock();
         s.slotFree.notify_one();
@@ -732,30 +726,31 @@ EncodeService::dispatchLoop(std::size_t shard)
         {
             std::lock_guard<std::mutex> lock(s.mutex);
             ++s.encoded;
+            StreamStats &st = s.stats;
             if (!sl.error) {
-                s.megapixels +=
+                st.megapixels +=
                     static_cast<double>(sl.input.pixelCount()) / 1e6;
-                s.encodeSeconds += secondsBetween(start, end);
+                st.encodeSeconds += secondsBetween(start, end);
             }
             if (verified) {
-                ++s.framesVerified;
+                ++st.framesVerified;
                 if (corrupt)
-                    ++s.corruptFrames;
+                    ++st.corruptFrames;
             }
             if (saccade)
-                ++s.saccadeFrames;
+                ++st.saccadeFrames;
             if (quarantined) {
-                ++s.faultsDetected;
-                ++s.framesQuarantined;
+                ++st.faultsDetected;
+                ++st.framesQuarantined;
             }
             if (gazeRecovered) {
-                ++s.faultsDetected;
-                ++s.gazeRecoveries;
+                ++st.faultsDetected;
+                ++st.gazeRecoveries;
             }
             if (s.gaze != nullptr) {
-                s.refixations = s.gaze->refixations();
-                s.fullRebuilds = s.gaze->fullRebuilds();
-                s.deferredGazeUpdates = s.gaze->deferredUpdates();
+                st.refixations = s.gaze->refixations();
+                st.fullRebuilds = s.gaze->fullRebuilds();
+                st.deferredGazeUpdates = s.gaze->deferredUpdates();
             }
             s.latencyHist->record(
                 secondsBetween(req->value.submitTime, start) * 1e3);
@@ -815,22 +810,12 @@ EncodeService::report() const
             // dispatcher needs; the histogram reads below are
             // lock-free.
             std::lock_guard<std::mutex> slock(s.mutex);
-            st.name = s.name;
+            st = s.stats;
             st.framesSubmitted = s.submitted;
             st.framesEncoded = s.encoded;
             st.framesCollected = s.collected;
-            st.megapixels = s.megapixels;
-            st.encodeSeconds = s.encodeSeconds;
-            st.framesVerified = s.framesVerified;
-            st.corruptFrames = s.corruptFrames;
-            st.saccadeFrames = s.saccadeFrames;
-            st.refixations = s.refixations;
-            st.fullRebuilds = s.fullRebuilds;
-            st.deferredGazeUpdates = s.deferredGazeUpdates;
-            st.faultsDetected = s.faultsDetected;
-            st.framesQuarantined = s.framesQuarantined;
-            st.gazeRecoveries = s.gazeRecoveries;
         }
+        st.name = s.name;
         st.encodeMps = st.encodeSeconds > 0.0
                            ? st.megapixels / st.encodeSeconds
                            : 0.0;

@@ -46,9 +46,11 @@
  *   results are handed out as FrameLease RAII objects pointing at the
  *   slot's EncodedFrame; the slot returns to the free ring when the
  *   lease is dropped. Because slots, queue storage, stats histograms, and
- *   every EncodedFrame buffer are allocated up front and reused, the
- *   steady state of a same-geometry frame stream allocates nothing
- *   per frame (tests pin the buffer pointers).
+ *   every EncodedFrame buffer are allocated up front and reused, and
+ *   the encoder's working storage is one workspace per dispatcher
+ *   thread, the steady state of a same-geometry frame stream
+ *   allocates nothing per frame (tests/core/test_steady_state_alloc.cc
+ *   counts the encode and verify allocations).
  * - The EccentricityMap passed to openStream is borrowed and must
  *   outlive the stream (fixation geometry is per-display and
  *   long-lived; per-frame gaze would rebuild the map anyway).
@@ -160,8 +162,8 @@ struct ServiceParams
     int streamDepth = 2;
     /**
      * Run PerceptualEncoder::verifyRoundTrip after every encode: the
-     * BD stream is decoded back (reusing the slot's round-trip
-     * buffers) and compared byte-for-byte against the encoded image —
+     * BD stream is decoded back (into the dispatcher thread's encoder
+     * workspace) and compared byte-for-byte against the encoded image —
      * cheap insurance for a service shipping streams to real decoders.
      * Failures (mismatch or a stream that no longer validates) count
      * in StreamStats::corruptFrames; the frame is still delivered.

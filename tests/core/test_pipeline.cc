@@ -103,10 +103,9 @@ TEST(Pipeline, EncodeProducesDecodableStream)
     EncodedFrame encoded = enc.encodeFrame(frame, ecc);
 
     // Decoding needs only the stock BD decoder (no custom hardware);
-    // verifyRoundTrip runs the hardened decodeInto over the frame's
-    // own reusable decode buffers.
+    // verifyRoundTrip runs the hardened decodeInto and compares.
     EXPECT_TRUE(enc.verifyRoundTrip(encoded));
-    EXPECT_EQ(encoded.roundTripSrgb, encoded.adjustedSrgb);
+    EXPECT_EQ(BdCodec::decode(encoded.bdStream), encoded.adjustedSrgb);
     // analyze() and the materialized stream agree (byte padding only).
     EXPECT_NEAR(static_cast<double>(encoded.bdStats.totalBits()),
                 static_cast<double>(encoded.bdStream.size() * 8), 8.0);

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "gaze/gaze_trace.hh"
 
@@ -120,6 +122,34 @@ TEST(GazeTrace, NonMonotonicTimestampClassifiesConservatively)
     // Same timestamp, huge jump: no valid interval -> Fixation.
     EXPECT_EQ(ivt.update({1.0, 400.0, 400.0}), GazePhase::Fixation);
     EXPECT_EQ(ivt.lastVelocityDegPerSec(), 0.0);
+}
+
+TEST(GazeTrace, NonFiniteSampleIsRejectedBeforeAnyStateChanges)
+{
+    // On a small display a 28 px jump in 4 ms is a saccade. A NaN-time
+    // sample recorded as the predecessor would make every later
+    // interval invalid and read that jump as a fixation.
+    const DisplayGeometry geom = geometry(96, 80);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const GazeSample bad[] = {{nan, 50.0, 40.0}, {inf, 50.0, 40.0},
+                              {-inf, 50.0, 40.0}, {3.5, nan, 40.0},
+                              {3.5, -inf, 40.0}, {3.5, 50.0, nan},
+                              {3.5, 50.0, inf}};
+    for (const GazeSample &b : bad) {
+        IVTClassifier ivt(geom);
+        EXPECT_EQ(ivt.update({3.0, 50.0, 39.0}), GazePhase::Fixation);
+        EXPECT_EQ(ivt.update({3.5, 50.5, 39.0}), GazePhase::Fixation);
+        const double velocity = ivt.lastVelocityDegPerSec();
+        EXPECT_THROW(ivt.update(b), std::invalid_argument);
+        EXPECT_EQ(ivt.lastVelocityDegPerSec(), velocity);
+        EXPECT_EQ(ivt.update({3.504, 70.0, 60.0}), GazePhase::Saccade);
+        EXPECT_GT(ivt.lastVelocityDegPerSec(), kSaccadeVelocityDegPerSec);
+
+        GazeTrace trace;
+        trace.samples = {{0.0, 48.0, 40.0}, b};
+        EXPECT_THROW(classifyIVT(trace, geom), std::invalid_argument);
+    }
 }
 
 TEST(GazeTrace, CsvRoundTripIsExact)
