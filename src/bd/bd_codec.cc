@@ -23,35 +23,59 @@ namespace pce {
 
 namespace {
 
-/** Stream magic ("BD1"), for defensive decode. */
-constexpr uint32_t kMagic = 0x424431;
-constexpr unsigned kMagicBits = 24;
-constexpr unsigned kDimBits = 16;
-constexpr unsigned kTileBits = 8;
 constexpr unsigned kWidthFieldBits = kBdWidthFieldBits;
 constexpr unsigned kBaseBits = kBdBaseBits;
 
-static_assert(kMagicBits + 2 * kDimBits + kTileBits ==
-                  kBdStreamHeaderBits,
-              "header constant out of sync with the field widths");
-
 } // namespace
+
+bool
+bdGeometryValid(std::uint64_t width, std::uint64_t height,
+                std::uint64_t tile_size, std::uint64_t max_pixels)
+{
+    return width >= 1 && width <= 0xFFFF && height >= 1 &&
+           height <= 0xFFFF && tile_size >= 1 && tile_size <= 255 &&
+           width * height <= max_pixels;
+}
+
+std::uint64_t
+bdTileCount(const BdStreamHeader &g)
+{
+    const auto t = static_cast<std::uint64_t>(g.tileSize);
+    return ((g.width + t - 1) / t) * ((g.height + t - 1) / t);
+}
+
+BdPayloadBounds
+bdPayloadBounds(const BdStreamHeader &g, const BdStreamFormat &fmt)
+{
+    const std::uint64_t floor = bdTileCount(g) * 3 * fmt.minTileChannelBits;
+    return {floor, floor + static_cast<std::uint64_t>(g.width) *
+                               static_cast<std::uint64_t>(g.height) * 24};
+}
+
+void
+bdCheckStreamEnd(const std::uint8_t *data, std::size_t size_bytes,
+                 std::uint64_t payload_bits)
+{
+    if (bdStreamBytes(payload_bits) != size_bytes)
+        throw std::runtime_error("BD stream: length disagrees with payload");
+    const unsigned used =
+        static_cast<unsigned>((kBdStreamHeaderBits + payload_bits) % 8);
+    if (used != 0 && (data[size_bytes - 1] & ((1u << (8 - used)) - 1u)))
+        throw std::runtime_error("BD stream: nonzero padding bits");
+}
 
 void
 bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
-                    int tile_size)
+                    int tile_size, const BdStreamFormat &fmt)
 {
-    if (width < 1 || width > 0xFFFF || height < 1 || height > 0xFFFF)
+    // A negative value converts to a huge one, which the rule rejects.
+    if (!bdGeometryValid(width, height, tile_size, ~std::uint64_t(0)))
         throw std::invalid_argument(
-            "bdWriteStreamHeader: dimensions out of header range");
-    if (tile_size < 1 || tile_size > 255)
-        throw std::invalid_argument(
-            "bdWriteStreamHeader: tile size out of range");
-    // Every field is a whole number of bytes, big-endian.
+            "bdWriteStreamHeader: geometry out of header range");
     const uint8_t header[kBdStreamHeaderBits / 8] = {
-        static_cast<uint8_t>(kMagic >> 16),
-        static_cast<uint8_t>(kMagic >> 8),
-        static_cast<uint8_t>(kMagic),
+        static_cast<uint8_t>(fmt.magic >> 16),
+        static_cast<uint8_t>(fmt.magic >> 8),
+        static_cast<uint8_t>(fmt.magic),
         static_cast<uint8_t>(width >> 8),
         static_cast<uint8_t>(width),
         static_cast<uint8_t>(height >> 8),
@@ -62,41 +86,33 @@ bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
 
 BdStreamHeader
 bdReadStreamHeader(const std::uint8_t *data, std::size_t size_bytes,
-                   std::uint64_t max_pixels)
+                   std::uint64_t max_pixels, const BdStreamFormat &fmt)
 {
-    const std::uint64_t stream_bits =
-        static_cast<std::uint64_t>(size_bytes) * 8;
-    if (stream_bits < kBdStreamHeaderBits)
+    if (size_bytes < kBdStreamHeaderBits / 8)
         throw std::runtime_error(
             "bdReadStreamHeader: stream shorter than header");
     BitReader hdr(data, size_bytes);
-    if (hdr.getBits(kMagicBits) != kMagic)
+    if (hdr.getBits(24) != fmt.magic)
         throw std::runtime_error("bdReadStreamHeader: bad magic");
-    const std::uint64_t w = hdr.getBits(kDimBits);
-    const std::uint64_t h = hdr.getBits(kDimBits);
-    const std::uint64_t tile = hdr.getBits(kTileBits);
-    if (w == 0 || h == 0 || tile == 0)
-        throw std::runtime_error("bdReadStreamHeader: bad header");
-    // Decompression-bomb guard: flat tiles compress so well that a
-    // huge frame can be *honestly* described by a tiny stream, so no
-    // consistency check bounds the output size — only this cap does.
-    if (w * h > max_pixels)
+    const BdStreamHeader g{static_cast<int>(hdr.getBits(16)),
+                           static_cast<int>(hdr.getBits(16)),
+                           static_cast<int>(hdr.getBits(8))};
+    // The pixel cap is the decompression-bomb guard: flat tiles
+    // compress so well that a huge frame can be *honestly* described by
+    // a tiny stream, so no consistency check bounds the output size —
+    // only this cap does.
+    if (!bdGeometryValid(g.width, g.height, g.tileSize, max_pixels))
         throw std::runtime_error(
-            "bdReadStreamHeader: frame exceeds the decode pixel cap");
-    // All tile arithmetic is 64-bit: an adversarial 0xFFFF x 0xFFFF
-    // header yields ~2^32 tiles, which must be *counted* correctly (no
-    // 32-bit wrap). Every tile-channel costs at least its meta+base
-    // bits; a stream below that floor cannot describe the claimed
-    // frame. This bounds the tile count by the actual stream size.
-    const std::uint64_t n_tiles =
-        ((w + tile - 1) / tile) * ((h + tile - 1) / tile);
-    if (n_tiles * 3 * (kWidthFieldBits + kBaseBits) >
-        stream_bits - kBdStreamHeaderBits)
+            "bdReadStreamHeader: bad geometry or frame over the decode "
+            "pixel cap");
+    // A stream below the payload floor cannot describe the claimed
+    // frame; this bounds the tile count by the actual stream size.
+    if (bdPayloadBounds(g, fmt).minBits >
+        static_cast<std::uint64_t>(size_bytes) * 8 - kBdStreamHeaderBits)
         throw std::runtime_error(
             "bdReadStreamHeader: stream too short for header "
             "dimensions");
-    return {static_cast<int>(w), static_cast<int>(h),
-            static_cast<int>(tile)};
+    return g;
 }
 
 int
@@ -133,7 +149,7 @@ bdTileBitsFromCodes(const uint8_t *codes, std::size_t n)
 BdCodec::BdCodec(int tile_size, BdBitPath bit_path)
     : tileSize_(tile_size), bitPath_(effectiveBdBitPath(bit_path))
 {
-    if (tile_size < 1 || tile_size > 255)
+    if (!bdGeometryValid(1, 1, tile_size, 1))  // the tile range
         throw std::invalid_argument("BdCodec: tile size out of range");
 }
 
@@ -806,7 +822,7 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
     // Pass 2 (serial): exact per-tile bit offsets by prefix sum.
     BdFrameStats stats;
     stats.pixels = img.pixelCount();
-    stats.headerBits = kMagicBits + 2 * kDimBits + kTileBits;
+    stats.headerBits = kBdStreamHeaderBits;
     s.bitOffsets.resize(n_tiles + 1);
     std::size_t payload_bits = 0;
     {
@@ -833,8 +849,7 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
     // scheduler can rebalance around cheap (flat/foveal) runs. The
     // serial encode is one chunk.
     obs::TraceSpan emitSpan("bd/emit");
-    const std::size_t total_bits = kBdStreamHeaderBits + payload_bits;
-    out.resize((total_bits + 7) / 8);
+    out.resize(bdStreamBytes(payload_bits));
     bdWriteStreamHeader(out.data(), img.width(), img.height(), tileSize_);
     const std::size_t n_chunks =
         p > 1 ? std::min<std::size_t>(n_tiles,
@@ -955,6 +970,19 @@ BdCodec::decodeTileRangeInto(const std::uint8_t *data,
                                 tile_end, pos, out);
 }
 
+const std::vector<TileRect> &
+BdDecodeScratch::gridFor(const BdStreamHeader &g)
+{
+    if (tilesWidth != g.width || tilesHeight != g.height ||
+        tilesSize != g.tileSize) {
+        tiles = tileGrid(g.width, g.height, g.tileSize);
+        tilesWidth = g.width;
+        tilesHeight = g.height;
+        tilesSize = g.tileSize;
+    }
+    return tiles;
+}
+
 void
 BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                     BdDecodeScratch *scratch, ThreadPool *pool,
@@ -969,14 +997,7 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
 
     BdDecodeScratch local;
     BdDecodeScratch &s = scratch ? *scratch : local;
-    if (s.tilesWidth != hdr.width || s.tilesHeight != hdr.height ||
-        s.tilesSize != hdr.tileSize) {
-        s.tiles = tileGrid(hdr.width, hdr.height, hdr.tileSize);
-        s.tilesWidth = hdr.width;
-        s.tilesHeight = hdr.height;
-        s.tilesSize = hdr.tileSize;
-    }
-    const std::size_t n_tiles = s.tiles.size();
+    const std::size_t n_tiles = s.gridFor(hdr).size();
 
     // Pass 1 (serial): validate every per-tile-channel record and turn
     // the width fields into the exclusive prefix of per-tile payload
@@ -1007,20 +1028,7 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                 "(prefix fault detected)");
     }
 
-    // The stream must be exactly the header + payload padded to a byte
-    // boundary with zero bits: a longer buffer is trailing garbage, and
-    // nonzero padding is garbage smuggled below the byte count.
-    const std::uint64_t total_bits = kBdStreamHeaderBits + offset;
-    if ((total_bits + 7) / 8 != stream.size())
-        throw std::runtime_error(
-            "BdCodec::decode: stream length disagrees with payload "
-            "(trailing garbage)");
-    if (total_bits % 8 != 0) {
-        const unsigned pad = 8 - static_cast<unsigned>(total_bits % 8);
-        if (stream.back() & ((1u << pad) - 1u))
-            throw std::runtime_error(
-                "BdCodec::decode: nonzero padding bits");
-    }
+    bdCheckStreamEnd(stream.data(), stream.size(), offset);
 
     // Pass 2: tile decode, parallel over the validated offsets. Tiles
     // are disjoint pixel ranges, so the output is byte-identical for
@@ -1046,7 +1054,7 @@ BdCodec::analyze(const ImageU8 &img) const
 {
     BdFrameStats stats;
     stats.pixels = img.pixelCount();
-    stats.headerBits = kMagicBits + 2 * kDimBits + kTileBits;
+    stats.headerBits = kBdStreamHeaderBits;
     for (const TileRect &rect :
          tileGrid(img.width(), img.height(), tileSize_)) {
         uint8_t base[3];

@@ -77,26 +77,27 @@ inline constexpr unsigned kBdWidthFieldBits = 4;
 inline constexpr unsigned kBdBaseBits = 8;
 
 /**
- * Bit length of the self-describing stream header
- * ([24-bit magic][16-bit width][16-bit height][8-bit tile size]) — one
- * byte-aligned 8-byte block. Payload bit offsets (BdEncodeScratch /
- * BdDecodeScratch::bitOffsets, the tile-range entry points below, and
- * the network packetizer in src/net) are all relative to the end of
- * this header.
+ * The BD framing rules, stated once here and called by every writer
+ * and parser of a stream: both codecs, the packetizer and the
+ * receiver's manifest check (src/net). A stream is [8-byte header]
+ * [payload bits][zero padding to a byte]; the header is [24-bit magic]
+ * [16-bit width][16-bit height][8-bit tile size], big-endian. Payload
+ * bit offsets (bitOffsets, the tile-range entry points below, the
+ * packetizer) count from the end of the header.
  */
 inline constexpr unsigned kBdStreamHeaderBits = 64;
 
-/**
- * Serialize the 8-byte BD stream header for the given geometry into
- * @p out8 (exactly kBdStreamHeaderBits / 8 bytes). Lets a receiver
- * that knows the frame geometry from side-channel metadata (the
- * delivery tier's manifest packet) rebuild the header bit-exactly
- * without having received the stream's first packet.
- * @throws std::invalid_argument when the geometry does not fit the
- *         header fields (dimensions over 16 bits, tile outside 1..255).
- */
-void bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
-                         int tile_size);
+/** A stream format: its magic, and the fewest bits one tile-channel
+ *  record takes. The other framing rules are shared. */
+struct BdStreamFormat
+{
+    std::uint32_t magic;
+    unsigned minTileChannelBits;
+};
+
+/** BdCodec's format: "BD1", records of at least width + base bits. */
+inline constexpr BdStreamFormat kBdFormat{0x424431,
+                                          kBdWidthFieldBits + kBdBaseBits};
 
 /** Frame geometry carried by a BD stream header. */
 struct BdStreamHeader
@@ -107,21 +108,73 @@ struct BdStreamHeader
 };
 
 /**
- * Parse and validate the header of the BD stream in @p data — the one
- * reader every consumer of an untrusted stream (BdCodec::decodeInto,
- * the network packetizer) goes through before it sizes anything from
- * the header. Checks, in order: the stream holds a whole header, the
- * magic matches, the dimensions and tile size are nonzero, the frame
- * does not exceed @p max_pixels (decompression-bomb guard), and the
- * stream is long enough to hold the meta+base bits of every
- * tile-channel the header claims (tile-count floor, counted in 64
- * bits). After it returns, a tile grid built from the geometry is
+ * The geometry rule: dimensions 1..65535, tile 1..255, at most
+ * @p max_pixels pixels. 64-bit arguments, so a caller checks wider
+ * untrusted fields (a manifest's) before narrowing them.
+ */
+bool bdGeometryValid(std::uint64_t width, std::uint64_t height,
+                     std::uint64_t tile_size, std::uint64_t max_pixels);
+
+/** Tiles in the grid of a valid geometry, counted in 64 bits. */
+std::uint64_t bdTileCount(const BdStreamHeader &g);
+
+/** Payload bits a well-formed stream of one geometry can hold. */
+struct BdPayloadBounds
+{
+    std::uint64_t minBits = 0;
+    std::uint64_t maxBits = 0;
+};
+
+/**
+ * Payload bounds of geometry @p g: every tile-channel's record floor,
+ * plus at most 8 delta bits per sample. The floor bounds a tile grid
+ * by the stream claiming it (bdReadStreamHeader); the ceiling bounds a
+ * buffer sized from a claimed payload (the receiver's manifest check).
+ */
+BdPayloadBounds bdPayloadBounds(const BdStreamHeader &g,
+                                const BdStreamFormat &fmt = kBdFormat);
+
+/** Bytes of a stream with @p payload_bits: header + payload, padded. */
+constexpr std::uint64_t
+bdStreamBytes(std::uint64_t payload_bits)
+{
+    return (kBdStreamHeaderBits + payload_bits + 7) / 8;
+}
+
+/**
+ * The stream-end rule: the stream is exactly bdStreamBytes(
+ * @p payload_bits) long (no trailing garbage) and its padding bits are
+ * zero (no garbage smuggled below the byte count).
+ * @throws std::runtime_error when either fails.
+ */
+void bdCheckStreamEnd(const std::uint8_t *data, std::size_t size_bytes,
+                      std::uint64_t payload_bits);
+
+/**
+ * Write the 8-byte header of a @p fmt stream into @p out8. A receiver
+ * that knows the geometry from side-channel metadata (the delivery
+ * tier's manifest) rebuilds the header bit-exactly with it.
+ * @throws std::invalid_argument when the geometry breaks the geometry
+ *         rule (the pixel cap binds decoders only).
+ */
+void bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
+                         int tile_size,
+                         const BdStreamFormat &fmt = kBdFormat);
+
+/**
+ * Parse and validate the header of the @p fmt stream in @p data — the
+ * one reader every consumer of an untrusted stream goes through before
+ * it sizes anything from the header. Checks, in order: a whole header,
+ * the magic, the geometry rule with @p max_pixels as the cap
+ * (decompression-bomb guard), and a stream long enough for the payload
+ * floor. After it returns, a tile grid built from the geometry is
  * O(stream size), never O(claimed dimensions).
  * @throws std::runtime_error on any failed check.
  */
 BdStreamHeader bdReadStreamHeader(
     const std::uint8_t *data, std::size_t size_bytes,
-    std::uint64_t max_pixels = kBdDefaultMaxDecodePixels);
+    std::uint64_t max_pixels = kBdDefaultMaxDecodePixels,
+    const BdStreamFormat &fmt = kBdFormat);
 
 /**
  * How the BD tile pass moves a tile-channel's w-bit delta fields to and
@@ -215,6 +268,10 @@ struct BdDecodeScratch
     int tilesWidth = -1;
     int tilesHeight = -1;
     int tilesSize = -1;
+
+    /** Key the cached grid to geometry @p g (rebuilt only when it
+     *  differs) and return it. */
+    const std::vector<TileRect> &gridFor(const BdStreamHeader &g);
 
     /** Exclusive prefix of per-tile payload bits (tiles + 1 entries). */
     std::vector<std::size_t> bitOffsets;
@@ -332,11 +389,12 @@ class BdCodec
      * pixel is touched or any frame-sized buffer allocated*: the full
      * header (bdReadStreamHeader, so adversarial 0xFFFF x 0xFFFF
      * headers cannot overflow or trigger a huge allocation), then
-     * every per-tile-channel record — a delta width field above 8
-     * bits, a delta payload running past the end of the stream
-     * (truncated mid-tile), a stream whose byte count disagrees
-     * with the computed total bit length (trailing garbage), or nonzero
-     * padding bits in the final byte all throw std::runtime_error. The
+     * every per-tile-channel record, then the stream end
+     * (bdCheckStreamEnd) — a delta width field above 8 bits, a delta
+     * payload running past the end of the stream (truncated mid-tile),
+     * a stream whose byte count disagrees with the computed total bit
+     * length (trailing garbage), or nonzero padding bits in the final
+     * byte all throw std::runtime_error. The
      * walk only reads the 12-bit meta fields and seeks across delta
      * blocks, producing the exclusive prefix of per-tile bit offsets —
      * the exact dual of the encoder's prefix pass. Pass 2 decodes tiles

@@ -11,10 +11,6 @@ namespace pce {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x424456;  // "BDV"
-constexpr unsigned kMagicBits = 24;
-constexpr unsigned kDimBits = 16;
-constexpr unsigned kTileBits = 8;
 constexpr unsigned kWidthFieldBits = kBdWidthFieldBits;
 constexpr unsigned kBaseBits = kBdBaseBits;
 
@@ -73,7 +69,7 @@ perRowCost(const ImageU8 &img, const TileRect &rect, int c,
 
 BdVariableCodec::BdVariableCodec(int tile_size) : tileSize_(tile_size)
 {
-    if (tile_size < 1 || tile_size > 255)
+    if (!bdGeometryValid(1, 1, tile_size, 1))  // the tile range
         throw std::invalid_argument(
             "BdVariableCodec: tile size out of range");
 }
@@ -81,22 +77,23 @@ BdVariableCodec::BdVariableCodec(int tile_size) : tileSize_(tile_size)
 std::vector<uint8_t>
 BdVariableCodec::encode(const ImageU8 &img) const
 {
-    const auto tiles =
-        tileGrid(img.width(), img.height(), tileSize_);
+    uint8_t header[kBdStreamHeaderBits / 8];
+    bdWriteStreamHeader(header, img.width(), img.height(), tileSize_,
+                        kBdVariableFormat);
+    const BdStreamHeader g{img.width(), img.height(), tileSize_};
+    const auto tiles = tileGrid(g.width, g.height, g.tileSize);
 
     BitWriter bw;
-    // One upfront worst-case reserve (every channel in 8-bit uniform
-    // mode) so putBits never grows mid-stream — a per-channel exact
-    // reserve would defeat the vector's geometric growth and go
-    // quadratic (same audit as the parallel BD tile emitters, which
-    // know their chunk sizes exactly from the prefix pass).
-    bw.reserve(kMagicBits + 2 * kDimBits + kTileBits +
-               tiles.size() * 3 * (1 + kWidthFieldBits + kBaseBits) +
-               img.pixelCount() * 3 * 8);
-    bw.putBits(kMagic, kMagicBits);
-    bw.putBits(static_cast<uint32_t>(img.width()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(img.height()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(tileSize_), kTileBits);
+    // One upfront worst-case reserve (the payload ceiling: every
+    // channel in 8-bit uniform mode) so putBits never grows
+    // mid-stream — a per-channel exact reserve would defeat the
+    // vector's geometric growth and go quadratic (same audit as the
+    // parallel BD tile emitters, which know their chunk sizes exactly
+    // from the prefix pass).
+    bw.reserve(kBdStreamHeaderBits +
+               bdPayloadBounds(g, kBdVariableFormat).maxBits);
+    for (const uint8_t b : header)
+        bw.putByte(b);
 
     std::vector<unsigned> row_widths;
     for (const TileRect &rect : tiles) {
@@ -158,57 +155,13 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
                             ThreadPool *pool, int participants,
                             std::uint64_t max_pixels)
 {
-    constexpr std::size_t kHeaderBits =
-        kMagicBits + 2 * kDimBits + kTileBits;
+    const BdStreamHeader g = bdReadStreamHeader(
+        stream.data(), stream.size(), max_pixels, kBdVariableFormat);
     const std::uint64_t stream_bits =
         static_cast<std::uint64_t>(stream.size()) * 8;
-    if (stream_bits < kHeaderBits)
-        throw std::runtime_error(
-            "BdVariableCodec::decode: stream shorter than header");
-    BitReader hdr(stream);
-    if (hdr.getBits(kMagicBits) != kMagic)
-        throw std::runtime_error("BdVariableCodec::decode: bad magic");
-    const uint32_t w = hdr.getBits(kDimBits);
-    const uint32_t h = hdr.getBits(kDimBits);
-    const uint32_t tile = hdr.getBits(kTileBits);
-    if (w == 0 || h == 0 || tile == 0)
-        throw std::runtime_error("BdVariableCodec::decode: bad header");
-    // Decompression-bomb guard (see BdCodec::decodeInto): flat content
-    // honestly encodes huge frames in tiny streams, so only this cap
-    // bounds the output size.
-    if (static_cast<std::uint64_t>(w) * h > max_pixels)
-        throw std::runtime_error(
-            "BdVariableCodec::decode: frame exceeds the decode pixel "
-            "cap");
-
-    // 64-bit tile arithmetic: an adversarial 0xFFFF x 0xFFFF header
-    // must be *counted* correctly so the floor check rejects it before
-    // any allocation scales with the claimed dimensions. The cheapest
-    // well-formed tile-channel is 1 mode + 4 width + 8 base bits in
-    // either mode (mode 1 pays >= one 4-bit row width), so a stream
-    // below that floor cannot describe the claimed frame — bounding
-    // the walk and the offset arrays by the actual stream size.
-    const std::uint64_t tiles_x = (w + tile - 1) / tile;
-    const std::uint64_t tiles_y = (h + tile - 1) / tile;
-    const std::uint64_t n_tiles64 = tiles_x * tiles_y;
-    if (n_tiles64 * 3 * (1 + kWidthFieldBits + kBaseBits) >
-        stream_bits - kHeaderBits)
-        throw std::runtime_error(
-            "BdVariableCodec::decode: stream too short for header "
-            "dimensions");
-
     BdDecodeScratch local;
     BdDecodeScratch &s = scratch ? *scratch : local;
-    if (s.tilesWidth != static_cast<int>(w) ||
-        s.tilesHeight != static_cast<int>(h) ||
-        s.tilesSize != static_cast<int>(tile)) {
-        s.tiles = tileGrid(static_cast<int>(w), static_cast<int>(h),
-                           static_cast<int>(tile));
-        s.tilesWidth = static_cast<int>(w);
-        s.tilesHeight = static_cast<int>(h);
-        s.tilesSize = static_cast<int>(tile);
-    }
-    const std::size_t n_tiles = s.tiles.size();
+    const std::size_t n_tiles = s.gridFor(g).size();
 
     // Pass 1 (serial): validate every per-tile-channel record and turn
     // the mode/width fields into the exclusive prefix of per-tile
@@ -217,15 +170,16 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
     // mode-dependent (per-row widths), so the walk follows the same
     // branch structure as the decoder below.
     s.bitOffsets.resize(n_tiles + 1);
+    BitReader meta(stream);
     std::uint64_t offset = 0;  // payload bits before the current field
     const auto readField = [&](unsigned bits) -> unsigned {
-        const std::uint64_t pos = kHeaderBits + offset;
+        const std::uint64_t pos = kBdStreamHeaderBits + offset;
         if (pos + bits > stream_bits)
             throw std::runtime_error(
                 "BdVariableCodec::decode: stream truncated mid-tile");
-        hdr.seek(static_cast<std::size_t>(pos));
+        meta.seek(static_cast<std::size_t>(pos));
         offset += bits;
-        return hdr.getBits(bits);
+        return meta.getBits(bits);
     };
     for (std::size_t t = 0; t < n_tiles; ++t) {
         s.bitOffsets[t] = static_cast<std::size_t>(offset);
@@ -254,7 +208,7 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
                               width;
                 }
             }
-            if (kHeaderBits + offset > stream_bits)
+            if (kBdStreamHeaderBits + offset > stream_bits)
                 throw std::runtime_error(
                     "BdVariableCodec::decode: stream truncated "
                     "mid-tile");
@@ -262,33 +216,19 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
     }
     s.bitOffsets[n_tiles] = static_cast<std::size_t>(offset);
 
-    // The stream must be exactly header + payload padded to a byte
-    // boundary with zero bits: a longer buffer is trailing garbage,
-    // and nonzero padding is garbage smuggled below the byte count.
-    const std::uint64_t total_bits = kHeaderBits + offset;
-    if ((total_bits + 7) / 8 != stream.size())
-        throw std::runtime_error(
-            "BdVariableCodec::decode: stream length disagrees with "
-            "payload (trailing garbage)");
-    if (total_bits % 8 != 0) {
-        const unsigned pad = 8 - static_cast<unsigned>(total_bits % 8);
-        if (stream.back() & ((1u << pad) - 1u))
-            throw std::runtime_error(
-                "BdVariableCodec::decode: nonzero padding bits");
-    }
+    bdCheckStreamEnd(stream.data(), stream.size(), offset);
 
     // Pass 2: tile decode, parallel over the validated offsets (tiles
     // are disjoint, so output is byte-identical for any participant
     // count). Reallocate only on geometry change; every byte of the
     // image is overwritten below.
-    if (out.width() != static_cast<int>(w) ||
-        out.height() != static_cast<int>(h))
-        out = ImageU8(static_cast<int>(w), static_cast<int>(h));
+    if (out.width() != g.width || out.height() != g.height)
+        out = ImageU8(g.width, g.height);
     const uint8_t *data = stream.data();
     const std::size_t size = stream.size();
     auto decodeRange = [&](std::size_t begin, std::size_t end, int) {
         BitReader br(data, size);
-        br.seek(kHeaderBits + s.bitOffsets[begin]);
+        br.seek(kBdStreamHeaderBits + s.bitOffsets[begin]);
         for (std::size_t t = begin; t < end; ++t) {
             const TileRect &rect = s.tiles[t];
             for (int c = 0; c < 3; ++c) {
@@ -330,7 +270,7 @@ BdVariableCodec::analyze(const ImageU8 &img) const
 {
     BdVariableFrameStats stats;
     stats.pixels = img.pixelCount();
-    stats.totalBits = kMagicBits + 2 * kDimBits + kTileBits;
+    stats.totalBits = kBdStreamHeaderBits;
     std::vector<unsigned> row_widths;
     for (const TileRect &rect :
          tileGrid(img.width(), img.height(), tileSize_)) {

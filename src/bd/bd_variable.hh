@@ -29,6 +29,11 @@
 
 namespace pce {
 
+/** The variable codec's format: "BDV", records of at least mode +
+ *  width + base bits (mode 1 pays at least one 4-bit row width). */
+inline constexpr BdStreamFormat kBdVariableFormat{
+    0x424456, 1 + kBdWidthFieldBits + kBdBaseBits};
+
 /** Frame accounting for the variable codec. */
 struct BdVariableFrameStats
 {
@@ -53,7 +58,11 @@ class BdVariableCodec
 
     int tileSize() const { return tileSize_; }
 
-    /** Encode to a self-describing stream (distinct magic from BD). */
+    /**
+     * Encode to a self-describing stream (distinct magic from BD).
+     * @throws std::invalid_argument when the frame breaks the geometry
+     *         rule (see bdWriteStreamHeader).
+     */
     std::vector<uint8_t> encode(const ImageU8 &img) const;
 
     /**
@@ -68,16 +77,17 @@ class BdVariableCodec
      * structure as BdCodec::decodeInto.
      *
      * Pass 1 (serial) validates the stream before any pixel is touched
-     * or any frame-sized buffer allocated: header sanity with all
-     * tile/pixel arithmetic in 64 bits, the decompression-bomb pixel
-     * cap, then a walk over every per-tile-channel record reading only
-     * the mode bits and 4-bit width fields (delta blocks are stepped
-     * over arithmetically). A width field above 8 bits, a record
-     * running past the end of the stream (truncated mid-tile), a byte
-     * count that disagrees with the computed total bit length
-     * (trailing garbage), or nonzero padding bits all throw
-     * std::runtime_error — the old decoder zero-filled truncations and
-     * accepted trailing bytes. The walk yields the exclusive prefix of
+     * or any frame-sized buffer allocated: the shared header reader
+     * (bdReadStreamHeader with kBdVariableFormat: geometry rule,
+     * decompression-bomb pixel cap, payload floor), then a walk over
+     * every per-tile-channel record reading only the mode bits and
+     * 4-bit width fields (delta blocks are stepped over
+     * arithmetically), then the shared stream-end rule
+     * (bdCheckStreamEnd). A width field above 8 bits, a record running
+     * past the end of the stream (truncated mid-tile), a byte count
+     * that disagrees with the computed total bit length (trailing
+     * garbage), or nonzero padding bits all throw std::runtime_error.
+     * The walk yields the exclusive prefix of
      * per-tile bit offsets; pass 2 decodes tiles in parallel on the
      * pool from those offsets, byte-identical to the serial decode for
      * any participant count.

@@ -63,12 +63,8 @@ PerceptualEncoder::PerceptualEncoder(const DiscriminationModel &model,
 {
     if (params_.threads < 1)
         throw std::invalid_argument("PerceptualEncoder: threads < 1");
-    if (params_.pool != nullptr) {
-        pool_ = params_.pool;
-    } else if (params_.threads > 1) {
-        ownedPool_ = std::make_unique<ThreadPool>(params_.threads - 1);
-        pool_ = ownedPool_.get();
-    }
+    if (params_.threads > 1)
+        pool_ = std::make_unique<ThreadPool>(params_.threads - 1);
 }
 
 template <class Bypass, class Adjusted>
@@ -277,7 +273,7 @@ PerceptualEncoder::encodePass(const ImageF &frame,
             });
     }
     obs::TraceSpan span("encode/bd");
-    codec_.encodeFromStats(img, &out.bdStats, out.bdStream, bd, pool_,
+    codec_.encodeFromStats(img, &out.bdStats, out.bdStream, bd, pool(),
                            params_.threads);
 }
 
@@ -322,7 +318,7 @@ bool
 PerceptualEncoder::verifyRoundTrip(const EncodedFrame &frame) const
 {
     Workspace &ws = workspace();
-    BdCodec::decodeInto(frame.bdStream, ws.roundTrip, &ws.bdDecode, pool_,
+    BdCodec::decodeInto(frame.bdStream, ws.roundTrip, &ws.bdDecode, pool(),
                         params_.threads);
     return ws.roundTrip == frame.adjustedSrgb;
 }

@@ -40,21 +40,12 @@ struct PipelineParams
     double fovealCutoffDeg = 5.0;
     /**
      * Parallel participants for the tile loop and the BD passes
-     * (1 = serial). With no external @ref pool, the encoder spawns and
-     * owns a persistent pool of threads-1 workers.
+     * (1 = serial). Above 1 the encoder spawns and owns a persistent
+     * pool of threads-1 workers.
      */
     int threads = 1;
     /** Extrema backend override (empty = double-precision Eq. 11-13). */
     ExtremaFn extremaFn;
-    /**
-     * Externally owned worker pool (non-owning; nullptr = the encoder
-     * creates its own when threads > 1). The encode service builds one
-     * pool per dispatcher shard and hands it to that shard's encoder
-     * this way. The pool must outlive the encoder; @ref threads still
-     * caps the participants per dispatch (clamped by the pool's own
-     * size).
-     */
-    ThreadPool *pool = nullptr;
 };
 
 /** Aggregate statistics of one encoded frame. */
@@ -145,16 +136,16 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * load-imbalance badly. Output is bit-identical for any thread count
  * (tests assert this).
  *
- * Ownership/reuse: the encoder borrows the DiscriminationModel (and
- * the external pool, when PipelineParams::pool is set) for its whole
- * lifetime; it never takes ownership of frames, eccentricity maps, or
- * EncodedFrame outputs. The `*Into` entry points reuse the caller's
- * output and the calling thread's working storage, resizing only on
- * geometry change — keep one EncodedFrame per frame source and the
- * steady state allocates nothing (this is the contract the encode
- * service's per-stream slots are built on). The encoder is safe to
- * share across threads for concurrent encodes with distinct outputs;
- * one EncodedFrame must not be passed to two concurrent calls.
+ * Ownership/reuse: the encoder borrows the DiscriminationModel for
+ * its whole lifetime and owns its worker pool; it never takes
+ * ownership of frames, eccentricity maps, or EncodedFrame outputs.
+ * The `*Into` entry points reuse the caller's output and the calling
+ * thread's working storage, resizing only on geometry change — keep
+ * one EncodedFrame per frame source and the steady state allocates
+ * nothing (this is the contract the encode service's per-stream slots
+ * are built on). The encoder is safe to share across threads for
+ * concurrent encodes with distinct outputs; one EncodedFrame must not
+ * be passed to two concurrent calls.
  */
 class PerceptualEncoder
 {
@@ -242,13 +233,13 @@ class PerceptualEncoder
     const PipelineParams &params() const { return params_; }
 
     /**
-     * The worker pool this encoder schedules on: the external pool
-     * from PipelineParams::pool when one was given, the encoder's own
-     * persistent pool otherwise, nullptr when serial. Exposed so a
-     * caller holding only the encoder (e.g. a decode step of the same
-     * frame loop) can reuse the workers instead of spawning more.
+     * The encoder's persistent worker pool (threads - 1 workers), or
+     * nullptr when serial. Exposed so a caller holding only the encoder
+     * (e.g. a decode step of the same frame loop, or the encode
+     * service's shard report) can reuse the workers instead of
+     * spawning more.
      */
-    ThreadPool *pool() const { return pool_; }
+    ThreadPool *pool() const { return pool_.get(); }
 
   private:
     /**
@@ -277,10 +268,8 @@ class PerceptualEncoder
     PipelineParams params_;
     TileAdjuster adjuster_;
     BdCodec codec_;
-    /** Persistent workers (threads - 1), when not externally pooled. */
-    std::unique_ptr<ThreadPool> ownedPool_;
-    /** The active pool: external, owned, or nullptr (serial). */
-    ThreadPool *pool_ = nullptr;
+    /** Persistent workers (threads - 1); null when serial. */
+    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace pce

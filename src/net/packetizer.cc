@@ -30,11 +30,7 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
     std::vector<std::size_t> offsets(n_tiles + 1);
     BdCodec::walkTileRange(bd_stream.data(), bd_stream.size(), tiles, 0,
                            n_tiles, 0, offsets.data());
-    const std::uint64_t total_bits =
-        kBdStreamHeaderBits + offsets[n_tiles];
-    if ((total_bits + 7) / 8 != bd_stream.size())
-        throw std::runtime_error(
-            "packetizeFrame: stream length disagrees with payload");
+    bdCheckStreamEnd(bd_stream.data(), bd_stream.size(), offsets[n_tiles]);
 
     // Byte span of the stream containing payload bits [0, offsets[t]).
     auto startByteOf = [&](std::size_t t) {

@@ -76,8 +76,10 @@ struct PacketizedFrame
 
 /**
  * Packetize one encoded frame's BD stream. Validates the stream with
- * bdReadStreamHeader and the full prefix walk first (throws
- * std::runtime_error on a malformed or over-cap stream,
+ * the BD framing rules first — bdReadStreamHeader, the full prefix
+ * walk, bdCheckStreamEnd — so it refuses exactly what
+ * BdCodec::decodeInto refuses (throws std::runtime_error on a
+ * malformed or over-cap stream,
  * std::invalid_argument on an unusable MTU); @p ecc null
  * degrades the schedule to plain tile order.
  */

@@ -27,6 +27,14 @@ FrameReassembler::FrameReassembler(const ReassemblerParams &params)
     : params_(params)
 {}
 
+bool
+FrameReassembler::isFinalized(std::uint32_t stream_id,
+                              std::uint64_t frame_id) const
+{
+    const auto fin = finalized_.find(stream_id);
+    return fin != finalized_.end() && frame_id <= fin->second;
+}
+
 AcceptResult
 FrameReassembler::accept(const std::uint8_t *data, std::size_t n)
 {
@@ -43,8 +51,7 @@ FrameReassembler::accept(const std::uint8_t *data, std::size_t n)
         ++rejectedSession_;
         return AcceptResult::RejectedSession;
     }
-    const auto fin = finalized_.find(header.streamId);
-    if (fin != finalized_.end() && fin->second.count(header.frameId)) {
+    if (isFinalized(header.streamId, header.frameId)) {
         ++stale_;
         return AcceptResult::Stale;
     }
@@ -81,54 +88,29 @@ FrameReassembler::processManifest(FrameState &st,
         ++duplicates_;
         return AcceptResult::Duplicate;
     }
-    if (m.tileCount == 0) {
-        // Zero-tile frame: legal but empty — nothing follows it.
-        if (m.packetCount != 0 || m.payloadBits != 0) {
-            ++rejectedMalformed_;
-            return AcceptResult::RejectedMalformed;
-        }
-        st.manifest = m;
-        st.haveManifest = true;
-        st.seqHave.assign(1, 1);
-        st.pending.clear();
-        ++accepted_;
-        return AcceptResult::Accepted;
-    }
-    // Geometry and accounting must be self-consistent before a single
-    // buffer byte is allocated from attacker-influenced fields.
-    if (m.width == 0 || m.width > 0xFFFF || m.height == 0 ||
-        m.height > 0xFFFF || m.tileSize == 0 || m.tileSize > 255) {
-        ++rejectedMalformed_;
-        return AcceptResult::RejectedMalformed;
-    }
-    if (static_cast<std::uint64_t>(m.width) * m.height >
-        params_.maxPixels) {
-        ++rejectedMalformed_;
-        return AcceptResult::RejectedMalformed;
-    }
-    if (m.packetCount < 1 || m.packetCount > m.tileCount) {
-        ++rejectedMalformed_;
-        return AcceptResult::RejectedMalformed;
-    }
-    if (m.streamBytes !=
-        (kBdStreamHeaderBits + m.payloadBits + 7) / 8) {
-        ++rejectedMalformed_;
-        return AcceptResult::RejectedMalformed;
-    }
-    std::vector<TileRect> tiles =
-        tileGrid(static_cast<int>(m.width), static_cast<int>(m.height),
-                 static_cast<int>(m.tileSize));
-    if (tiles.size() != m.tileCount) {
+    // The manifest must describe a stream the BD framing rules allow
+    // before a single buffer byte is sized from its attacker-influenced
+    // fields. g is read only once the geometry rule holds, so its
+    // narrowing is exact by then.
+    const bool geometry_ok =
+        bdGeometryValid(m.width, m.height, m.tileSize, params_.maxPixels);
+    const BdStreamHeader g{static_cast<int>(m.width),
+                           static_cast<int>(m.height),
+                           static_cast<int>(m.tileSize)};
+    if (!geometry_ok || m.tileCount != bdTileCount(g) ||
+        m.packetCount < 1 || m.packetCount > m.tileCount ||
+        m.payloadBits < bdPayloadBounds(g).minBits ||
+        m.payloadBits > bdPayloadBounds(g).maxBits ||
+        m.streamBytes != bdStreamBytes(m.payloadBits)) {
         ++rejectedMalformed_;
         return AcceptResult::RejectedMalformed;
     }
     st.manifest = m;
     st.haveManifest = true;
-    st.tiles = std::move(tiles);
+    st.tiles = tileGrid(g.width, g.height, g.tileSize);
     st.buffer.assign(m.streamBytes, 0);
-    bdWriteStreamHeader(st.buffer.data(), static_cast<int>(m.width),
-                        static_cast<int>(m.height),
-                        static_cast<int>(m.tileSize));
+    bdWriteStreamHeader(st.buffer.data(), g.width, g.height,
+                        g.tileSize);
     st.tileHave.assign(m.tileCount, 0);
     st.seqHave.assign(m.packetCount + 1, 0);
     st.seqHave[0] = 1;
@@ -226,8 +208,7 @@ std::vector<std::uint32_t>
 FrameReassembler::missingSequences(std::uint32_t stream_id,
                                    std::uint64_t frame_id) const
 {
-    const auto fin = finalized_.find(stream_id);
-    if (fin != finalized_.end() && fin->second.count(frame_id))
+    if (isFinalized(stream_id, frame_id))
         return {};
     const auto it = frames_.find(FrameKey{stream_id, frame_id});
     if (it == frames_.end() || !it->second.haveManifest)
@@ -257,7 +238,9 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
     FrameDeliveryReport rep;
     rep.streamId = stream_id;
     rep.frameId = frame_id;
-    finalized_[stream_id].insert(frame_id);
+    const auto [fin, first] = finalized_.try_emplace(stream_id, frame_id);
+    if (!first)
+        fin->second = std::max(fin->second, frame_id);
 
     const auto it = frames_.find(FrameKey{stream_id, frame_id});
     if (it == frames_.end() || !it->second.haveManifest) {
@@ -279,13 +262,6 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
     rep.packetsAccepted = st.accepted;
     rep.duplicatePackets = st.duplicates;
     rep.complete = st.accepted == m.packetCount;
-
-    if (m.tileCount == 0) {
-        out = ImageU8();
-        rep.byteIdentical = rep.complete;
-        frames_.erase(it);
-        return rep;
-    }
 
     if (out.width() != static_cast<int>(m.width) ||
         out.height() != static_cast<int>(m.height))

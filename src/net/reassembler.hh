@@ -11,7 +11,8 @@
  *   1. structural header parse (magic/version/length)  -> rejected
  *   2. CRC-32 over the whole datagram                  -> rejected
  *   3. session id check                                -> rejected
- *   4. already-finalized frame                         -> stale
+ *   4. frame at or before the stream's newest          -> stale
+ *      finalized one
  *   5. duplicate sequence / duplicate manifest         -> ignored
  *   6. per-packet prefix walk (BdCodec::walkTileRange) -> rejected,
  *      buffer bytes restored — a CRC-valid packet whose tile records
@@ -41,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "bd/bd_codec.hh"
@@ -70,7 +70,8 @@ enum class AcceptResult : std::uint8_t
 {
     Accepted,           ///< new data, tiles (or manifest) recorded
     Duplicate,          ///< already had this sequence; ignored
-    Stale,              ///< frame already finalized; ignored
+    Stale,              ///< frame at or before the newest finalized
+                        ///< one of its stream; ignored
     RejectedCrc,        ///< CRC mismatch (bit flips in transit)
     RejectedSession,    ///< wrong session id
     RejectedMalformed,  ///< structural parse or prefix-walk failure
@@ -129,11 +130,13 @@ class FrameReassembler
 
     /**
      * Deadline: decode what is present, degrade what is not (see the
-     * file comment), retire the frame (later packets are Stale), and
-     * remember the output as the stream's fallback source. @p out is
-     * sized to the frame geometry; a frame with no manifest leaves
-     * @p out holding the previous finalized frame (whole-frame hold)
-     * or untouched when there is none.
+     * file comment), retire the frame and every earlier frame of the
+     * stream (their later packets are Stale, so finalize a stream's
+     * frames in increasing order), and remember the output as the
+     * stream's fallback source. @p out is sized to the frame geometry;
+     * a frame with no manifest leaves @p out holding the previous
+     * finalized frame (whole-frame hold) or untouched when there is
+     * none.
      */
     FrameDeliveryReport finalizeFrame(std::uint32_t stream_id,
                                       std::uint64_t frame_id,
@@ -176,6 +179,11 @@ class FrameReassembler
 
     using FrameKey = std::pair<std::uint32_t, std::uint64_t>;
 
+    /** True when @p frame_id is at or before @p stream_id's newest
+     *  finalized frame. */
+    bool isFinalized(std::uint32_t stream_id,
+                     std::uint64_t frame_id) const;
+
     AcceptResult processManifest(FrameState &st,
                                  const PacketHeader &header,
                                  const std::uint8_t *payload);
@@ -185,7 +193,12 @@ class FrameReassembler
 
     ReassemblerParams params_;
     std::map<FrameKey, FrameState> frames_;
-    std::map<std::uint32_t, std::set<std::uint64_t>> finalized_;
+    /**
+     * Newest finalized frame id per stream. Frames are finalized in
+     * increasing order, so every id at or below it is retired, and the
+     * record stays one entry per stream however long the stream runs.
+     */
+    std::map<std::uint32_t, std::uint64_t> finalized_;
     /** Last finalized output per stream: the degradation source. */
     std::map<std::uint32_t, ImageU8> lastFinalized_;
     std::size_t accepted_ = 0;

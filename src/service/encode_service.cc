@@ -178,17 +178,15 @@ FrameLease::release()
 }
 
 /**
- * One dispatcher: a slice of the thread budget as its own pool, an
- * encoder bound to that slice, the thread that pops the shared queue,
- * and its dispatch counters.
+ * One dispatcher: an encoder owning a slice of the thread budget as
+ * its pool, the thread that pops the shared queue, and its dispatch
+ * counters.
  * The counters are monotonic relaxed atomics: each is individually
  * exact; ShardStats documents that the set is not one instant's
  * snapshot.
  */
 struct EncodeService::ShardRuntime
 {
-    int participants = 1;
-    std::unique_ptr<ThreadPool> pool;  ///< null when participants == 1
     std::unique_ptr<PerceptualEncoder> encoder;
     std::atomic<std::uint64_t> framesEncoded{0};
     std::atomic<std::uint64_t> busyNanos{0};
@@ -198,7 +196,7 @@ struct EncodeService::ShardRuntime
 ThreadPool *
 EncodeService::pool(std::size_t shard) const
 {
-    return shards_.at(shard)->pool.get();
+    return shards_.at(shard)->encoder->pool();
 }
 
 EncodeService::EncodeService(const DiscriminationModel &model,
@@ -228,17 +226,11 @@ EncodeService::EncodeService(const DiscriminationModel &model,
     shards_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         auto rt = std::make_unique<ShardRuntime>();
-        rt->participants = std::max(
-            1, base + (static_cast<int>(i) < extra ? 1 : 0));
-        if (rt->participants > 1)
-            rt->pool =
-                std::make_unique<ThreadPool>(rt->participants - 1);
-
         PipelineParams pipeline;
         pipeline.tileSize = params_.tileSize;
         pipeline.fovealCutoffDeg = params_.fovealCutoffDeg;
-        pipeline.threads = rt->participants;
-        pipeline.pool = rt->pool.get();
+        pipeline.threads = std::max(
+            1, base + (static_cast<int>(i) < extra ? 1 : 0));
         rt->encoder =
             std::make_unique<PerceptualEncoder>(model, pipeline);
         shards_.push_back(std::move(rt));
@@ -789,12 +781,12 @@ EncodeService::report() const
         sh.occupancy = rep.wallSeconds > 0.0
                            ? sh.busySeconds / rep.wallSeconds
                            : 0.0;
-        sh.participants = rt.participants;
-        if (rt.pool != nullptr) {
-            sh.poolDispatches = rt.pool->dispatchCalls();
+        sh.participants = rt.encoder->params().threads;
+        if (const ThreadPool *pool = rt.encoder->pool()) {
+            sh.poolDispatches = pool->dispatchCalls();
             sh.poolMeanParticipants =
                 sh.poolDispatches > 0
-                    ? static_cast<double>(rt.pool->participantSum()) /
+                    ? static_cast<double>(pool->participantSum()) /
                           static_cast<double>(sh.poolDispatches)
                     : 0.0;
         }

@@ -131,6 +131,16 @@ TEST(BdVariable, DecodeRejectsCorruption)
     EXPECT_THROW(BdVariableCodec::decode(stream), std::runtime_error);
 }
 
+TEST(BdVariable, EncodeRejectsFramesTheHeaderCannotHold)
+{
+    // A 65537-wide frame does not fit the 16-bit width field: encode
+    // refuses it, as BdCodec::encode does, instead of writing a header
+    // whose width has wrapped to 1.
+    const ImageU8 wide(65537, 1);
+    EXPECT_THROW(BdVariableCodec(4).encode(wide), std::invalid_argument);
+    EXPECT_THROW(BdCodec(4).encode(wide), std::invalid_argument);
+}
+
 TEST(BdVariable, RejectsBadTileSize)
 {
     EXPECT_THROW(BdVariableCodec(0), std::invalid_argument);

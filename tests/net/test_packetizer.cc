@@ -169,6 +169,16 @@ TEST(Packetizer, RejectsNonsense)
     EXPECT_THROW(packetizeFrame(bad, 0, nullptr, {}),
                  std::runtime_error);
 
+    // A padding bit set: the decoder refuses the stream, so the
+    // packetizer must too (a 1x1 frame's flat tile leaves 36 payload
+    // bits, so the last byte holds 4 padding bits).
+    bad = encodeStream(ImageU8(1, 1));
+    ASSERT_EQ((kBdStreamHeaderBits + 36 + 7) / 8, bad.size());
+    bad.back() |= 0x01;
+    EXPECT_THROW(BdCodec::decode(bad), std::runtime_error);
+    EXPECT_THROW(packetizeFrame(bad, 0, nullptr, {}),
+                 std::runtime_error);
+
     // A 16-byte stream claiming a 0xFFFF x 0xFFFF frame of 1-pixel
     // tiles: refused from the header alone, before a ~2^32-entry tile
     // grid is sized from it.

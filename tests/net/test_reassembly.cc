@@ -2,7 +2,7 @@
  * @file
  * Reassembly edge cases: everything a hostile-or-unlucky transport can
  * do — reorder, duplication, corruption (CRC-caught and CRC-forged),
- * stale and foreign datagrams, zero-tile frames — must either be
+ * stale and foreign datagrams, zero-tile manifests — must either be
  * absorbed or rejected with the right counter, and never corrupt a
  * neighboring tile's bytes. These run under the sanitizer jobs of
  * scripts/check.sh.
@@ -257,34 +257,34 @@ TEST(Reassembly, ForgedCrcWithCorruptPrefixRestoresNeighborBytes)
     EXPECT_EQ(out, fx.image);
 }
 
-TEST(Reassembly, ZeroTileFrameFinalizesEmpty)
+TEST(Reassembly, ZeroTileManifestIsMalformed)
 {
-    FrameManifest m;  // 0x0 frame: no tiles, no data packets
+    // A 0x0 frame breaks the BD geometry rule, so no sender can emit
+    // one (bdWriteStreamHeader refuses it): its manifest is rejected
+    // whether or not it claims data packets.
     PacketHeader h;
     h.sessionId = kSession;
     h.streamId = kStream;
     h.frameId = 5;
     h.type = PacketType::Manifest;
-    const std::vector<std::uint8_t> pkt = buildManifestPacket(h, m);
+    FrameManifest empty;  // no tiles, no data packets
+    FrameManifest claims;
+    claims.packetCount = 3;
 
     FrameReassembler rx(rxParams());
-    EXPECT_EQ(rx.accept(pkt), AcceptResult::Accepted);
-    EXPECT_TRUE(rx.frameComplete(kStream, 5));
-    EXPECT_TRUE(rx.missingSequences(kStream, 5).empty());
+    EXPECT_EQ(rx.accept(buildManifestPacket(h, empty)),
+              AcceptResult::RejectedMalformed);
+    h.frameId = 6;
+    EXPECT_EQ(rx.accept(buildManifestPacket(h, claims)),
+              AcceptResult::RejectedMalformed);
+    EXPECT_EQ(rx.rejectedMalformed(), 2u);
+    EXPECT_EQ(rx.missingSequences(kStream, 5),
+              std::vector<std::uint32_t>{0});
+    EXPECT_FALSE(rx.frameComplete(kStream, 5));
     ImageU8 out(4, 4);
     const FrameDeliveryReport rep = rx.finalizeFrame(kStream, 5, out);
-    EXPECT_TRUE(rep.manifestReceived);
-    EXPECT_TRUE(rep.complete);
-    EXPECT_EQ(rep.totalTiles, 0u);
-    EXPECT_EQ(out.width(), 0);
-
-    // But a zero-tile manifest that *claims* data packets is nonsense.
-    FrameManifest bad;
-    bad.packetCount = 3;
-    PacketHeader h2 = h;
-    h2.frameId = 6;
-    EXPECT_EQ(rx.accept(buildManifestPacket(h2, bad)),
-              AcceptResult::RejectedMalformed);
+    EXPECT_FALSE(rep.manifestReceived);
+    EXPECT_EQ(out.width(), 4);
 }
 
 TEST(Reassembly, ManifestNeverArrivesDegradesWholeFrame)
