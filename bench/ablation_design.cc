@@ -29,8 +29,9 @@ bppWithAxis(const ImageF &frame, const EccentricityMap &ecc,
     const int tile_size = 4;
     const TileAdjuster adjuster(model);
     ImageF out = frame;
-    for (const TileRect &rect :
-         tileGrid(frame.width(), frame.height(), tile_size)) {
+    const TileGrid grid{frame.width(), frame.height(), tile_size};
+    for (std::size_t t = 0; t < grid.count(); ++t) {
+        const TileRect rect = grid.rect(t);
         std::vector<Vec3> pixels;
         std::vector<double> eccs;
         double min_ecc = 1e300;

@@ -171,10 +171,11 @@ BM_TileStages(benchmark::State &state)
     const ImageF frame = renderScene(SceneId::Skyline, {n, n, 0, 0.0, 0});
     const EccentricityMap ecc(pce::bench::benchDisplay(n, n));
     const PipelineParams params;
+    const TileGrid grid{n, n, params.tileSize};
     std::vector<TileRect> tiles;
-    for (const TileRect &r : tileGrid(n, n, params.tileSize))
-        if (ecc.minInRect(r) >= params.fovealCutoffDeg)
-            tiles.push_back(r);
+    for (std::size_t t = 0; t < grid.count(); ++t)
+        if (ecc.minInRect(grid.rect(t)) >= params.fovealCutoffDeg)
+            tiles.push_back(grid.rect(t));
     const simd::TileKernels &k = simd::activeTileKernels();
     const Srgb8Table &table = srgb8Table();
     simd::TileSoA soa;
@@ -369,11 +370,11 @@ BM_BdDecodeWalk(benchmark::State &state)
     // validate walk that builds the per-tile bit offsets.
     const int n = static_cast<int>(state.range(0));
     const std::vector<uint8_t> stream = adjustedFrame(n).bdStream;
-    const std::vector<TileRect> tiles = tileGrid(n, n, 4);
-    std::vector<std::size_t> offsets(tiles.size() + 1);
+    const TileGrid grid{n, n, 4};
+    std::vector<std::size_t> offsets(grid.count() + 1);
     for (auto _ : state)
         benchmark::DoNotOptimize(BdCodec::walkTileRange(
-            stream.data(), stream.size(), tiles, 0, tiles.size(), 0,
+            stream.data(), stream.size(), grid, 0, grid.count(), 0,
             offsets.data()));
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(stream.size()));
@@ -387,11 +388,11 @@ BM_BdDecodeTiles(benchmark::State &state)
     // over every tile from the walk's first offset.
     const int n = static_cast<int>(state.range(0));
     const std::vector<uint8_t> stream = adjustedFrame(n).bdStream;
-    const std::vector<TileRect> tiles = tileGrid(n, n, 4);
+    const TileGrid grid{n, n, 4};
     ImageU8 out(n, n);
     for (auto _ : state) {
-        BdCodec::decodeTileRangeInto(stream.data(), stream.size(), tiles,
-                                     0, tiles.size(), 0, out);
+        BdCodec::decodeTileRangeInto(stream.data(), stream.size(), grid,
+                                     0, grid.count(), 0, out);
         benchmark::DoNotOptimize(out.data().data());
         benchmark::ClobberMemory();
     }
@@ -412,10 +413,10 @@ BM_BdEmit(benchmark::State &state)
     const ImageU8 img = adjustedFrame(n).adjustedSrgb;
     const BdCodec codec(4);
     BdEncodeScratch scratch;
-    const std::vector<TileRect> &tiles =
+    const TileGrid grid =
         codec.prepareStats(scratch, img.width(), img.height());
-    for (std::size_t t = 0; t < tiles.size(); ++t)
-        bdTileStats(img, tiles[t], &scratch.base[3 * t],
+    for (std::size_t t = 0; t < grid.count(); ++t)
+        bdTileStats(img, grid.rect(t), &scratch.base[3 * t],
                     &scratch.width[3 * t]);
     std::vector<uint8_t> out;
     for (auto _ : state) {

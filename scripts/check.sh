@@ -9,10 +9,10 @@
 # address+undefined sanitizer config (CMake option
 # -DFOVE_SANITIZE=address,undefined), and a ThreadSanitizer config
 # (-DFOVE_SANITIZE=thread; tsan cannot combine with asan, so it gets
-# its own tree) — running the full ctest suite in the first two and
-# the concurrency-heavy suites (ctest label "tsan", listed in
-# CMakeLists.txt) in the third. It also builds the repository
-# benchmark (perfbench/) against the library and runs its self-test.
+# its own tree) — running every ctest suite in each (the soak sweep
+# bounded under asan/ubsan and skipped under tsan). It also builds the
+# repository benchmark (perfbench/) against the library and runs its
+# self-test.
 # Exits non-zero on the first failure. Build directories:
 #   build/            Release (shared with normal development)
 #   build-san/        address,undefined sanitizers
@@ -93,18 +93,18 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir build-san --output-on-failure -L soak
 
-echo "== Concurrency suites under ThreadSanitizer =="
+echo "== Test suites under ThreadSanitizer =="
 # Concurrent dispatch (N dispatchers popping one lane-exclusive queue,
-# per-stream state handed between them) lives or
-# dies on happens-before edges that asan/ubsan cannot see, and the
-# parallel BD encode has workers writing disjoint bytes of one buffer.
-# Build a dedicated tsan tree (tsan is incompatible with asan) with
-# just the suites labeled "tsan" and run them, so a data race fails
-# the run loudly.
+# per-stream state handed between them) lives or dies on
+# happens-before edges that asan/ubsan cannot see, and the parallel BD
+# passes have pool workers writing disjoint bytes of one buffer. Any
+# suite may run a pool, so every suite runs here (the soak sweep
+# excepted, as above), with no hand-kept list to fall behind; a data
+# race fails the run loudly.
 cmake -B build-tsan -S . -DFOVE_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j"$JOBS" --target tsan_suites
+cmake --build build-tsan -j"$JOBS"
 TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan --output-on-failure -L tsan
+    ctest --test-dir build-tsan --output-on-failure -j"$JOBS" -LE soak
 
 echo "== Bounded fault-campaign smoke (Release) =="
 # A tiny end-to-end fault_runner invocation (seconds, not minutes)

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/bitstream.hh"
 #include "common/env.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
@@ -37,17 +36,10 @@ bdGeometryValid(std::uint64_t width, std::uint64_t height,
            width * height <= max_pixels;
 }
 
-std::uint64_t
-bdTileCount(const BdStreamHeader &g)
-{
-    const auto t = static_cast<std::uint64_t>(g.tileSize);
-    return ((g.width + t - 1) / t) * ((g.height + t - 1) / t);
-}
-
 BdPayloadBounds
-bdPayloadBounds(const BdStreamHeader &g, const BdStreamFormat &fmt)
+bdPayloadBounds(const TileGrid &g, const BdStreamFormat &fmt)
 {
-    const std::uint64_t floor = bdTileCount(g) * 3 * fmt.minTileChannelBits;
+    const std::uint64_t floor = g.count() * 3 * fmt.minTileChannelBits;
     return {floor, floor + static_cast<std::uint64_t>(g.width) *
                                static_cast<std::uint64_t>(g.height) * 24};
 }
@@ -84,19 +76,18 @@ bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
     std::memcpy(out8, header, sizeof header);
 }
 
-BdStreamHeader
+TileGrid
 bdReadStreamHeader(const std::uint8_t *data, std::size_t size_bytes,
                    std::uint64_t max_pixels, const BdStreamFormat &fmt)
 {
     if (size_bytes < kBdStreamHeaderBits / 8)
         throw std::runtime_error(
             "bdReadStreamHeader: stream shorter than header");
-    BitReader hdr(data, size_bytes);
-    if (hdr.getBits(24) != fmt.magic)
+    if ((std::uint32_t(data[0]) << 16 | data[1] << 8 | data[2]) !=
+        fmt.magic)
         throw std::runtime_error("bdReadStreamHeader: bad magic");
-    const BdStreamHeader g{static_cast<int>(hdr.getBits(16)),
-                           static_cast<int>(hdr.getBits(16)),
-                           static_cast<int>(hdr.getBits(8))};
+    const TileGrid g{data[3] << 8 | data[4], data[5] << 8 | data[6],
+                     data[7]};
     // The pixel cap is the decompression-bomb guard: flat tiles
     // compress so well that a huge frame can be *honestly* described by
     // a tiny stream, so no consistency check bounds the output size —
@@ -521,6 +512,20 @@ decodeTile4(const BitSource &src, std::uint64_t pos, uint8_t *row0,
 }
 #endif
 
+/**
+ * Full 4x4 tiles from @p rect to the end of its tile row, at most
+ * @p left; 0 unless @p rect is a full tile of a tile-4 grid. They lie
+ * 12 bytes apart, so the tile passes step a pointer through them: a
+ * rect per tile spills around the tile kernels.
+ */
+inline std::size_t
+tile4Run(const TileGrid &grid, const TileRect &rect, std::size_t left)
+{
+    if (grid.tileSize != 4 || rect.w != 4 || rect.h != 4)
+        return 0;
+    return std::min<std::size_t>(left, (grid.width - rect.x0) / 4);
+}
+
 /** decodeTile4 for a tile of any shape: one byte store per sample. */
 template <class F>
 std::uint64_t
@@ -557,19 +562,23 @@ decodeTileAny(const BitSource &src, std::uint64_t pos, ImageU8 &out,
 template <class F>
 void
 decodeTiles(const uint8_t *data, std::size_t size_bytes,
-            const std::vector<TileRect> &tiles, std::size_t begin,
-            std::size_t end, std::uint64_t pos, ImageU8 &out)
+            TileGrid grid, std::size_t begin, std::size_t end,
+            std::uint64_t pos, ImageU8 &out)
 {
     const BitSource src(data, size_bytes);
     [[maybe_unused]] const std::size_t stride =
         static_cast<std::size_t>(out.width()) * 3;
-    for (std::size_t t = begin; t < end; ++t) {
-        const TileRect &rect = tiles[t];
+    TileRect rect = grid.rect(begin);
+    for (std::size_t t = begin; t < end; ++t, rect = grid.next(rect)) {
 #ifdef __SSE2__
-        if (rect.w == 4 && rect.h == 4 &&
-            src.inBulk(pos + kTile4MaxBits)) {
-            pos = decodeTile4<F>(src, pos, out.pixel(rect.x0, rect.y0),
-                                 stride);
+        const std::size_t run = tile4Run(grid, rect, end - t);
+        uint8_t *const px = out.pixel(rect.x0, rect.y0);
+        std::size_t k = 0;
+        for (; k < run && src.inBulk(pos + kTile4MaxBits); ++k)
+            pos = decodeTile4<F>(src, pos, px + 12 * k, stride);
+        if (k > 0) {  // next() resumes after the run's last tile
+            t += k - 1;
+            rect.x0 += 4 * static_cast<int>(k - 1);
             continue;
         }
 #endif
@@ -676,19 +685,23 @@ emitTileAny(WordEmitter &e, const ImageU8 &img, const TileRect &rect,
  */
 template <class F>
 uint8_t
-emitTiles(const ImageU8 &img, const std::vector<TileRect> &tiles,
-          const uint8_t *base, const uint8_t *width, std::size_t begin,
-          std::size_t end, std::size_t bit_pos, uint8_t *out)
+emitTiles(const ImageU8 &img, TileGrid grid, const uint8_t *base,
+          const uint8_t *width, std::size_t begin, std::size_t end,
+          std::size_t bit_pos, uint8_t *out)
 {
     WordEmitter e(out, bit_pos);
     [[maybe_unused]] const std::size_t stride =
         static_cast<std::size_t>(img.width()) * 3;
-    for (std::size_t t = begin; t < end; ++t) {
-        const TileRect &rect = tiles[t];
+    TileRect rect = grid.rect(begin);
+    for (std::size_t t = begin; t < end; ++t, rect = grid.next(rect)) {
 #ifdef __SSE2__
-        if (rect.w == 4 && rect.h == 4) {
-            emitTile4<F>(e, img.pixel(rect.x0, rect.y0), stride,
-                         base + 3 * t, width + 3 * t);
+        if (const std::size_t run = tile4Run(grid, rect, end - t)) {
+            const uint8_t *const px = img.pixel(rect.x0, rect.y0);
+            for (std::size_t k = 0; k < run; ++k)
+                emitTile4<F>(e, px + 12 * k, stride, base + 3 * (t + k),
+                             width + 3 * (t + k));
+            t += run - 1;
+            rect.x0 += 4 * static_cast<int>(run - 1);
             continue;
         }
 #endif
@@ -702,18 +715,18 @@ emitTiles(const ImageU8 &img, const std::vector<TileRect> &tiles,
 // pext run inline in a function compiled for BMI2.
 __attribute__((target("bmi2"), flatten)) void
 decodeTilesBmi2(const uint8_t *data, std::size_t size_bytes,
-                const std::vector<TileRect> &tiles, std::size_t begin,
-                std::size_t end, std::uint64_t pos, ImageU8 &out)
+                TileGrid grid, std::size_t begin, std::size_t end,
+                std::uint64_t pos, ImageU8 &out)
 {
-    decodeTiles<Bmi2Fields>(data, size_bytes, tiles, begin, end, pos, out);
+    decodeTiles<Bmi2Fields>(data, size_bytes, grid, begin, end, pos, out);
 }
 
 __attribute__((target("bmi2"), flatten)) uint8_t
-emitTilesBmi2(const ImageU8 &img, const std::vector<TileRect> &tiles,
-              const uint8_t *base, const uint8_t *width, std::size_t begin,
-              std::size_t end, std::size_t bit_pos, uint8_t *out)
+emitTilesBmi2(const ImageU8 &img, TileGrid grid, const uint8_t *base,
+              const uint8_t *width, std::size_t begin, std::size_t end,
+              std::size_t bit_pos, uint8_t *out)
 {
-    return emitTiles<Bmi2Fields>(img, tiles, base, width, begin, end,
+    return emitTiles<Bmi2Fields>(img, grid, base, width, begin, end,
                                  bit_pos, out);
 }
 #endif
@@ -767,19 +780,13 @@ bdTileStats(const ImageU8 &img, const TileRect &rect, uint8_t base[3],
     }
 }
 
-const std::vector<TileRect> &
+TileGrid
 BdCodec::prepareStats(BdEncodeScratch &s, int width, int height) const
 {
-    if (s.tilesWidth != width || s.tilesHeight != height ||
-        s.tilesSize != tileSize_) {
-        s.tiles = tileGrid(width, height, tileSize_);
-        s.tilesWidth = width;
-        s.tilesHeight = height;
-        s.tilesSize = tileSize_;
-    }
-    s.base.resize(s.tiles.size() * 3);
-    s.width.resize(s.tiles.size() * 3);
-    return s.tiles;
+    const TileGrid grid{width, height, tileSize_};
+    s.base.resize(grid.count() * 3);
+    s.width.resize(grid.count() * 3);
+    return grid;
 }
 
 void
@@ -789,23 +796,24 @@ BdCodec::encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
 {
     BdEncodeScratch local;
     BdEncodeScratch &s = scratch ? *scratch : local;
-    const std::vector<TileRect> &tiles =
-        prepareStats(s, img.width(), img.height());
+    const TileGrid grid = prepareStats(s, img.width(), img.height());
+    const std::size_t n_tiles = grid.count();
 
     // Pass 1: per-tile-channel minimum and delta width.
     auto statsRange = [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t t = begin; t < end; ++t)
-            bdTileStats(img, tiles[t], &s.base[3 * t], &s.width[3 * t]);
+        TileRect rect = grid.rect(begin);
+        for (std::size_t t = begin; t < end; ++t, rect = grid.next(rect))
+            bdTileStats(img, rect, &s.base[3 * t], &s.width[3 * t]);
     };
     {
         // Pass spans record on the dispatching thread only — worker
         // time inside parallelFor is inside the span's wall time.
         obs::TraceSpan span("bd/stats");
-        const int p = bdPassParticipants(pool, participants, tiles.size());
+        const int p = bdPassParticipants(pool, participants, n_tiles);
         if (p > 1)
-            pool->parallelFor(tiles.size(), 16, p, statsRange);
+            pool->parallelFor(n_tiles, 16, p, statsRange);
         else
-            statsRange(0, tiles.size(), 0);
+            statsRange(0, n_tiles, 0);
     }
     encodeFromStats(img, stats_out, out, s, pool, participants);
 }
@@ -815,8 +823,8 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
                          std::vector<uint8_t> &out, BdEncodeScratch &s,
                          ThreadPool *pool, int participants) const
 {
-    const std::vector<TileRect> &tiles = s.tiles;
-    const std::size_t n_tiles = tiles.size();
+    const TileGrid grid{img.width(), img.height(), tileSize_};
+    const std::size_t n_tiles = grid.count();
     const int p = bdPassParticipants(pool, participants, n_tiles);
 
     // Pass 2 (serial): exact per-tile bit offsets by prefix sum.
@@ -827,10 +835,11 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
     std::size_t payload_bits = 0;
     {
         obs::TraceSpan span("bd/prefix");
-        for (std::size_t t = 0; t < n_tiles; ++t) {
+        TileRect rect = grid.rect(0);
+        for (std::size_t t = 0; t < n_tiles; ++t, rect = grid.next(rect)) {
             s.bitOffsets[t] = payload_bits;
             const std::size_t pixels =
-                static_cast<std::size_t>(tiles[t].pixelCount());
+                static_cast<std::size_t>(rect.pixelCount());
             std::size_t tile_bits = 3 * (kWidthFieldBits + kBaseBits);
             for (int c = 0; c < 3; ++c)
                 tile_bits += pixels * s.width[3 * t + c];
@@ -864,14 +873,14 @@ BdCodec::encodeFromStats(const ImageU8 &img, BdFrameStats *stats_out,
             const std::size_t bit = kBdStreamHeaderBits + s.bitOffsets[t0];
 #ifdef PCE_BD_BMI2
             if (bitPath_ == BdBitPath::Bmi2) {
-                s.seams[k] = emitTilesBmi2(img, tiles, s.base.data(),
+                s.seams[k] = emitTilesBmi2(img, grid, s.base.data(),
                                            s.width.data(), t0, t1, bit,
                                            out.data());
                 continue;
             }
 #endif
             s.seams[k] = emitTiles<PortableFields>(
-                img, tiles, s.base.data(), s.width.data(), t0, t1, bit,
+                img, grid, s.base.data(), s.width.data(), t0, t1, bit,
                 out.data());
         }
     };
@@ -908,32 +917,34 @@ BdCodec::decode(const std::vector<uint8_t> &stream)
 
 std::uint64_t
 BdCodec::walkTileRange(const std::uint8_t *data, std::size_t size_bytes,
-                       const std::vector<TileRect> &tiles,
-                       std::size_t tile_begin, std::size_t tile_end,
+                       const TileGrid &grid, std::size_t tile_begin,
+                       std::size_t tile_end,
                        std::uint64_t payload_bit_begin,
                        std::size_t *offsets_out)
 {
     const std::uint64_t stream_bits =
         static_cast<std::uint64_t>(size_bytes) * 8;
-    BitReader hdr(data, size_bytes);
     std::uint64_t offset = payload_bit_begin;
-    for (std::size_t t = tile_begin; t < tile_end; ++t) {
+    TileRect rect = grid.rect(tile_begin);
+    for (std::size_t t = tile_begin; t < tile_end;
+         ++t, rect = grid.next(rect)) {
         if (offsets_out)
             offsets_out[t - tile_begin] =
                 static_cast<std::size_t>(offset);
         const std::uint64_t pixels =
-            static_cast<std::uint64_t>(tiles[t].pixelCount());
+            static_cast<std::uint64_t>(rect.pixelCount());
         for (int c = 0; c < 3; ++c) {
             const std::uint64_t field_pos =
                 kBdStreamHeaderBits + offset;
             if (field_pos + kWidthFieldBits + kBaseBits > stream_bits)
                 throw std::runtime_error(
                     "BdCodec::decode: stream truncated mid-tile");
-            // Only the 4-bit width field is read (getBits' two-byte
-            // fast path); bases and deltas are stepped over
-            // arithmetically.
-            hdr.seek(static_cast<std::size_t>(field_pos));
-            const unsigned width = hdr.getBits(kWidthFieldBits);
+            // Only the 4-bit width field is read, from the two bytes
+            // holding it (both in the stream, by the check above);
+            // bases and deltas are stepped over arithmetically.
+            const uint8_t *p = data + field_pos / 8;
+            const unsigned width = (p[0] << 8 | p[1]) >>
+                                   (12 - field_pos % 8) & 0xfu;
             if (width > 8)
                 throw std::runtime_error(
                     "BdCodec::decode: delta width field exceeds 8 "
@@ -953,7 +964,7 @@ BdCodec::walkTileRange(const std::uint8_t *data, std::size_t size_bytes,
 void
 BdCodec::decodeTileRangeInto(const std::uint8_t *data,
                              std::size_t size_bytes,
-                             const std::vector<TileRect> &tiles,
+                             const TileGrid &grid,
                              std::size_t tile_begin,
                              std::size_t tile_end,
                              std::uint64_t payload_bit_begin,
@@ -962,25 +973,12 @@ BdCodec::decodeTileRangeInto(const std::uint8_t *data,
     const std::uint64_t pos = kBdStreamHeaderBits + payload_bit_begin;
 #ifdef PCE_BD_BMI2
     if (effectiveBdBitPath(bit_path) == BdBitPath::Bmi2)
-        return decodeTilesBmi2(data, size_bytes, tiles, tile_begin,
+        return decodeTilesBmi2(data, size_bytes, grid, tile_begin,
                                tile_end, pos, out);
 #endif
     (void)bit_path;
-    decodeTiles<PortableFields>(data, size_bytes, tiles, tile_begin,
+    decodeTiles<PortableFields>(data, size_bytes, grid, tile_begin,
                                 tile_end, pos, out);
-}
-
-const std::vector<TileRect> &
-BdDecodeScratch::gridFor(const BdStreamHeader &g)
-{
-    if (tilesWidth != g.width || tilesHeight != g.height ||
-        tilesSize != g.tileSize) {
-        tiles = tileGrid(g.width, g.height, g.tileSize);
-        tilesWidth = g.width;
-        tilesHeight = g.height;
-        tilesSize = g.tileSize;
-    }
-    return tiles;
 }
 
 void
@@ -990,14 +988,14 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                     bool duplicate_validate, BdBitPath bit_path)
 {
     // Header checks first, before any buffer scales with the claimed
-    // geometry: the tile grid and offset arrays built next are
-    // O(stream), never O(claimed dimensions).
-    const BdStreamHeader hdr =
+    // geometry: the offset arrays sized next are O(stream), never
+    // O(claimed dimensions).
+    const TileGrid grid =
         bdReadStreamHeader(stream.data(), stream.size(), max_pixels);
 
     BdDecodeScratch local;
     BdDecodeScratch &s = scratch ? *scratch : local;
-    const std::size_t n_tiles = s.gridFor(hdr).size();
+    const std::size_t n_tiles = grid.count();
 
     // Pass 1 (serial): validate every per-tile-channel record and turn
     // the width fields into the exclusive prefix of per-tile payload
@@ -1007,7 +1005,7 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     auto walkPrefix =
         [&](std::vector<std::size_t> &offsets) -> std::uint64_t {
         offsets.resize(n_tiles + 1);
-        return walkTileRange(stream.data(), stream.size(), s.tiles, 0,
+        return walkTileRange(stream.data(), stream.size(), grid, 0,
                              n_tiles, 0, offsets.data());
     };
     const std::uint64_t offset = walkPrefix(s.bitOffsets);
@@ -1034,12 +1032,12 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     // are disjoint pixel ranges, so the output is byte-identical for
     // any participant count. Reallocate only on geometry change; every
     // byte of the image is overwritten below.
-    if (out.width() != hdr.width || out.height() != hdr.height)
-        out = ImageU8(hdr.width, hdr.height);
+    if (out.width() != grid.width || out.height() != grid.height)
+        out = ImageU8(grid.width, grid.height);
     const uint8_t *data = stream.data();
     const std::size_t size = stream.size();
     auto decodeRange = [&](std::size_t begin, std::size_t end, int) {
-        decodeTileRangeInto(data, size, s.tiles, begin, end,
+        decodeTileRangeInto(data, size, grid, begin, end,
                             s.bitOffsets[begin], out, bit_path);
     };
     const int p = bdPassParticipants(pool, participants, n_tiles);
@@ -1055,8 +1053,9 @@ BdCodec::analyze(const ImageU8 &img) const
     BdFrameStats stats;
     stats.pixels = img.pixelCount();
     stats.headerBits = kBdStreamHeaderBits;
-    for (const TileRect &rect :
-         tileGrid(img.width(), img.height(), tileSize_)) {
+    const TileGrid grid{img.width(), img.height(), tileSize_};
+    TileRect rect = grid.rect(0);
+    for (std::size_t t = 0; t < grid.count(); ++t, rect = grid.next(rect)) {
         uint8_t base[3];
         uint8_t width[3];
         bdTileStats(img, rect, base, width);

@@ -29,8 +29,9 @@
  * caller-owned outputs and accept optional caller-owned scratch
  * (BdEncodeScratch / BdDecodeScratch). The codec never retains a
  * pointer past the call: outputs and scratch belong to the caller
- * before and after, and one scratch may serve any number of codecs
- * (its geometry-keyed caches re-key themselves). Reusing the same
+ * before and after, and one scratch may serve any number of codecs and
+ * geometries (it holds only per-tile tables, resized per frame; tile
+ * rects are computed from the TileGrid, never stored). Reusing the same
  * output + scratch across a stream of same-geometry frames makes the
  * steady state allocation-free — buffers grow once, then only their
  * contents change (tests pin the data pointers). A scratch must not
@@ -99,14 +100,6 @@ struct BdStreamFormat
 inline constexpr BdStreamFormat kBdFormat{0x424431,
                                           kBdWidthFieldBits + kBdBaseBits};
 
-/** Frame geometry carried by a BD stream header. */
-struct BdStreamHeader
-{
-    int width = 0;
-    int height = 0;
-    int tileSize = 0;
-};
-
 /**
  * The geometry rule: dimensions 1..65535, tile 1..255, at most
  * @p max_pixels pixels. 64-bit arguments, so a caller checks wider
@@ -114,9 +107,6 @@ struct BdStreamHeader
  */
 bool bdGeometryValid(std::uint64_t width, std::uint64_t height,
                      std::uint64_t tile_size, std::uint64_t max_pixels);
-
-/** Tiles in the grid of a valid geometry, counted in 64 bits. */
-std::uint64_t bdTileCount(const BdStreamHeader &g);
 
 /** Payload bits a well-formed stream of one geometry can hold. */
 struct BdPayloadBounds
@@ -127,11 +117,11 @@ struct BdPayloadBounds
 
 /**
  * Payload bounds of geometry @p g: every tile-channel's record floor,
- * plus at most 8 delta bits per sample. The floor bounds a tile grid
+ * plus at most 8 delta bits per sample. The floor bounds a tile count
  * by the stream claiming it (bdReadStreamHeader); the ceiling bounds a
  * buffer sized from a claimed payload (the receiver's manifest check).
  */
-BdPayloadBounds bdPayloadBounds(const BdStreamHeader &g,
+BdPayloadBounds bdPayloadBounds(const TileGrid &g,
                                 const BdStreamFormat &fmt = kBdFormat);
 
 /** Bytes of a stream with @p payload_bits: header + payload, padded. */
@@ -167,11 +157,11 @@ void bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
  * it sizes anything from the header. Checks, in order: a whole header,
  * the magic, the geometry rule with @p max_pixels as the cap
  * (decompression-bomb guard), and a stream long enough for the payload
- * floor. After it returns, a tile grid built from the geometry is
+ * floor. After it returns, the decoders' 8 B/tile offset table is
  * O(stream size), never O(claimed dimensions).
  * @throws std::runtime_error on any failed check.
  */
-BdStreamHeader bdReadStreamHeader(
+TileGrid bdReadStreamHeader(
     const std::uint8_t *data, std::size_t size_bytes,
     std::uint64_t max_pixels = kBdDefaultMaxDecodePixels,
     const BdStreamFormat &fmt = kBdFormat);
@@ -231,17 +221,11 @@ struct BdFrameStats
  * Reusable working storage of BdCodec::encodeInto / encodeFromStats. A
  * caller that keeps one scratch across a stream of frames
  * (each encoding thread keeps one) makes the encode allocation-free in the
- * steady state: the tile grid, the per-tile stats, the prefix offsets,
- * and the per-chunk seam bytes all grow once and are reused.
+ * steady state: the per-tile stats, the prefix offsets, and the
+ * per-chunk seam bytes all grow once and are reused.
  */
 struct BdEncodeScratch
 {
-    /** Cached tileGrid() result, keyed by the geometry below. */
-    std::vector<TileRect> tiles;
-    int tilesWidth = -1;
-    int tilesHeight = -1;
-    int tilesSize = -1;
-
     /** Per tile-channel base (minimum) and delta width, 3 per tile. */
     std::vector<uint8_t> base;
     std::vector<uint8_t> width;
@@ -257,22 +241,11 @@ struct BdEncodeScratch
 
 /**
  * Reusable working storage of BdCodec::decodeInto, mirroring
- * BdEncodeScratch: the tile grid and the per-tile bit-offset prefix
- * grow once and are reused, so steady-state decode of a frame stream
- * allocates nothing.
+ * BdEncodeScratch: the per-tile bit-offset prefix grows once and is
+ * reused, so steady-state decode of a frame stream allocates nothing.
  */
 struct BdDecodeScratch
 {
-    /** Cached tileGrid() result, keyed by the geometry below. */
-    std::vector<TileRect> tiles;
-    int tilesWidth = -1;
-    int tilesHeight = -1;
-    int tilesSize = -1;
-
-    /** Key the cached grid to geometry @p g (rebuilt only when it
-     *  differs) and return it. */
-    const std::vector<TileRect> &gridFor(const BdStreamHeader &g);
-
     /** Exclusive prefix of per-tile payload bits (tiles + 1 entries). */
     std::vector<std::size_t> bitOffsets;
 
@@ -353,18 +326,17 @@ class BdCodec
                     int participants = 1) const;
 
     /**
-     * Key @p scratch's tile grid to a @p width x @p height frame and
-     * size its base / width tables, for a caller that computes the
-     * pass-1 stats itself (the frame pipeline's tile loop, which has
-     * them from the adjust kernels). Returns the grid.
+     * Size @p scratch's base / width tables for a @p width x @p height
+     * frame, for a caller that computes the pass-1 stats itself (the
+     * frame pipeline's tile loop, which has them from the adjust
+     * kernels). Returns the frame's tile grid.
      */
-    const std::vector<TileRect> &prepareStats(BdEncodeScratch &scratch,
-                                              int width,
-                                              int height) const;
+    TileGrid prepareStats(BdEncodeScratch &scratch, int width,
+                          int height) const;
 
     /**
      * Passes 2 and 3 of encodeInto, from pass-1 stats already in
-     * @p scratch: prepareStats keyed it to @p img's geometry, and each
+     * @p scratch: prepareStats sized it for @p img's geometry, and each
      * tile's base / width entries hold what bdTileStats gives for that
      * tile of @p img. encodeInto is pass 1 plus this call, so there is
      * one emitter and the bytes are identical either way.
@@ -455,7 +427,8 @@ class BdCodec
      *
      * @param data Stream buffer (header at byte 0); bytes outside the
      *        walked range are never read.
-     * @param tiles Full tile grid of the frame (tileGrid order).
+     * @param grid The frame's tile grid (bdReadStreamHeader's result,
+     *        or the manifest's geometry); tiles are its indices.
      * @param offsets_out Optional array of tile_end - tile_begin + 1
      *        entries, filled with the exclusive prefix of payload bit
      *        offsets (offsets_out[0] == payload_bit_begin).
@@ -463,7 +436,7 @@ class BdCodec
      */
     static std::uint64_t walkTileRange(const std::uint8_t *data,
                                        std::size_t size_bytes,
-                                       const std::vector<TileRect> &tiles,
+                                       const TileGrid &grid,
                                        std::size_t tile_begin,
                                        std::size_t tile_end,
                                        std::uint64_t payload_bit_begin,
@@ -474,20 +447,20 @@ class BdCodec
      * @p out, seeking straight to @p payload_bit_begin — the prefix
      * seek path of decodeInto's pass 2, exposed for partial-frame
      * decode. The caller must have validated the range first (
-     * walkTileRange) and sized @p out to the frame geometry; a width
+     * walkTileRange) and sized @p out to @p grid's frame; a width
      * field above 8 bits, which the walk rejects, throws
      * std::runtime_error here. Bytes of @p data outside the range's
      * bit span never affect the output (a read may load up to 8 bytes
      * past the span, never past @p size_bytes, and discards them), so a
      * partially reassembled frame buffer with holes decodes every
      * *present* tile range correctly regardless of what the holes
-     * contain. Full 4x4 tiles decode each channel as two 8-field
-     * groups and write each row as 12 interleaved bytes; other tiles
-     * take the same groups one byte store per sample.
+     * contain. At tile size 4, full tiles decode each channel as two
+     * 8-field groups and write each row as 12 interleaved bytes; other
+     * tiles take the same groups one byte store per sample.
      */
     static void decodeTileRangeInto(const std::uint8_t *data,
                                     std::size_t size_bytes,
-                                    const std::vector<TileRect> &tiles,
+                                    const TileGrid &grid,
                                     std::size_t tile_begin,
                                     std::size_t tile_end,
                                     std::uint64_t payload_bit_begin,

@@ -80,8 +80,7 @@ BdVariableCodec::encode(const ImageU8 &img) const
     uint8_t header[kBdStreamHeaderBits / 8];
     bdWriteStreamHeader(header, img.width(), img.height(), tileSize_,
                         kBdVariableFormat);
-    const BdStreamHeader g{img.width(), img.height(), tileSize_};
-    const auto tiles = tileGrid(g.width, g.height, g.tileSize);
+    const TileGrid g{img.width(), img.height(), tileSize_};
 
     BitWriter bw;
     // One upfront worst-case reserve (the payload ceiling: every
@@ -96,7 +95,8 @@ BdVariableCodec::encode(const ImageU8 &img) const
         bw.putByte(b);
 
     std::vector<unsigned> row_widths;
-    for (const TileRect &rect : tiles) {
+    TileRect rect = g.rect(0);
+    for (std::uint64_t t = 0; t < g.count(); ++t, rect = g.next(rect)) {
         for (int c = 0; c < 3; ++c) {
             unsigned uniform_width = 0;
             const std::size_t cost_uniform =
@@ -155,13 +155,13 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
                             ThreadPool *pool, int participants,
                             std::uint64_t max_pixels)
 {
-    const BdStreamHeader g = bdReadStreamHeader(
+    const TileGrid g = bdReadStreamHeader(
         stream.data(), stream.size(), max_pixels, kBdVariableFormat);
     const std::uint64_t stream_bits =
         static_cast<std::uint64_t>(stream.size()) * 8;
     BdDecodeScratch local;
     BdDecodeScratch &s = scratch ? *scratch : local;
-    const std::size_t n_tiles = s.gridFor(g).size();
+    const std::size_t n_tiles = g.count();
 
     // Pass 1 (serial): validate every per-tile-channel record and turn
     // the mode/width fields into the exclusive prefix of per-tile
@@ -181,9 +181,9 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
         offset += bits;
         return meta.getBits(bits);
     };
-    for (std::size_t t = 0; t < n_tiles; ++t) {
+    TileRect rect = g.rect(0);
+    for (std::size_t t = 0; t < n_tiles; ++t, rect = g.next(rect)) {
         s.bitOffsets[t] = static_cast<std::size_t>(offset);
-        const TileRect &rect = s.tiles[t];
         for (int c = 0; c < 3; ++c) {
             const unsigned mode = readField(1);
             if (mode == 0) {
@@ -229,8 +229,8 @@ BdVariableCodec::decodeInto(const std::vector<uint8_t> &stream,
     auto decodeRange = [&](std::size_t begin, std::size_t end, int) {
         BitReader br(data, size);
         br.seek(kBdStreamHeaderBits + s.bitOffsets[begin]);
-        for (std::size_t t = begin; t < end; ++t) {
-            const TileRect &rect = s.tiles[t];
+        TileRect rect = g.rect(begin);
+        for (std::size_t t = begin; t < end; ++t, rect = g.next(rect)) {
             for (int c = 0; c < 3; ++c) {
                 const unsigned mode = br.getBits(1);
                 if (mode == 0) {
@@ -272,8 +272,9 @@ BdVariableCodec::analyze(const ImageU8 &img) const
     stats.pixels = img.pixelCount();
     stats.totalBits = kBdStreamHeaderBits;
     std::vector<unsigned> row_widths;
-    for (const TileRect &rect :
-         tileGrid(img.width(), img.height(), tileSize_)) {
+    const TileGrid g{img.width(), img.height(), tileSize_};
+    TileRect rect = g.rect(0);
+    for (std::uint64_t t = 0; t < g.count(); ++t, rect = g.next(rect)) {
         for (int c = 0; c < 3; ++c) {
             unsigned uniform_width = 0;
             const std::size_t cost_uniform =

@@ -96,8 +96,7 @@ class BdVariableCodec
      *        when the stream's dimensions differ from its own.
      * @param scratch Optional reusable working storage (shared
      *        BdDecodeScratch type; a caller may reuse one across both
-     *        codecs, the grid cache re-keys itself); nullptr uses
-     *        call-local buffers.
+     *        codecs); nullptr uses call-local buffers.
      * @param pool Optional worker pool; nullptr decodes serially.
      * @param participants Parallel slots when @p pool is given
      *        (clamped to the pool size, 0/1 = serial).

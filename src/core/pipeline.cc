@@ -28,7 +28,7 @@ struct Workspace
 {
     std::vector<simd::TileSoA> arenas;   ///< per-slot tile arenas
     std::vector<PipelineStats> partial;  ///< per-slot frame-pass stats
-    BdEncodeScratch bd;        ///< tile grid, stats, prefix, seams
+    BdEncodeScratch bd;        ///< per-tile stats, prefix, seams
     ImageU8 roundTrip;         ///< verifyRoundTrip's decoded image
     BdDecodeScratch bdDecode;
 };
@@ -71,7 +71,7 @@ template <class Bypass, class Adjusted>
 void
 PerceptualEncoder::framePass(const ImageF &frame,
                              const EccentricityMap *ecc,
-                             const std::vector<TileRect> &tiles,
+                             const TileGrid &grid,
                              PipelineStats *stats_out,
                              const Bypass &bypass,
                              const Adjusted &adjusted) const
@@ -81,9 +81,9 @@ PerceptualEncoder::framePass(const ImageF &frame,
         throw std::invalid_argument(
             "PerceptualEncoder: eccentricity map size mismatch");
 
-    const int participants = std::max(
-        1, std::min<int>(params_.threads,
-                         static_cast<int>(tiles.size())));
+    const std::size_t n_tiles = grid.count();
+    const int participants = static_cast<int>(std::clamp<std::size_t>(
+        n_tiles, 1, static_cast<std::size_t>(params_.threads)));
     // The caller's slots, shared with the workers by reference. An
     // arena costs ~28 lanes x tileSize^2 doubles (~230 KB at tile 32),
     // so larger tiles, whose math dwarfs one allocation, use call-local
@@ -107,8 +107,8 @@ PerceptualEncoder::framePass(const ImageF &frame,
                             int slot) {
         PipelineStats &stats = partial[slot];
         simd::TileSoA &soa = scratch[slot];
-        for (std::size_t i = begin; i < end; ++i) {
-            const TileRect &rect = tiles[i];
+        TileRect rect = grid.rect(begin);
+        for (std::size_t i = begin; i < end; ++i, rect = grid.next(rect)) {
             ++stats.totalTiles;
             if (ecc == nullptr) {
                 ++stats.saccadeBypassTiles;
@@ -157,9 +157,9 @@ PerceptualEncoder::framePass(const ImageF &frame,
     };
 
     if (participants == 1)
-        processRange(0, tiles.size(), 0);
+        processRange(0, n_tiles, 0);
     else
-        pool_->parallelFor(tiles.size(), kTileGrain, participants,
+        pool_->parallelFor(n_tiles, kTileGrain, participants,
                            processRange);
 
     if (stats_out) {
@@ -189,10 +189,9 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
     if (out.width() != frame.width() ||
         out.height() != frame.height())
         out = ImageF(frame.width(), frame.height());
-    // The workspace's BD scratch keeps the tile grid across frames.
     framePass(
         frame, &ecc,
-        codec_.prepareStats(workspace().bd, frame.width(), frame.height()),
+        TileGrid{frame.width(), frame.height(), params_.tileSize},
         stats_out,
         [&](std::size_t, const TileRect &r) {
             for (int y = r.y0; y < r.y0 + r.h; ++y)

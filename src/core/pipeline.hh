@@ -243,7 +243,7 @@ class PerceptualEncoder
 
   private:
     /**
-     * The one frame pass: every tile of @p tiles either bypasses —
+     * The one frame pass: every tile of @p grid either bypasses —
      * all of them when @p ecc is null (a saccade frame), else those
      * touching the fovea — through bypass(t, rect), or runs the Fig. 7
      * tile flow in a per-slot TileSoA and hands the chosen candidate to
@@ -252,7 +252,7 @@ class PerceptualEncoder
      */
     template <class Bypass, class Adjusted>
     void framePass(const ImageF &frame, const EccentricityMap *ecc,
-                   const std::vector<TileRect> &tiles,
+                   const TileGrid &grid,
                    PipelineStats *stats_out, const Bypass &bypass,
                    const Adjusted &adjusted) const;
 

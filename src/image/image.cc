@@ -74,25 +74,6 @@ toLinear(const ImageU8 &srgb)
     return out;
 }
 
-std::vector<TileRect>
-tileGrid(int width, int height, int tile_size)
-{
-    if (tile_size <= 0)
-        throw std::invalid_argument("tileGrid: tile_size must be positive");
-    std::vector<TileRect> tiles;
-    for (int y = 0; y < height; y += tile_size) {
-        for (int x = 0; x < width; x += tile_size) {
-            TileRect t;
-            t.x0 = x;
-            t.y0 = y;
-            t.w = std::min(tile_size, width - x);
-            t.h = std::min(tile_size, height - y);
-            tiles.push_back(t);
-        }
-    }
-    return tiles;
-}
-
 double
 meanSquaredError(const ImageU8 &a, const ImageU8 &b)
 {

@@ -9,13 +9,15 @@
  *    BD/PNG/SCC operate.
  *
  * Tiles are the unit of BD compression (default 4x4, paper Sec. 6.4
- * sweeps 4..16). Edge tiles are handled by clamping the tile rectangle to
- * the image bounds; codecs receive the true (possibly ragged) extent.
+ * sweeps 4..16). TileGrid is the one statement of their layout: tiles
+ * numbered row-major, edge tiles clamped to the image bounds, so codecs
+ * receive the true (possibly ragged) extent.
  */
 
 #ifndef PCE_IMAGE_IMAGE_HH
 #define PCE_IMAGE_IMAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -34,6 +36,50 @@ struct TileRect
 
     int pixelCount() const { return w * h; }
     bool operator==(const TileRect &) const = default;
+};
+
+/**
+ * The tile layout of a width x height image: tileSize x tileSize tiles
+ * numbered row-major, edge tiles clamped to the image. Rects are
+ * computed, never stored: a pass over tiles [begin, end) takes
+ * rect(begin) and steps with next(). tileSize must be positive.
+ */
+struct TileGrid
+{
+    int width = 0;
+    int height = 0;
+    int tileSize = 0;
+
+    int cols() const { return (width + tileSize - 1) / tileSize; }
+    int rows() const { return (height + tileSize - 1) / tileSize; }
+    std::uint64_t count() const
+    { return static_cast<std::uint64_t>(cols()) * rows(); }
+
+    /** Tile @p i < count(); on an empty image, an empty rect. */
+    TileRect rect(std::size_t i) const
+    {
+        const auto c = static_cast<std::size_t>(std::max(cols(), 1));
+        return clamped(static_cast<int>(i % c) * tileSize,
+                       static_cast<int>(i / c) * tileSize);
+    }
+
+    /** The tile after @p r, without a division; past the last tile,
+     *  a rect below the image (h <= 0). */
+    TileRect next(TileRect r) const
+    {
+        r.x0 += r.w;
+        if (r.x0 >= width)
+            return clamped(0, r.y0 + tileSize);
+        r.w = std::min(tileSize, width - r.x0);
+        return r;
+    }
+
+  private:
+    TileRect clamped(int x0, int y0) const
+    {
+        return {x0, y0, std::min(tileSize, width - x0),
+                std::min(tileSize, height - y0)};
+    }
 };
 
 /** Linear-RGB floating point image. */
@@ -111,12 +157,6 @@ void toSrgb8Into(const ImageF &linear, ImageU8 &out);
 
 /** Convert an 8-bit sRGB image back to linear RGB. */
 ImageF toLinear(const ImageU8 &srgb);
-
-/**
- * Enumerate the tile rectangles of a tile_size x tile_size grid over a
- * width x height image, row-major, clamping edge tiles to the image.
- */
-std::vector<TileRect> tileGrid(int width, int height, int tile_size);
 
 /** Peak signal-to-noise ratio between two same-size 8-bit images, dB. */
 double psnr(const ImageU8 &a, const ImageU8 &b);

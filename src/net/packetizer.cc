@@ -20,15 +20,13 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
         throw std::invalid_argument(
             "packetizeFrame: MTU does not fit the packet header");
 
-    // The shared header reader bounds the tile grid by the stream size
-    // before it is built (decode pixel cap and tile-count floor).
-    const BdStreamHeader hdr =
+    // The shared header reader bounds the tile count by the stream size
+    // before the offsets are sized (pixel cap and tile-count floor).
+    const TileGrid grid =
         bdReadStreamHeader(bd_stream.data(), bd_stream.size());
-    const std::vector<TileRect> tiles =
-        tileGrid(hdr.width, hdr.height, hdr.tileSize);
-    const std::size_t n_tiles = tiles.size();
+    const std::size_t n_tiles = grid.count();
     std::vector<std::size_t> offsets(n_tiles + 1);
-    BdCodec::walkTileRange(bd_stream.data(), bd_stream.size(), tiles, 0,
+    BdCodec::walkTileRange(bd_stream.data(), bd_stream.size(), grid, 0,
                            n_tiles, 0, offsets.data());
     bdCheckStreamEnd(bd_stream.data(), bd_stream.size(), offsets[n_tiles]);
 
@@ -56,12 +54,13 @@ packetizeFrame(const std::vector<std::uint8_t> &bd_stream,
     PacketizedFrame pf;
     if (ecc) {
         pf.tileMinEccDeg.resize(n_tiles);
-        for (std::size_t t = 0; t < n_tiles; ++t)
-            pf.tileMinEccDeg[t] = ecc->minInRect(tiles[t]);
+        TileRect rect = grid.rect(0);
+        for (std::size_t t = 0; t < n_tiles; ++t, rect = grid.next(rect))
+            pf.tileMinEccDeg[t] = ecc->minInRect(rect);
     }
-    pf.manifest.width = static_cast<std::uint32_t>(hdr.width);
-    pf.manifest.height = static_cast<std::uint32_t>(hdr.height);
-    pf.manifest.tileSize = static_cast<std::uint32_t>(hdr.tileSize);
+    pf.manifest.width = static_cast<std::uint32_t>(grid.width);
+    pf.manifest.height = static_cast<std::uint32_t>(grid.height);
+    pf.manifest.tileSize = static_cast<std::uint32_t>(grid.tileSize);
     pf.manifest.tileCount = static_cast<std::uint32_t>(n_tiles);
     pf.manifest.packetCount = static_cast<std::uint32_t>(ranges.size());
     pf.manifest.payloadBits = offsets[n_tiles];

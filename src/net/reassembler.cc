@@ -21,6 +21,14 @@ constexpr std::size_t kMaxPendingPackets = 4096;
 /** Flat fill value for tiles with no fallback source (mid-gray). */
 constexpr std::uint8_t kFillValue = 128;
 
+/** The tile grid a manifest describes; valid once its geometry is. */
+TileGrid
+gridOf(const FrameManifest &m)
+{
+    return {static_cast<int>(m.width), static_cast<int>(m.height),
+            static_cast<int>(m.tileSize)};
+}
+
 } // namespace
 
 FrameReassembler::FrameReassembler(const ReassemblerParams &params)
@@ -55,26 +63,29 @@ FrameReassembler::accept(const std::uint8_t *data, std::size_t n)
         ++stale_;
         return AcceptResult::Stale;
     }
-    FrameState &st = frames_[FrameKey{header.streamId, header.frameId}];
+    // A frame's state is made only for a packet it keeps (an accepted
+    // manifest, a parked datagram); a rejected one leaves nothing.
+    const FrameKey key{header.streamId, header.frameId};
     const std::uint8_t *payload = data + kPacketHeaderBytes;
     if (header.type == PacketType::Manifest)
-        return processManifest(st, header, payload);
-    if (!st.haveManifest) {
-        // Reorder tolerance: data outran its manifest. Park the raw
-        // datagram (it already passed CRC + session) and replay it
-        // when the manifest lands.
-        if (st.pending.size() >= kMaxPendingPackets) {
-            ++rejectedMalformed_;
-            return AcceptResult::RejectedMalformed;
-        }
-        st.pending.emplace_back(data, data + n);
-        return AcceptResult::Accepted;
+        return processManifest(key, header, payload);
+    const auto it = frames_.find(key);
+    if (it != frames_.end() && it->second.haveManifest)
+        return processTileData(it->second, header, payload);
+    // Reorder tolerance: data outran its manifest. Park the raw
+    // datagram (it already passed CRC + session) and replay it when
+    // the manifest lands.
+    std::vector<std::vector<std::uint8_t>> &pending = frames_[key].pending;
+    if (pending.size() >= kMaxPendingPackets) {
+        ++rejectedMalformed_;
+        return AcceptResult::RejectedMalformed;
     }
-    return processTileData(st, header, payload);
+    pending.emplace_back(data, data + n);
+    return AcceptResult::Accepted;
 }
 
 AcceptResult
-FrameReassembler::processManifest(FrameState &st,
+FrameReassembler::processManifest(const FrameKey &key,
                                   const PacketHeader &header,
                                   const std::uint8_t *payload)
 {
@@ -83,8 +94,9 @@ FrameReassembler::processManifest(FrameState &st,
         ++rejectedMalformed_;
         return AcceptResult::RejectedMalformed;
     }
-    if (st.haveManifest) {
-        ++st.duplicates;
+    const auto it = frames_.find(key);
+    if (it != frames_.end() && it->second.haveManifest) {
+        ++it->second.duplicates;
         ++duplicates_;
         return AcceptResult::Duplicate;
     }
@@ -94,10 +106,8 @@ FrameReassembler::processManifest(FrameState &st,
     // narrowing is exact by then.
     const bool geometry_ok =
         bdGeometryValid(m.width, m.height, m.tileSize, params_.maxPixels);
-    const BdStreamHeader g{static_cast<int>(m.width),
-                           static_cast<int>(m.height),
-                           static_cast<int>(m.tileSize)};
-    if (!geometry_ok || m.tileCount != bdTileCount(g) ||
+    const TileGrid g = gridOf(m);
+    if (!geometry_ok || m.tileCount != g.count() ||
         m.packetCount < 1 || m.packetCount > m.tileCount ||
         m.payloadBits < bdPayloadBounds(g).minBits ||
         m.payloadBits > bdPayloadBounds(g).maxBits ||
@@ -105,9 +115,9 @@ FrameReassembler::processManifest(FrameState &st,
         ++rejectedMalformed_;
         return AcceptResult::RejectedMalformed;
     }
+    FrameState &st = frames_[key];
     st.manifest = m;
     st.haveManifest = true;
-    st.tiles = tileGrid(g.width, g.height, g.tileSize);
     st.buffer.assign(m.streamBytes, 0);
     bdWriteStreamHeader(st.buffer.data(), g.width, g.height,
                         g.tileSize);
@@ -175,7 +185,7 @@ FrameReassembler::processTileData(FrameState &st,
     std::uint64_t end_bit = 0;
     try {
         end_bit = BdCodec::walkTileRange(
-            st.buffer.data(), st.buffer.size(), st.tiles,
+            st.buffer.data(), st.buffer.size(), gridOf(m),
             header.tileBegin, header.tileBegin + header.tileCount,
             header.payloadBitBegin);
         const std::size_t end_byte = static_cast<std::size_t>(
@@ -241,6 +251,12 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
     const auto [fin, first] = finalized_.try_emplace(stream_id, frame_id);
     if (!first)
         fin->second = std::max(fin->second, frame_id);
+    // Every frame of the stream up to the newest finalized one is now
+    // stale, so its state goes with this frame's.
+    const auto retire = [&] {
+        frames_.erase(frames_.lower_bound(FrameKey{stream_id, 0}),
+                      frames_.upper_bound(FrameKey{stream_id, fin->second}));
+    };
 
     const auto it = frames_.find(FrameKey{stream_id, frame_id});
     if (it == frames_.end() || !it->second.haveManifest) {
@@ -249,8 +265,7 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
         if (prev != lastFinalized_.end() &&
             prev->second.width() > 0)
             out = prev->second;
-        if (it != frames_.end())
-            frames_.erase(it);
+        retire();
         return rep;
     }
 
@@ -269,9 +284,10 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
                       static_cast<int>(m.height));
 
     // Present tiles: prefix-seek decode per accepted range.
+    const TileGrid grid = gridOf(m);
     for (const FrameState::Range &r : st.ranges)
         BdCodec::decodeTileRangeInto(st.buffer.data(),
-                                     st.buffer.size(), st.tiles,
+                                     st.buffer.size(), grid,
                                      r.tileBegin,
                                      r.tileBegin + r.tileCount,
                                      r.bitBegin, out);
@@ -284,12 +300,12 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
         prev->second.width() == out.width() &&
         prev->second.height() == out.height())
         hold = &prev->second;
-    for (std::size_t t = 0; t < st.tiles.size(); ++t) {
+    TileRect rect = grid.rect(0);
+    for (std::size_t t = 0; t < m.tileCount; ++t, rect = grid.next(rect)) {
         if (st.tileHave[t]) {
             ++rep.deliveredTiles;
             continue;
         }
-        const TileRect &rect = st.tiles[t];
         for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
             std::uint8_t *row = out.pixel(rect.x0, y);
             if (hold) {
@@ -310,7 +326,7 @@ FrameReassembler::finalizeFrame(std::uint32_t stream_id,
     rep.tileDelivered.assign(st.tileHave.begin(), st.tileHave.end());
 
     lastFinalized_[stream_id] = out;
-    frames_.erase(it);
+    retire();
     return rep;
 }
 

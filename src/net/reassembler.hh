@@ -131,12 +131,12 @@ class FrameReassembler
     /**
      * Deadline: decode what is present, degrade what is not (see the
      * file comment), retire the frame and every earlier frame of the
-     * stream (their later packets are Stale, so finalize a stream's
-     * frames in increasing order), and remember the output as the
-     * stream's fallback source. @p out is sized to the frame geometry;
-     * a frame with no manifest leaves @p out holding the previous
-     * finalized frame (whole-frame hold) or untouched when there is
-     * none.
+     * stream (their state is freed and their later packets are Stale,
+     * so finalize a stream's frames in increasing order), and remember
+     * the output as the stream's fallback source. @p out is sized to
+     * the frame geometry; a frame with no manifest leaves @p out
+     * holding the previous finalized frame (whole-frame hold) or
+     * untouched when there is none.
      */
     FrameDeliveryReport finalizeFrame(std::uint32_t stream_id,
                                       std::uint64_t frame_id,
@@ -160,7 +160,6 @@ class FrameReassembler
         bool haveManifest = false;
         FrameManifest manifest;
         std::vector<std::uint8_t> buffer;  ///< full-stream bytes
-        std::vector<TileRect> tiles;
         std::vector<std::uint8_t> tileHave;
         std::vector<std::uint8_t> seqHave;  ///< packetCount + 1 entries
         /** Accepted ranges: {tileBegin, tileCount, payloadBitBegin}. */
@@ -184,7 +183,7 @@ class FrameReassembler
     bool isFinalized(std::uint32_t stream_id,
                      std::uint64_t frame_id) const;
 
-    AcceptResult processManifest(FrameState &st,
+    AcceptResult processManifest(const FrameKey &key,
                                  const PacketHeader &header,
                                  const std::uint8_t *payload);
     AcceptResult processTileData(FrameState &st,

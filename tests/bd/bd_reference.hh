@@ -11,6 +11,7 @@
 #ifndef PCE_TESTS_BD_BD_REFERENCE_HH
 #define PCE_TESTS_BD_BD_REFERENCE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +21,11 @@
 
 namespace pce::bdref {
 
-/** Serial BD encode of @p img, one putBits call per field. */
+/**
+ * Serial BD encode of @p img, one putBits call per field. Tiles go
+ * row-major with edge tiles clamped, stated here by nested loops rather
+ * than through TileGrid, so the comparison also pins the grid's order.
+ */
 inline std::vector<uint8_t>
 encode(const ImageU8 &img, int tile_size)
 {
@@ -29,8 +34,10 @@ encode(const ImageU8 &img, int tile_size)
     bw.putBits(static_cast<uint32_t>(img.width()), 16);
     bw.putBits(static_cast<uint32_t>(img.height()), 16);
     bw.putBits(static_cast<uint32_t>(tile_size), 8);
-    for (const TileRect &rect :
-         tileGrid(img.width(), img.height(), tile_size)) {
+    for (int ty = 0; ty < img.height(); ty += tile_size)
+    for (int tx = 0; tx < img.width(); tx += tile_size) {
+        const TileRect rect{tx, ty, std::min(tile_size, img.width() - tx),
+                            std::min(tile_size, img.height() - ty)};
         for (int c = 0; c < 3; ++c) {
             uint8_t lo = 255;
             uint8_t hi = 0;
@@ -64,15 +71,15 @@ encode(const ImageU8 &img, int tile_size)
  */
 inline void
 decodeTileRange(const uint8_t *data, std::size_t size_bytes,
-                const std::vector<TileRect> &tiles,
-                std::size_t tile_begin, std::size_t tile_end,
-                std::uint64_t payload_bit_begin, ImageU8 &out)
+                const TileGrid &grid, std::size_t tile_begin,
+                std::size_t tile_end, std::uint64_t payload_bit_begin,
+                ImageU8 &out)
 {
     BitReader br(data, size_bytes);
     br.seek(static_cast<std::size_t>(kBdStreamHeaderBits +
                                      payload_bit_begin));
     for (std::size_t t = tile_begin; t < tile_end; ++t) {
-        const TileRect &rect = tiles[t];
+        const TileRect rect = grid.rect(t);
         for (int c = 0; c < 3; ++c) {
             const unsigned width = br.getBits(kBdWidthFieldBits);
             const unsigned base = br.getBits(kBdBaseBits);

@@ -42,9 +42,9 @@ ImageU8
 widthImage(Rng &rng, int w, int h, int tile, unsigned forced)
 {
     ImageU8 img(w, h);
-    const std::vector<TileRect> tiles = tileGrid(w, h, tile);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        const TileRect &r = tiles[t];
+    const TileGrid grid{w, h, tile};
+    for (std::size_t t = 0; t < grid.count(); ++t) {
+        const TileRect r = grid.rect(t);
         for (int c = 0; c < 3; ++c) {
             const unsigned width =
                 forced == kMixed ? (t * 5 + c * 3) % 9 : forced;
@@ -69,12 +69,11 @@ widthImage(Rng &rng, int w, int h, int tile, unsigned forced)
 
 /** Payload bit offsets of every tile (tiles + 1 entries). */
 std::vector<std::size_t>
-tileOffsets(const std::vector<uint8_t> &stream,
-            const std::vector<TileRect> &tiles)
+tileOffsets(const std::vector<uint8_t> &stream, const TileGrid &grid)
 {
-    std::vector<std::size_t> offsets(tiles.size() + 1);
-    BdCodec::walkTileRange(stream.data(), stream.size(), tiles, 0,
-                           tiles.size(), 0, offsets.data());
+    std::vector<std::size_t> offsets(grid.count() + 1);
+    BdCodec::walkTileRange(stream.data(), stream.size(), grid, 0,
+                           grid.count(), 0, offsets.data());
     return offsets;
 }
 
@@ -88,14 +87,13 @@ TEST(BdBitIo, EncodeAndDecodeMatchTheReference)
     } sizes[] = {{1, 1}, {13, 7}, {17, 3}, {33, 40}, {61, 47}};
     for (const int tile : {1, 2, 3, 4, 5, 8, 16}) {
         for (const auto &sz : sizes) {
-            const std::vector<TileRect> tiles =
-                tileGrid(sz.w, sz.h, tile);
+            const TileGrid grid{sz.w, sz.h, tile};
             for (unsigned forced = 0; forced <= kMixed; ++forced) {
                 const ImageU8 img =
                     widthImage(rng, sz.w, sz.h, tile, forced);
                 const std::vector<uint8_t> ref = bdref::encode(img, tile);
                 const std::vector<std::size_t> offsets =
-                    tileOffsets(ref, tiles);
+                    tileOffsets(ref, grid);
                 for (const BdBitPath path : kBitPaths) {
                     const auto where = ::testing::Message()
                                        << sz.w << "x" << sz.h << " tile "
@@ -125,16 +123,16 @@ TEST(BdBitIo, EncodeAndDecodeMatchTheReference)
                     // decoded on its own by both readers.
                     ImageU8 fast(sz.w, sz.h);
                     ImageU8 slow(sz.w, sz.h);
-                    for (std::size_t t0 = 0, len = 1; t0 < tiles.size();
+                    for (std::size_t t0 = 0, len = 1; t0 < grid.count();
                          t0 += len, len = len % 3 + 1) {
-                        const std::size_t t1 =
-                            std::min(tiles.size(), t0 + len);
+                        const std::size_t t1 = std::min<std::size_t>(
+                            grid.count(), t0 + len);
                         BdCodec::decodeTileRangeInto(ref.data(),
-                                                     ref.size(), tiles, t0,
+                                                     ref.size(), grid, t0,
                                                      t1, offsets[t0], fast,
                                                      path);
                         bdref::decodeTileRange(ref.data(), ref.size(),
-                                               tiles, t0, t1, offsets[t0],
+                                               grid, t0, t1, offsets[t0],
                                                slow);
                     }
                     EXPECT_EQ(fast, slow) << where;
@@ -181,9 +179,9 @@ TEST(BdBitIo, WrappingBasePlusDeltaMatchesTheReference)
         }
         bw.alignToByte();
         const std::vector<uint8_t> stream = bw.take();
-        const std::vector<TileRect> tiles = tileGrid(2 * side, side, side);
+        const TileGrid grid{2 * side, side, side};
         ImageU8 want(2 * side, side);
-        bdref::decodeTileRange(stream.data(), stream.size(), tiles, 0, 2,
+        bdref::decodeTileRange(stream.data(), stream.size(), grid, 0, 2,
                                0, want);
         for (const BdBitPath path : kBitPaths) {
             ImageU8 got;
@@ -258,10 +256,9 @@ TEST(BdBitIo, BytesOutsideARangeNeverAffectItsDecode)
         const int h = 29;
         const ImageU8 img = widthImage(rng, w, h, tile, kMixed);
         const std::vector<uint8_t> stream = bdref::encode(img, tile);
-        const std::vector<TileRect> tiles = tileGrid(w, h, tile);
-        const std::vector<std::size_t> offsets =
-            tileOffsets(stream, tiles);
-        const std::size_t n = tiles.size();
+        const TileGrid grid{w, h, tile};
+        const std::vector<std::size_t> offsets = tileOffsets(stream, grid);
+        const std::size_t n = grid.count();
         const std::size_t per_row = (w + tile - 1) / tile;
 
         std::vector<std::pair<std::size_t, std::size_t>> ranges = {
@@ -287,7 +284,7 @@ TEST(BdBitIo, BytesOutsideARangeNeverAffectItsDecode)
                 kBdStreamHeaderBits + offsets[t0];
             const std::uint64_t span_end = kBdStreamHeaderBits + offsets[t1];
             ImageU8 expected(w, h);
-            bdref::decodeTileRange(stream.data(), stream.size(), tiles,
+            bdref::decodeTileRange(stream.data(), stream.size(), grid,
                                    t0, t1, offsets[t0], expected);
             const std::size_t span_bytes = (span_end + 7) / 8;
             for (const std::size_t size : {span_bytes, span_bytes + 1,
@@ -313,7 +310,7 @@ TEST(BdBitIo, BytesOutsideARangeNeverAffectItsDecode)
                     for (const BdBitPath path : kBitPaths) {
                         ImageU8 got(w, h);
                         BdCodec::decodeTileRangeInto(buf.get(), size,
-                                                     tiles, t0, t1,
+                                                     grid, t0, t1,
                                                      offsets[t0], got,
                                                      path);
                         EXPECT_EQ(got, expected)

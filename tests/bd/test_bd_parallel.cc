@@ -82,7 +82,7 @@ TEST(BdParallel, SmallFramesStayOffThePool)
         bool dispatches;
     } cases[] = {{128, 128, false}, {261, 203, true}};
     for (const auto &cs : cases) {
-        const std::size_t tiles = tileGrid(cs.w, cs.h, 4).size();
+        const std::uint64_t tiles = TileGrid{cs.w, cs.h, 4}.count();
         ASSERT_EQ(tiles >= 2 * kBdMinTilesPerParticipant, cs.dispatches);
         const ImageU8 img = randomImage(rng, cs.w, cs.h);
         const std::uint64_t before = pool.dispatchCalls();
@@ -205,7 +205,7 @@ TEST(BdParallel, DecodeIntoRoundTripSweepIsByteIdentical)
 TEST(BdParallel, DecodeIntoReusesEveryBuffer)
 {
     // Steady state: the second decode of a same-geometry stream must
-    // land in the same allocations (image data, tile grid, offsets) —
+    // land in the same allocations (image data, offsets) —
     // the decode mirror of EncodeIntoReusesTheOutputBuffer. 192x176
     // (2112 tiles) decodes on the pool.
     Rng rng(7);
@@ -221,13 +221,11 @@ TEST(BdParallel, DecodeIntoReusesEveryBuffer)
         EXPECT_EQ(out, img);
 
         const uint8_t *img_data = out.data().data();
-        const TileRect *tiles_data = scratch.tiles.data();
         const std::size_t *offsets_data = scratch.bitOffsets.data();
         for (int repeat = 0; repeat < 3; ++repeat) {
             BdCodec::decodeInto(stream, out, &scratch, &pool, 3);
             EXPECT_EQ(out, img) << w << "x" << h;
             EXPECT_EQ(out.data().data(), img_data);
-            EXPECT_EQ(scratch.tiles.data(), tiles_data);
             EXPECT_EQ(scratch.bitOffsets.data(), offsets_data);
         }
     }
@@ -237,7 +235,7 @@ TEST(BdParallel, DecodeIntoReusesEveryBuffer)
 TEST(BdParallel, DecodeScratchSurvivesGeometryChanges)
 {
     // One decode scratch reused across frame/tile geometries must keep
-    // decoding losslessly (the cached grid is keyed, not assumed).
+    // decoding losslessly (the offset table is resized per frame).
     // 190 (tile 4) and 333 (tiles 4 and 7) decode on the pool.
     Rng rng(8);
     BdDecodeScratch scratch;

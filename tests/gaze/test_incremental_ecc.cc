@@ -303,7 +303,9 @@ TEST(IncrementalEcc, NoFalseFovealBypassAcrossAChain)
         fy += dy;
         upd.refixate(map, fx, fy);
         const EccentricityMap fresh = freshMap(geom, fx, fy);
-        for (const TileRect &t : tileGrid(w, h, 8)) {
+        const TileGrid grid{w, h, 8};
+        for (std::size_t i = 0; i < grid.count(); ++i) {
+            const TileRect t = grid.rect(i);
             if (fresh.minInRect(t) < cutoff)
                 ASSERT_LT(map.minInRect(t), cutoff)
                     << "tile (" << t.x0 << "," << t.y0

@@ -71,8 +71,10 @@ TEST_P(TileGridTest, CoversEveryPixelExactlyOnce)
     const int tile = GetParam();
     const int w = 37;  // deliberately not a multiple of any tile size
     const int h = 23;
+    const TileGrid grid{w, h, tile};
     std::vector<int> cover(static_cast<std::size_t>(w) * h, 0);
-    for (const TileRect &r : tileGrid(w, h, tile)) {
+    for (std::size_t i = 0; i < grid.count(); ++i) {
+        const TileRect r = grid.rect(i);
         EXPECT_GT(r.w, 0);
         EXPECT_GT(r.h, 0);
         EXPECT_LE(r.w, tile);
@@ -85,25 +87,41 @@ TEST_P(TileGridTest, CoversEveryPixelExactlyOnce)
         EXPECT_EQ(c, 1);
 }
 
+TEST_P(TileGridTest, NextStepsThroughRectInOrder)
+{
+    // The tile passes take rect(begin) once and step with next(): the
+    // chain from tile 0 must give every rect(i), across each row wrap
+    // and up to the clamped last tile.
+    const TileGrid grid{37, 23, GetParam()};
+    TileRect r = grid.rect(0);
+    for (std::size_t i = 0; i < grid.count(); ++i, r = grid.next(r))
+        ASSERT_EQ(r, grid.rect(i)) << "tile " << i;
+    EXPECT_LE(r.h, 0);  // one step past the last tile is below the image
+}
+
 INSTANTIATE_TEST_SUITE_P(TileSizes, TileGridTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 10, 12, 16,
                                            32));
 
 TEST(TileGrid, ExactFitProducesFullTiles)
 {
-    const auto tiles = tileGrid(16, 8, 4);
-    EXPECT_EQ(tiles.size(), 8u);
-    for (const auto &t : tiles) {
+    const TileGrid grid{16, 8, 4};
+    EXPECT_EQ(grid.cols(), 4);
+    EXPECT_EQ(grid.rows(), 2);
+    EXPECT_EQ(grid.count(), 8u);
+    for (std::size_t i = 0; i < grid.count(); ++i) {
+        const TileRect t = grid.rect(i);
         EXPECT_EQ(t.w, 4);
         EXPECT_EQ(t.h, 4);
         EXPECT_EQ(t.pixelCount(), 16);
     }
 }
 
-TEST(TileGrid, RejectsBadTileSize)
+TEST(TileGrid, EmptyImageHasNoTiles)
 {
-    EXPECT_THROW(tileGrid(8, 8, 0), std::invalid_argument);
-    EXPECT_THROW(tileGrid(8, 8, -4), std::invalid_argument);
+    const TileGrid grid{0, 0, 4};
+    EXPECT_EQ(grid.count(), 0u);
+    EXPECT_EQ(grid.rect(0).pixelCount(), 0);
 }
 
 TEST(Psnr, IdenticalImagesIsInfinite)

@@ -59,15 +59,15 @@ void
 expectNoSilentTiles(const FrameDeliveryReport &rep, const ImageU8 &out,
                     const ImageU8 &clean)
 {
-    const std::vector<TileRect> tiles = tileGrid(kW, kH, 4);
-    ASSERT_EQ(rep.tileDelivered.size(), tiles.size());
+    const TileGrid grid{kW, kH, 4};
+    ASSERT_EQ(rep.tileDelivered.size(), grid.count());
     std::size_t flagged = 0;
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
+    for (std::size_t t = 0; t < grid.count(); ++t) {
         if (!rep.tileDelivered[t]) {
             ++flagged;
             continue;
         }
-        const TileRect &r = tiles[t];
+        const TileRect r = grid.rect(t);
         for (int y = r.y0; y < r.y0 + r.h; ++y)
             for (int x = r.x0; x < r.x0 + r.w; ++x)
                 for (int c = 0; c < 3; ++c)

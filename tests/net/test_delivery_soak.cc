@@ -186,15 +186,15 @@ expectNoSilentTiles(const FrameDeliveryReport &rep, const ImageU8 &out,
         EXPECT_EQ(rep.deliveredTiles, 0u);
         return;
     }
-    const std::vector<TileRect> tiles = tileGrid(kW, kH, kTile);
-    ASSERT_EQ(rep.tileDelivered.size(), tiles.size());
+    const TileGrid grid{kW, kH, kTile};
+    ASSERT_EQ(rep.tileDelivered.size(), grid.count());
     std::size_t flagged = 0;
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
+    for (std::size_t t = 0; t < grid.count(); ++t) {
         if (!rep.tileDelivered[t]) {
             ++flagged;
             continue;
         }
-        const TileRect &r = tiles[t];
+        const TileRect r = grid.rect(t);
         for (int y = r.y0; y < r.y0 + r.h; ++y)
             for (int x = r.x0; x < r.x0 + r.w; ++x)
                 for (int c = 0; c < 3; ++c)

@@ -135,10 +135,10 @@ TEST(Packetizer, FovealPacketsLeadTheSendOrder)
 
     // Each tile's minimum eccentricity is the map's, and a packet's is
     // the minimum over the tiles it carries.
-    const std::vector<TileRect> tiles = tileGrid(64, 64, 4);
-    ASSERT_EQ(pf.tileMinEccDeg.size(), tiles.size());
-    for (std::size_t t = 0; t < tiles.size(); ++t)
-        EXPECT_EQ(pf.tileMinEccDeg[t], ecc.minInRect(tiles[t])) << t;
+    const TileGrid grid{64, 64, 4};
+    ASSERT_EQ(pf.tileMinEccDeg.size(), grid.count());
+    for (std::size_t t = 0; t < grid.count(); ++t)
+        EXPECT_EQ(pf.tileMinEccDeg[t], ecc.minInRect(grid.rect(t))) << t;
     for (std::size_t i = 1; i < pf.packets.size(); ++i) {
         const PacketHeader &h = pf.packets[i].header;
         double lowest = pf.tileMinEccDeg[h.tileBegin];

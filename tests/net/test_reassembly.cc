@@ -129,13 +129,13 @@ TEST(Reassembly, CrcRejectsCorruptPacketAndTileDegrades)
     EXPECT_EQ(rep.filledTiles, fx.pf.packets[2].header.tileCount);
     EXPECT_EQ(rep.deliveredTiles + rep.filledTiles, rep.totalTiles);
     // Every tile the report claims delivered is pixel-exact.
-    const std::vector<TileRect> tiles = tileGrid(48, 32, 4);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
+    const TileGrid grid{48, 32, 4};
+    for (std::size_t t = 0; t < grid.count(); ++t) {
         if (!rep.tileDelivered[t])
             continue;
-        for (int y = tiles[t].y0; y < tiles[t].y0 + tiles[t].h; ++y)
-            for (int x = tiles[t].x0; x < tiles[t].x0 + tiles[t].w;
-                 ++x)
+        const TileRect r = grid.rect(t);
+        for (int y = r.y0; y < r.y0 + r.h; ++y)
+            for (int x = r.x0; x < r.x0 + r.w; ++x)
                 for (int c = 0; c < 3; ++c)
                     ASSERT_EQ(out.channel(x, y, c),
                               fx.image.channel(x, y, c));
@@ -170,11 +170,11 @@ TEST(Reassembly, MissingTilesFallBackToPreviousFrame)
 
     // Fallback tiles hold frame 0's pixels; delivered tiles are
     // frame 1's.
-    const std::vector<TileRect> tiles = tileGrid(48, 32, 4);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
+    const TileGrid grid{48, 32, 4};
+    for (std::size_t t = 0; t < grid.count(); ++t) {
         const ImageU8 &want =
             rep.tileDelivered[t] ? second.image : first.image;
-        const TileRect &r = tiles[t];
+        const TileRect r = grid.rect(t);
         for (int y = r.y0; y < r.y0 + r.h; ++y)
             for (int x = r.x0; x < r.x0 + r.w; ++x)
                 for (int c = 0; c < 3; ++c)
