@@ -985,7 +985,7 @@ void
 BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
                     BdDecodeScratch *scratch, ThreadPool *pool,
                     int participants, std::uint64_t max_pixels,
-                    bool duplicate_validate, BdBitPath bit_path)
+                    BdBitPath bit_path)
 {
     // Header checks first, before any buffer scales with the claimed
     // geometry: the offset arrays sized next are O(stream), never
@@ -1002,30 +1002,10 @@ BdCodec::decodeInto(const std::vector<uint8_t> &stream, ImageU8 &out,
     // bit offsets — the exact dual of the encoder's prefix pass. Only
     // the 12-bit meta fields are read; delta blocks are stepped over
     // arithmetically.
-    auto walkPrefix =
-        [&](std::vector<std::size_t> &offsets) -> std::uint64_t {
-        offsets.resize(n_tiles + 1);
-        return walkTileRange(stream.data(), stream.size(), grid, 0,
-                             n_tiles, 0, offsets.data());
-    };
-    const std::uint64_t offset = walkPrefix(s.bitOffsets);
-
-    if (duplicate_validate) {
-        // Selective-EDDI: the walk above is the one serial stage whose
-        // output (the offset table) every later tile read trusts
-        // blindly. Re-run it into an independent buffer and compare;
-        // any disagreement — an SEU in the accumulator, the table, or
-        // the stream bytes between walks — is a detected error instead
-        // of a silently shifted decode.
-        if (s.prefixFaultHook)
-            s.prefixFaultHook(s.bitOffsets);
-        const std::uint64_t dup_offset = walkPrefix(s.dupOffsets);
-        if (dup_offset != offset || s.dupOffsets != s.bitOffsets)
-            throw std::runtime_error(
-                "BdCodec::decode: duplicated validate pass disagrees "
-                "(prefix fault detected)");
-    }
-
+    s.bitOffsets.resize(n_tiles + 1);
+    const std::uint64_t offset =
+        walkTileRange(stream.data(), stream.size(), grid, 0, n_tiles, 0,
+                      s.bitOffsets.data());
     bdCheckStreamEnd(stream.data(), stream.size(), offset);
 
     // Pass 2: tile decode, parallel over the validated offsets. Tiles

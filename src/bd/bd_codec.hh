@@ -46,7 +46,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "image/image.hh"
@@ -248,22 +247,6 @@ struct BdDecodeScratch
 {
     /** Exclusive prefix of per-tile payload bits (tiles + 1 entries). */
     std::vector<std::size_t> bitOffsets;
-
-    /**
-     * Second prefix filled by the duplicated validate pass
-     * (decodeInto with duplicate_validate = true); compared against
-     * bitOffsets before any tile is decoded.
-     */
-    std::vector<std::size_t> dupOffsets;
-
-    /**
-     * Fault-injection hook (src/fault): when duplicate validation is
-     * on, called with the *first* walk's offsets after that walk
-     * completes and before the duplicate walk runs, modeling an SEU in
-     * the prefix table between computation and use. Never invoked on
-     * the normal path (duplicate_validate = false leaves it untouched).
-     */
-    std::function<void(std::vector<std::size_t> &)> prefixFaultHook;
 };
 
 /** Base+Delta encoder/decoder with a configurable square tile size. */
@@ -390,27 +373,16 @@ class BdCodec
      *        allocated, even when the stream is otherwise well-formed
      *        (flat tiles make multi-GB frames honestly encodable in a
      *        few hundred KB).
-     * @param duplicate_validate Selective-EDDI hardening (ASPIS-style,
-     *        see docs/FAULTS.md): run the serial validate+prefix pass
-     *        twice into independent buffers and compare before
-     *        decoding any tile. The walk is the one serial,
-     *        unchecked-by-construction stage of the decode — a bit
-     *        flip in its accumulator or offset table silently shifts
-     *        every later tile's read position; duplication converts
-     *        that into a detected error at ~2x walk cost (the walk is
-     *        a small fraction of total decode time).
      * @param bit_path Bit path of the tile pass (see BdBitPath);
      *        clamped to what this CPU runs fast.
      * @throws std::runtime_error on any malformed or over-cap stream,
-     *         before @p out is modified, and on duplicate-validate
-     *         disagreement.
+     *         before @p out is modified.
      */
     static void decodeInto(
         const std::vector<uint8_t> &stream, ImageU8 &out,
         BdDecodeScratch *scratch = nullptr, ThreadPool *pool = nullptr,
         int participants = 1,
         std::uint64_t max_pixels = kBdDefaultMaxDecodePixels,
-        bool duplicate_validate = false,
         BdBitPath bit_path = activeBdBitPath());
 
     /**

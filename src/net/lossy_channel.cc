@@ -44,9 +44,17 @@ LossyChannel::send(const std::vector<std::uint8_t> &packet)
     if (config_.corruptRate > 0.0 && !bytes.empty() &&
         rng_.uniform() < config_.corruptRate) {
         const int flips = 1 + static_cast<int>(rng_.uniformInt(3));
+        const std::uint64_t n_bits = bytes.size() * 8;
+        std::uint64_t flipped[3] = {};
         for (int i = 0; i < flips; ++i) {
-            const std::uint64_t bit =
-                rng_.uniformInt(bytes.size() * 8);
+            std::uint64_t bit = rng_.uniformInt(n_bits);
+            // A second flip of one bit would undo the first and deliver
+            // an intact datagram counted as corrupted. Step to the next
+            // unflipped bit instead of drawing again, so the RNG stream
+            // (every later impairment) is the same as without the step.
+            while (std::find(flipped, flipped + i, bit) != flipped + i)
+                bit = (bit + 1) % n_bits;
+            flipped[i] = bit;
             bytes[bit / 8] ^=
                 static_cast<std::uint8_t>(1u << (bit % 8));
         }

@@ -35,7 +35,7 @@ struct LossyChannelConfig
 {
     double dropRate = 0.0;       ///< P(packet never arrives)
     double duplicateRate = 0.0;  ///< P(a second copy is delivered)
-    double corruptRate = 0.0;    ///< P(1-3 bit flips in the datagram)
+    double corruptRate = 0.0;    ///< P(1-3 distinct bits flipped)
     double reorderRate = 0.0;    ///< P(copy is delayed 1..maxDelayRounds)
     int maxDelayRounds = 2;      ///< worst-case extra rounds in flight
     std::uint64_t seed = 0x9e3779b97f4a7c15ULL;

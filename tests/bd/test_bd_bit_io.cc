@@ -110,13 +110,11 @@ TEST(BdBitIo, EncodeAndDecodeMatchTheReference)
 
                     ImageU8 serial;
                     BdCodec::decodeInto(ref, serial, nullptr, nullptr, 1,
-                                        kBdDefaultMaxDecodePixels, false,
-                                        path);
+                                        kBdDefaultMaxDecodePixels, path);
                     EXPECT_EQ(serial, img) << where;
                     ImageU8 parallel;
                     BdCodec::decodeInto(ref, parallel, nullptr, &pool, 4,
-                                        kBdDefaultMaxDecodePixels, false,
-                                        path);
+                                        kBdDefaultMaxDecodePixels, path);
                     EXPECT_EQ(parallel, img) << where;
 
                     // Tile ranges of three different lengths, each
@@ -186,7 +184,7 @@ TEST(BdBitIo, WrappingBasePlusDeltaMatchesTheReference)
         for (const BdBitPath path : kBitPaths) {
             ImageU8 got;
             BdCodec::decodeInto(stream, got, nullptr, nullptr, 1,
-                                kBdDefaultMaxDecodePixels, false, path);
+                                kBdDefaultMaxDecodePixels, path);
             EXPECT_EQ(got, want) << side << " " << bdBitPathName(path);
         }
     }

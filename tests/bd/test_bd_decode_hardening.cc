@@ -48,14 +48,14 @@ decodeOnEveryPath(const std::vector<uint8_t> &stream, ImageU8 &out,
     bool portable_threw = false;
     try {
         BdCodec::decodeInto(stream, out, scratch, pool, participants,
-                            max_pixels, false, BdBitPath::Portable);
+                            max_pixels, BdBitPath::Portable);
     } catch (const std::runtime_error &) {
         portable_threw = true;
     }
     ImageU8 bmi2;
     try {
         BdCodec::decodeInto(stream, bmi2, scratch, pool, participants,
-                            max_pixels, false, BdBitPath::Bmi2);
+                            max_pixels, BdBitPath::Bmi2);
     } catch (const std::runtime_error &) {
         EXPECT_TRUE(portable_threw) << "only the bmi2 path threw";
         throw;
