@@ -150,6 +150,10 @@ schemaTable()
                          {"stolen_frames"}, {"queue_peak_depth"},
                          {"shard_occupancy_mean"}},
               .gate = "shard_count"},
+             // The shared input pool's allocations.
+             {.fields = {{.key = "input_copies", .lo = 1},
+                         {.key = "input_copy_bytes", .lo = 1}},
+              .gate = "input_copies"},
              {.fields = {{"trace_off_aggregate_mps"},
                          {"trace_on_aggregate_mps"},
                          {.key = "trace_on_vs_off", .loOpen = true},

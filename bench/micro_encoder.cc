@@ -7,7 +7,8 @@
  * docs/PERF.md's stage harnesses are the BM_FrameEncode 256x256
  * one-thread rows (the frame pass on one worker), BM_TileAdjustScratch/16
  * (one tile through the kernel table), BM_TileStages/256 (the frame
- * pass's tile flow split stage by stage), BM_Hash64_Frame, BM_Crc32_77KB,
+ * pass's tile flow split stage by stage), BM_Hash64_Frame,
+ * BM_IntakeCopy_Frame (copy then hash, against copyHash64), BM_Crc32_77KB,
  * BM_BdEmit and BM_BdDecode at 128 and 256 (1 and 4 participants), the
  * BD decode split into BM_BdDecodeWalk/256 and BM_BdDecodeTiles/256,
  * and the gaze update's map stages: BM_EccentricityRebuild (a full
@@ -311,6 +312,34 @@ BM_Hash64_Frame(benchmark::State &state)
                             static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_Hash64_Frame);
+
+void
+BM_IntakeCopy_Frame(benchmark::State &state)
+{
+    // The hardened submit's intake of a 256x256 frame into a reused
+    // buffer: arg 0 copies then hashes the copy (two reads), arg 1
+    // folds each word as it stores it (copyHash64, one read).
+    const ImageF frame =
+        renderScene(SceneId::Skyline, {256, 256, 0, 0.0, 0});
+    ImageF copy(256, 256);
+    const std::size_t bytes = frame.pixels().size() * sizeof(Vec3);
+    const bool fused = state.range(0) != 0;
+    for (auto _ : state) {
+        if (fused) {
+            benchmark::DoNotOptimize(copyHash64(
+                frame.pixels().data(), copy.pixels().data(), bytes));
+        } else {
+            std::copy(frame.pixels().begin(), frame.pixels().end(),
+                      copy.pixels().begin());
+            benchmark::DoNotOptimize(
+                hash64(copy.pixels().data(), bytes));
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_IntakeCopy_Frame)->Arg(0)->Arg(1);
 
 void
 BM_BdEncode(benchmark::State &state)

@@ -21,7 +21,10 @@
  * many-small-streams workload stops serializing behind one
  * dispatcher. stolen_frames counts lane migrations: frames encoded on
  * a different dispatcher than their stream's previous frame
- * (ServiceReport::stolenFrames). On a single-hardware-thread host the sweep measures
+ * (ServiceReport::stolenFrames). input_copies / input_copy_bytes are
+ * the input buffers the service's pool allocated in the best round:
+ * at most the streams' summed streamDepth, and in practice the peak
+ * number of frames in flight at once. On a single-hardware-thread host the sweep measures
  * protocol overhead, not core scaling — hw_threads is recorded so a
  * reader can tell which one a record shows.
  *
@@ -70,6 +73,10 @@ struct ReplayResult
     std::uint64_t stolenFrames = 0;
     std::size_t queuePeakDepth = 0;
     double occupancyMean = 0.0;
+    /** Input copies the service's pool allocated, and their bytes
+     *  (ServiceReport::inputCopies / inputCopyBytes). */
+    std::uint64_t inputCopies = 0;
+    std::uint64_t inputCopyBytes = 0;
 };
 
 /**
@@ -132,6 +139,8 @@ replay(const std::vector<std::vector<const ImageF *>> &stream_frames,
     }
     r.stolenFrames = rep.stolenFrames;
     r.queuePeakDepth = rep.queuePeakDepth;
+    r.inputCopies = rep.inputCopies;
+    r.inputCopyBytes = rep.inputCopyBytes;
     for (const ShardStats &sh : rep.shards)
         r.occupancyMean +=
             sh.occupancy / static_cast<double>(rep.shards.size());
@@ -285,6 +294,8 @@ main(int argc, char **argv)
             .num("stolen_frames", best.stolenFrames)
             .num("queue_peak_depth", best.queuePeakDepth)
             .num("shard_occupancy_mean", best.occupancyMean)
+            .num("input_copies", best.inputCopies)
+            .num("input_copy_bytes", best.inputCopyBytes)
             .num("aggregate_mps", aggregate_mps)
             .num("singleshot_mps", singleshot_mps)
             .num("service_efficiency", aggregate_mps / singleshot_mps)

@@ -152,10 +152,12 @@ mix64(uint64_t x)
  * (vpmullq, DQ): the XOR of the salted, mixed words 0 .. 8 * blocks - 1.
  * Lane j of a step holds word 8s + j, salted with kHashSalt * (8s + j +
  * 1) — a salt that advances by 8 * kHashSalt per step (mod 2^64). The
- * words are combined by XOR, so the lane order changes no bit.
+ * words are combined by XOR, so the lane order changes no bit. With
+ * Copy, each loaded block is also stored to @p dst.
  */
+template <bool Copy>
 __attribute__((target("avx512f,avx512dq"))) uint64_t
-mixWords8(const uint8_t *bytes, std::size_t blocks)
+mixWords8(const uint8_t *bytes, uint8_t *dst, std::size_t blocks)
 {
     const __m512i m1 = _mm512_set1_epi64(static_cast<long long>(kMix1));
     const __m512i m2 = _mm512_set1_epi64(static_cast<long long>(kMix2));
@@ -166,8 +168,10 @@ mixWords8(const uint8_t *bytes, std::size_t blocks)
         _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8));
     __m512i acc = _mm512_setzero_si512();
     for (std::size_t b = 0; b < blocks; ++b) {
-        __m512i x = _mm512_add_epi64(
-            _mm512_loadu_si512(bytes + 64 * b), salt);
+        const __m512i w = _mm512_loadu_si512(bytes + 64 * b);
+        if constexpr (Copy)
+            _mm512_storeu_si512(dst + 64 * b, w);
+        __m512i x = _mm512_add_epi64(w, salt);
         x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 30));
         x = _mm512_mullo_epi64(x, m1);
         x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
@@ -194,6 +198,44 @@ hasWideHash()
     return ok;
 }
 #endif
+
+/**
+ * hash64 of the @p n bytes at @p bytes; with Copy, each word is also
+ * stored to @p dst as it is folded, so copy and hash take one read.
+ */
+template <bool Copy>
+uint64_t
+hashWords(const uint8_t *bytes, uint8_t *dst, std::size_t n)
+{
+    // XOR of independently mixed words, each salted with its position,
+    // so the sum is order-sensitive without a sequential dependency
+    // chain: any grouping of the words gives the same value. On
+    // AVX-512 hosts the whole 64-byte blocks go 8 words per step; the
+    // scalar loop takes the rest (every word elsewhere).
+    uint64_t acc = mix64(kHashSalt ^ n);
+    std::size_t i = 0;
+#ifdef PCE_HASH64_AVX512
+    if (hasWideHash()) {
+        acc ^= mixWords8<Copy>(bytes, dst, n / 64);
+        i = n / 64 * 64;
+    }
+#endif
+    for (; i + 8 <= n; i += 8) {
+        uint64_t word;
+        std::memcpy(&word, bytes + i, 8);
+        if constexpr (Copy)
+            std::memcpy(dst + i, &word, 8);
+        acc ^= mix64(word + kHashSalt * (i / 8 + 1));
+    }
+    if (i < n) {
+        uint64_t word = 0;
+        std::memcpy(&word, bytes + i, n - i);
+        if constexpr (Copy)
+            std::memcpy(dst + i, bytes + i, n - i);
+        acc ^= mix64(word + kHashSalt * (i / 8 + 1));
+    }
+    return acc;
+}
 
 } // namespace
 
@@ -276,31 +318,15 @@ adler32(const uint8_t *data, std::size_t n)
 uint64_t
 hash64(const void *data, std::size_t n)
 {
-    // XOR of independently mixed words, each salted with its position,
-    // so the sum is order-sensitive without a sequential dependency
-    // chain: any grouping of the words gives the same value. On
-    // AVX-512 hosts the whole 64-byte blocks go 8 words per step; the
-    // scalar loop takes the rest (every word elsewhere).
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    uint64_t acc = mix64(kHashSalt ^ n);
-    std::size_t i = 0;
-#ifdef PCE_HASH64_AVX512
-    if (hasWideHash()) {
-        acc ^= mixWords8(bytes, n / 64);
-        i = n / 64 * 64;
-    }
-#endif
-    for (; i + 8 <= n; i += 8) {
-        uint64_t word;
-        std::memcpy(&word, bytes + i, 8);
-        acc ^= mix64(word + kHashSalt * (i / 8 + 1));
-    }
-    if (i < n) {
-        uint64_t word = 0;
-        std::memcpy(&word, bytes + i, n - i);
-        acc ^= mix64(word + kHashSalt * (i / 8 + 1));
-    }
-    return acc;
+    return hashWords<false>(static_cast<const uint8_t *>(data), nullptr,
+                            n);
+}
+
+uint64_t
+copyHash64(const void *src, void *dst, std::size_t n)
+{
+    return hashWords<true>(static_cast<const uint8_t *>(src),
+                           static_cast<uint8_t *>(dst), n);
 }
 
 } // namespace pce

@@ -107,6 +107,13 @@ uint32_t adler32(const uint8_t *data, std::size_t n);
  */
 uint64_t hash64(const void *data, std::size_t n);
 
+/**
+ * Copy @p n bytes from @p src to @p dst and return hash64(dst, n),
+ * reading the source once: each word is folded as it is stored. The
+ * ranges must not overlap; neither needs alignment.
+ */
+uint64_t copyHash64(const void *src, void *dst, std::size_t n);
+
 } // namespace pce
 
 #endif // PCE_COMMON_INTEGRITY_HH

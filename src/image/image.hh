@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/vec3.hh"
@@ -88,6 +89,24 @@ class ImageF
   public:
     ImageF() = default;
     ImageF(int width, int height, const Vec3 &fill = Vec3());
+    ImageF(const ImageF &) = default;
+    ImageF &operator=(const ImageF &) = default;
+    /** A moved-from image is 0x0, like its (empty) pixel buffer. */
+    ImageF(ImageF &&other) noexcept
+        : width_(std::exchange(other.width_, 0)),
+          height_(std::exchange(other.height_, 0)),
+          pixels_(std::move(other.pixels_))
+    {}
+    ImageF &operator=(ImageF &&other) noexcept
+    {
+        if (this != &other) {
+            width_ = std::exchange(other.width_, 0);
+            height_ = std::exchange(other.height_, 0);
+            pixels_ = std::move(other.pixels_);
+            other.pixels_.clear();
+        }
+        return *this;
+    }
 
     int width() const { return width_; }
     int height() const { return height_; }
@@ -120,6 +139,24 @@ class ImageU8
   public:
     ImageU8() = default;
     ImageU8(int width, int height);
+    ImageU8(const ImageU8 &) = default;
+    ImageU8 &operator=(const ImageU8 &) = default;
+    /** A moved-from image is 0x0, like its (empty) byte buffer. */
+    ImageU8(ImageU8 &&other) noexcept
+        : width_(std::exchange(other.width_, 0)),
+          height_(std::exchange(other.height_, 0)),
+          data_(std::move(other.data_))
+    {}
+    ImageU8 &operator=(ImageU8 &&other) noexcept
+    {
+        if (this != &other) {
+            width_ = std::exchange(other.width_, 0);
+            height_ = std::exchange(other.height_, 0);
+            data_ = std::move(other.data_);
+            other.data_.clear();
+        }
+        return *this;
+    }
 
     int width() const { return width_; }
     int height() const { return height_; }

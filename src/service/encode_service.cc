@@ -16,9 +16,11 @@ namespace detail {
 /**
  * Internal per-stream state. Every container here is sized once (at
  * openStream, from ServiceParams) and reused: the free-slot stack, the
- * ready ring, and each slot's input image and
- * EncodedFrame all reach steady-state capacity after the first frames
- * and never reallocate for a same-geometry stream.
+ * ready ring, and each slot's EncodedFrame all reach steady-state
+ * capacity after the first frames and never reallocate for a
+ * same-geometry stream. Input copies are not per stream: a slot holds
+ * one of the service's pooled buffers only while its frame is in
+ * flight (EncodeService::InputPool).
  */
 struct StreamState
 {
@@ -50,7 +52,9 @@ struct StreamState
 
     struct Slot
     {
-        ImageF input;          ///< service-owned copy of the submission
+        /** The submission's pooled input copy, held from submit to the
+         *  end of its dispatch; 0x0 otherwise. */
+        ImageF input;
         EncodedFrame frame;    ///< reusable encode output
         std::exception_ptr error;  ///< set when this encode failed
         GazeSample gazeSample; ///< rides with the frame (gaze streams)
@@ -118,17 +122,50 @@ secondsBetween(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Copy @p src into @p dst, reallocating only on geometry change. */
-void
-copyFrameInto(const ImageF &src, ImageF &dst)
-{
-    if (dst.width() != src.width() || dst.height() != src.height())
-        dst = ImageF(src.width(), src.height());
-    std::copy(src.pixels().begin(), src.pixels().end(),
-              dst.pixels().begin());
-}
-
 } // namespace
+
+/**
+ * The service's input copies: a LIFO free list of ImageF buffers under
+ * its own mutex. take() hands out the most recently returned buffer of
+ * the asked geometry and allocates only when none is free; give()
+ * returns one. Nothing is ever trimmed, so per geometry the pool owns
+ * the peak number of that geometry's frames in flight at once.
+ */
+struct EncodeService::InputPool
+{
+    /** A width x height buffer, contents unspecified. */
+    ImageF take(int width, int height)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            for (std::size_t i = free.size(); i-- > 0;) {
+                if (free[i].width() == width &&
+                    free[i].height() == height) {
+                    ImageF img = std::move(free[i]);
+                    free.erase(free.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                    return img;
+                }
+            }
+            ++copies;
+            copyBytes += static_cast<std::uint64_t>(width) * height *
+                         sizeof(Vec3);
+        }
+        return ImageF(width, height);
+    }
+
+    void give(ImageF &&img)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        free.push_back(std::move(img));
+    }
+
+    std::mutex mutex;
+    std::vector<ImageF> free;
+    /** Buffers allocated, and their bytes (ServiceReport). */
+    std::uint64_t copies = 0;
+    std::uint64_t copyBytes = 0;
+};
 
 const std::string &
 StreamHandle::name() const
@@ -203,6 +240,7 @@ EncodeService::EncodeService(const DiscriminationModel &model,
                              const ServiceParams &params)
     : params_(params),
       queue_(params.queueCapacity, params.shards),
+      inputs_(std::make_unique<InputPool>()),
       startTime_(Clock::now())
 {
     if (params_.threads < 1)
@@ -377,18 +415,25 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
 
     // The slot is exclusively ours until the request is enqueued: copy
     // outside the lock so concurrent producers overlap their copies.
+    // The buffer is taken only now, after slot backpressure, so a
+    // blocked producer holds none.
     StreamState::Slot &sl = s.slots[static_cast<std::size_t>(slot)];
-    copyFrameInto(frame, sl.input);
+    sl.input = inputs_->take(s.width, s.height);
+    // Hardened, the copy also checksums what it stores, in the same
+    // read: anything that flips a bit of the copy between here and the
+    // dispatcher's verify is detected.
+    if (params_.hardenIntegrity)
+        sl.inputHash = copyHash64(frame.pixels().data(),
+                                  sl.input.pixels().data(),
+                                  frame.pixelCount() * sizeof(Vec3));
+    else
+        std::copy(frame.pixels().begin(), frame.pixels().end(),
+                  sl.input.pixels().begin());
     sl.error = nullptr;
     sl.hasGaze = gaze != nullptr;
     sl.frameIndex = seq;
     if (gaze != nullptr)
         sl.gazeSample = *gaze;
-    // Checksum the copy we will encode from: anything that flips a bit
-    // of it between here and the dispatcher's verify is detected.
-    if (params_.hardenIntegrity)
-        sl.inputHash = hash64(sl.input.pixels().data(),
-                              sl.input.pixels().size() * sizeof(Vec3));
 
     EncodeRequest req;
     req.stream = &s;
@@ -402,6 +447,7 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
     if (!queue_.push(reinterpret_cast<std::uintptr_t>(&s), req)) {
         // Shut down while waiting: roll the submission back so drains
         // and collects never wait for a frame that will not arrive.
+        inputs_->give(std::move(sl.input));
         {
             std::lock_guard<std::mutex> lock(s.mutex);
             s.freeSlots.push_back(slot);
@@ -704,6 +750,9 @@ EncodeService::dispatchLoop(std::size_t shard)
         }
         if (gazeHeld)
             s.gaze->endExclusive();
+        // Encode, verify and seal are done (or failed): the input copy
+        // goes back before the frame is published.
+        inputs_->give(std::move(sl.input));
         const Clock::time_point end = Clock::now();
         if (tracing)
             obs::recordSpan("service/dispatch", start_ns,
@@ -721,7 +770,7 @@ EncodeService::dispatchLoop(std::size_t shard)
             StreamStats &st = s.stats;
             if (!sl.error) {
                 st.megapixels +=
-                    static_cast<double>(sl.input.pixelCount()) / 1e6;
+                    static_cast<double>(s.width) * s.height / 1e6;
                 st.encodeSeconds += secondsBetween(start, end);
             }
             if (verified) {
@@ -767,6 +816,11 @@ EncodeService::report() const
     rep.queuePeakDepth = queue_.peakDepth();
     rep.queueCapacity = queue_.capacity();
     rep.stolenFrames = migrations_.load(std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(inputs_->mutex);
+        rep.inputCopies = inputs_->copies;
+        rep.inputCopyBytes = inputs_->copyBytes;
+    }
     rep.shards.reserve(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const ShardRuntime &rt = *shards_[i];

@@ -40,17 +40,25 @@
  * ## Ownership and reuse contracts
  *
  * - Each stream owns a fixed ring of `streamDepth` slots; a slot holds
- *   a service-owned input copy (ImageF) and a reusable EncodedFrame.
- *   submit() copies the caller's frame into a free slot and returns —
- *   the caller's buffer can be reused or freed immediately. Encoded
- *   results are handed out as FrameLease RAII objects pointing at the
- *   slot's EncodedFrame; the slot returns to the free ring when the
- *   lease is dropped. Because slots, queue storage, stats histograms, and
- *   every EncodedFrame buffer are allocated up front and reused, and
+ *   a reusable EncodedFrame. Input copies (ImageF, 24 B per pixel) are
+ *   not per slot: one service-wide pool lends them. submit() takes a
+ *   buffer of the stream's geometry from the pool (the most recently
+ *   returned one; a new allocation only when none is free), copies the
+ *   caller's frame into it and returns — the caller's buffer can be
+ *   reused or freed immediately. The dispatcher gives the buffer back
+ *   once encode, verify and seal are done, before it publishes the
+ *   frame, so an input copy exists only while its frame is in flight
+ *   (submit to end of dispatch), never while a result waits for
+ *   collect(). Encoded results are handed out as FrameLease RAII
+ *   objects pointing at the slot's EncodedFrame; the slot returns to
+ *   the free ring when the lease is dropped. Because slots, queue
+ *   storage, stats histograms, and every EncodedFrame buffer are
+ *   allocated up front and reused, the pool reuses its buffers, and
  *   the encoder's working storage is one workspace per dispatcher
  *   thread, the steady state of a same-geometry frame stream
  *   allocates nothing per frame (tests/core/test_steady_state_alloc.cc
- *   counts the encode and verify allocations).
+ *   counts the encode and verify allocations;
+ *   ServiceReport::inputCopies counts the pool's).
  * - The EccentricityMap passed to openStream is borrowed and must
  *   outlive the stream (fixation geometry is per-display and
  *   long-lived; per-frame gaze would rebuild the map anyway).
@@ -65,7 +73,12 @@
  * flight (per-stream backpressure, bounded by `streamDepth`), and
  * while the service queue holds `queueCapacity` requests (service-wide
  * backpressure; the bound is exact). Producers therefore self-pace to
- * the encode rate.
+ * the encode rate. A producer takes its input buffer only after it has
+ * a slot, so the pool owns, per frame geometry, at most the peak
+ * number of that geometry's frames ever in flight at once — never more
+ * than the sum of `streamDepth` over the streams of that geometry. The
+ * pool has no size knob and never shrinks: its memory follows the
+ * configuration and the peak concurrency seen, not the offered load.
  *
  * ## Drain and shutdown
  *
@@ -171,7 +184,7 @@ struct ServiceParams
     bool verifyRoundTrip = false;
     /**
      * Selective integrity hardening (docs/FAULTS.md). When on:
-     * submit() checksums the slot's input copy and the dispatcher
+     * submit() checksums the input copy as it makes it and the dispatcher
      * verifies it before encoding (a flip while the request waited in
      * the queue quarantines the frame instead of encoding garbage);
      * gaze streams verify their checksummed eccentricity state before
@@ -342,6 +355,16 @@ struct ServiceReport
      * unaffected either way.
      */
     std::uint64_t stolenFrames = 0;
+    /**
+     * Input copies the service has allocated, and their bytes: the
+     * pooled buffers submit() copies frames into (see "Ownership and
+     * reuse contracts"). Read under the pool's mutex, so exact. A
+     * steady stream of one geometry stops adding copies once the pool
+     * holds its peak number of frames in flight; the count never
+     * exceeds the sum of every stream's streamDepth.
+     */
+    std::uint64_t inputCopies = 0;
+    std::uint64_t inputCopyBytes = 0;
     /**
      * Deployment-health aggregates, summed across streams: round-trip
      * verification failures (verifyRoundTrip) and the hardenIntegrity
@@ -563,6 +586,7 @@ class EncodeService
 
   private:
     struct ShardRuntime;  ///< pool slice + encoder + dispatcher (.cc)
+    struct InputPool;     ///< shared free list of input copies (.cc)
 
     /** Name @p state (its ecc, and gaze if any, already set), size
      *  its frame and rings, give it a queue-latency histogram and a
@@ -577,6 +601,8 @@ class EncodeService
 
     const ServiceParams params_;
     LaneQueue<detail::EncodeRequest> queue_;
+    /** Every stream's input copies (ServiceReport::inputCopies). */
+    std::unique_ptr<InputPool> inputs_;
     /** Lane migrations (ServiceReport::stolenFrames). */
     std::atomic<std::uint64_t> migrations_{0};
     std::atomic<bool> accepting_{true};

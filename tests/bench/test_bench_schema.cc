@@ -20,6 +20,7 @@
 
 #include "../../bench/bench_record.hh"
 #include "../support/json_test_util.hh"
+#include "service/encode_service.hh"
 
 #ifndef PCE_SOURCE_DIR
 #error "PCE_SOURCE_DIR must point at the repository root"
@@ -77,6 +78,17 @@ TEST(BenchSchema, TrajectoryFileParsesAndConforms)
                     << "record " << i << " surface " << s
                     << ": hardening did not raise detection coverage";
             }
+        } else if (rec.find("input_copies") != nullptr) {
+            // Input copies are whole frames, and the pool never owns
+            // more than the streams' summed streamDepth (the runner
+            // uses the default).
+            EXPECT_EQ(num("input_copy_bytes"),
+                      num("input_copies") * num("width") *
+                          num("height") * sizeof(pce::Vec3))
+                << "record " << i;
+            EXPECT_LE(num("input_copies"),
+                      num("streams") * pce::ServiceParams().streamDepth)
+                << "record " << i;
         } else if (const JsonValue *gate =
                        rec.find("adaptive_loss_schedules")) {
             const auto names = splitNames(gate->string);

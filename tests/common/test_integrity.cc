@@ -4,8 +4,10 @@
  * both update paths against its bit-at-a-time definition (lengths,
  * alignments, large buffers, incremental splits, a wire packet), plus
  * detection-property tests for the fast hash64 used by the integrity
- * seals and a sweep of hash64 against its per-word definition
- * (whatever word loop this host dispatches to).
+ * seals, a sweep of hash64 against its per-word definition and of
+ * copyHash64 against hash64 (whatever word loop this host dispatches
+ * to; ctest runs the Hash64 and CopyHash64 tests a second time with
+ * FOVE_SIMD=off, which selects the portable word loop).
  */
 
 #include <gtest/gtest.h>
@@ -313,6 +315,58 @@ TEST(Hash64, GoldenValues)
     EXPECT_EQ(hash64(a.data(), a.size()), 0x4f1488a67ddcca3aull);
     EXPECT_EQ(hash64(b.data(), b.size()), 0xf417f65f72fb6403ull);
     EXPECT_EQ(hash64(c.data(), c.size()), 0x5f90bd7ccee35ff5ull);
+}
+
+TEST(CopyHash64, CopiesAndEqualsHash64AtEveryLengthAndOffset)
+{
+    // Every length 0-200 B (three 64-byte blocks plus every tail) from
+    // every source and destination alignment: the copy is exact, no
+    // byte outside [dst, dst + n) changes, and the value is hash64 of
+    // the copy.
+    const std::vector<uint8_t> src = randomBytes(200 + 8, 16);
+    constexpr uint8_t kGuard = 0xa5;
+    std::vector<uint8_t> dst(200 + 16);
+    for (std::size_t so = 0; so < 8; ++so)
+        for (std::size_t doff = 0; doff < 8; ++doff)
+            for (std::size_t n = 0; n <= 200; ++n) {
+                std::fill(dst.begin(), dst.end(), kGuard);
+                const uint64_t h =
+                    copyHash64(src.data() + so, dst.data() + doff, n);
+                ASSERT_TRUE(std::equal(src.begin() + so,
+                                       src.begin() + so + n,
+                                       dst.begin() + doff))
+                    << "offsets " << so << "/" << doff << " length " << n;
+                ASSERT_TRUE(std::all_of(dst.begin(), dst.begin() + doff,
+                                        [](uint8_t b) {
+                                            return b == kGuard;
+                                        }) &&
+                            std::all_of(dst.begin() + doff + n, dst.end(),
+                                        [](uint8_t b) {
+                                            return b == kGuard;
+                                        }))
+                    << "wrote outside the copy: offsets " << so << "/"
+                    << doff << " length " << n;
+                ASSERT_EQ(h, hash64(dst.data() + doff, n))
+                    << "offsets " << so << "/" << doff << " length " << n;
+                ASSERT_EQ(h, referenceHash64(src.data() + so, n));
+            }
+}
+
+TEST(CopyHash64, WholeFrameMatchesGoldenHash)
+{
+    // One 256x256 linear-RGB frame (1.5 MB), the service's intake copy,
+    // and the pinned 1572869-byte golden vector (a ragged tail).
+    const std::vector<uint8_t> frame = randomBytes(256 * 256 * 3 * 8, 15);
+    std::vector<uint8_t> copy(frame.size());
+    EXPECT_EQ(copyHash64(frame.data(), copy.data(), frame.size()),
+              hash64(frame.data(), frame.size()));
+    EXPECT_EQ(copy, frame);
+
+    const std::vector<uint8_t> c = randomBytes(1572869, 23);
+    std::vector<uint8_t> c_copy(c.size());
+    EXPECT_EQ(copyHash64(c.data(), c_copy.data(), c.size()),
+              0x5f90bd7ccee35ff5ull);
+    EXPECT_EQ(c_copy, c);
 }
 
 TEST(Hash64, DoubleArraysHashByRepresentation)

@@ -55,6 +55,47 @@ TEST(ImageU8, PixelAccess)
     EXPECT_EQ(img.byteSize(), 18u);
 }
 
+TEST(ImageF, MovedFromImageIsEmpty)
+{
+    // A moved-from image must not report its old geometry over an empty
+    // buffer: a same-geometry copy into it would write past the end.
+    ImageF a(8, 4, Vec3(1.0, 2.0, 3.0));
+    ImageF b = std::move(a);
+    EXPECT_EQ(b.width(), 8);
+    EXPECT_EQ(b.pixelCount(), 32u);
+    EXPECT_EQ(b.at(7, 3), Vec3(1.0, 2.0, 3.0));
+    EXPECT_EQ(a.width(), 0);
+    EXPECT_EQ(a.height(), 0);
+    EXPECT_EQ(a.pixelCount(), a.pixels().size());
+
+    ImageF c(5, 5);
+    c = std::move(b);
+    EXPECT_EQ(c.width(), 8);
+    EXPECT_EQ(c.pixels().size(), 32u);
+    EXPECT_EQ(b.width(), 0);
+    EXPECT_EQ(b.height(), 0);
+    EXPECT_TRUE(b.pixels().empty());
+}
+
+TEST(ImageU8, MovedFromImageIsEmpty)
+{
+    ImageU8 a(3, 2);
+    a.setChannel(2, 1, 2, 30);
+    ImageU8 b = std::move(a);
+    EXPECT_EQ(b.channel(2, 1, 2), 30);
+    EXPECT_EQ(a.width(), 0);
+    EXPECT_EQ(a.height(), 0);
+    EXPECT_EQ(a.byteSize(), 0u);
+
+    ImageU8 c(7, 7);
+    c = std::move(b);
+    EXPECT_EQ(c.width(), 3);
+    EXPECT_EQ(c.byteSize(), 18u);
+    EXPECT_EQ(b.width(), 0);
+    EXPECT_EQ(b.height(), 0);
+    EXPECT_EQ(b.pixelCount() * 3, b.byteSize());
+}
+
 TEST(Conversion, SrgbLinearRoundTripStable)
 {
     // toSrgb8(toLinear(img)) == img for any 8-bit image.

@@ -1,7 +1,8 @@
 /**
  * @file
  * EncodeService: byte-identity with the single-shot encodeFrameInto
- * path, per-stream buffer pinning (zero steady-state allocations),
+ * path, per-stream buffer pinning and input-copy reuse (zero
+ * steady-state allocations),
  * concurrent stream interleaving, backpressure, drain/shutdown with
  * in-flight work, and the stats report.
  */
@@ -99,7 +100,8 @@ TEST(EncodeService, SteadyStatePinsEveryPerStreamBuffer)
 {
     // The acceptance test of the reuse design: after the first cycle
     // through a stream's slots, further frames must reuse the exact
-    // same allocations — input copies, adjusted images, bitstreams.
+    // same allocations — adjusted images, bitstreams, and the pooled
+    // input copy (no new one is allocated).
     const int n = 64;
     const EccentricityMap ecc = centeredMap(n, n);
     const ImageF frame = renderScene(SceneId::Dumbo, {n, n, 0, 0.0, 0});
@@ -122,6 +124,11 @@ TEST(EncodeService, SteadyStatePinsEveryPerStreamBuffer)
         first_streams.push_back(lease->bdStream);
     }
     EXPECT_EQ(first_streams[0], first_streams[1]);
+    // One frame in flight at a time: one input copy, reused.
+    const ServiceReport warm = svc.report();
+    EXPECT_EQ(warm.inputCopies, 1u);
+    EXPECT_EQ(warm.inputCopyBytes,
+              static_cast<std::uint64_t>(n) * n * sizeof(Vec3));
 
     // Steady state: many more frames; every lease must point into one
     // of the warm slots' pinned buffers and reproduce the stream.
@@ -140,6 +147,10 @@ TEST(EncodeService, SteadyStatePinsEveryPerStreamBuffer)
         EXPECT_TRUE(pinned)
             << "frame " << i << " was encoded into a fresh allocation";
     }
+    const ServiceReport steady = svc.report();
+    EXPECT_EQ(steady.inputCopies, warm.inputCopies);
+    EXPECT_EQ(steady.inputCopyBytes, warm.inputCopyBytes);
+    EXPECT_EQ(steady.framesEncoded, 10u);
 }
 
 TEST(EncodeService, ConcurrentStreamsInterleaveWithoutCrosstalk)

@@ -84,6 +84,9 @@ TEST(FaultService, InputCorruptionQuarantinedAtDispatch)
     EXPECT_EQ(rep.faultsDetected, 1u);
     EXPECT_EQ(rep.framesQuarantined, 1u);
     EXPECT_EQ(rep.streams.at(0).framesQuarantined, 1u);
+    // The quarantined frame's input copy went back to the pool as well,
+    // and the flipped buffer served frames 2 and 3 intact.
+    EXPECT_EQ(rep.inputCopies, 1u);
 }
 
 TEST(FaultService, OutputCorruptionQuarantinedAtCollect)
